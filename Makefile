@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: build test race chaos lint noiselint staticcheck vuln fuzz bench bench-report bench-compare server-smoke cluster-smoke path-smoke
+.PHONY: build test race chaos lint noiselint staticcheck vuln fuzz bench bench-mini bench-report bench-compare server-smoke cluster-smoke path-smoke
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,13 @@ path-smoke:
 bench:
 	REPRO_METRICS_OUT=$(CURDIR)/clarinet-metrics.json \
 		$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The end-to-end benchmark (cmd/noisebench) is a module of its own, so
+# the root build and test skip it; this vets it and runs its tests, all
+# four workloads in miniature (~15 s), so an API change that breaks the
+# benchmark fails here. Mirrors the CI noisebench-mini job.
+bench-mini:
+	cd cmd/noisebench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark trajectory artifacts (DESIGN.md "Solver kernels & benchmark
 # trajectory"): run every benchmark with allocation counting, snapshot

@@ -103,6 +103,17 @@ func softplus(x, s float64) (f, df float64) {
 // handled symmetrically (current reverses sign), which keeps the model
 // continuous through zero crossing.
 func (p *MOSParams) Ids(w, vgs, vds float64) (id, gm, gds float64) {
+	return p.Eval(w, vgs, vds, true)
+}
+
+// Eval is the device evaluator behind Ids. With derivs true it returns
+// exactly what Ids does; with derivs false it returns the same id, bit
+// for bit, and leaves gm and gds zero, skipping the derivative work.
+// Callers that discard the conductances (residual-only Newton
+// iterations, committed-state currents) take the value-only path.
+//
+//lint:hot
+func (p *MOSParams) Eval(w, vgs, vds float64, derivs bool) (id, gm, gds float64) {
 	if w <= 0 {
 		panic(fmt.Sprintf("device: non-positive width %g", w))
 	}
@@ -116,16 +127,23 @@ func (p *MOSParams) Ids(w, vgs, vds float64) (id, gm, gds float64) {
 	gminI := p.Gmin * w * vds
 	vgst, dvgst := softplus(vgs-p.Vth, p.Vs)
 	if vgst <= 0 {
+		if !derivs {
+			return sign * gminI, 0, 0
+		}
 		return sign * gminI, 0, p.Gmin * w
 	}
-	vga := math.Pow(vgst, p.Alpha)
-	vdsat := p.Kv * math.Pow(vgst, 0.5*p.Alpha)
+	pw := newSharedPow(vgst)
+	vga := pw.pow(p.Alpha)
+	vdsat := p.Kv * pw.pow(0.5*p.Alpha)
 	u := vds / vdsat
 	th := math.Tanh(p.Sat * u)
-	sech2 := 1 - th*th
 
 	idCore := p.K * w * vga * th
 	id = sign * (idCore + gminI)
+	if !derivs {
+		return id, 0, 0
+	}
+	sech2 := 1 - th*th
 
 	// dId/dVds: core current via tanh(Sat*u), plus gmin.
 	gds = p.K*w*vga*p.Sat*sech2/vdsat + p.Gmin*w
@@ -134,8 +152,8 @@ func (p *MOSParams) Ids(w, vgs, vds float64) (id, gm, gds float64) {
 	// d(vga)/dvgs = Alpha * vgst^(Alpha-1) * dvgst
 	// d(u)/dvgs   = -vds/vdsat^2 * dVdsat/dvgs,
 	// dVdsat/dvgs = Kv * Alpha/2 * vgst^(Alpha/2-1) * dvgst
-	dvga := p.Alpha * math.Pow(vgst, p.Alpha-1) * dvgst
-	dvdsat := p.Kv * 0.5 * p.Alpha * math.Pow(vgst, 0.5*p.Alpha-1) * dvgst
+	dvga := p.Alpha * pw.pow(p.Alpha-1) * dvgst
+	dvdsat := p.Kv * 0.5 * p.Alpha * pw.pow(0.5*p.Alpha-1) * dvgst
 	du := -vds / (vdsat * vdsat) * dvdsat
 	gm = p.K * w * (dvga*th + vga*p.Sat*sech2*du)
 	gm *= sign

@@ -50,7 +50,7 @@ func estimateHorizon(cell *device.Cell, slew, cload float64) float64 {
 		if f.G != device.PinIn {
 			continue
 		}
-		idsat, _, _ := f.Params.Ids(f.W, tech.Vdd, tech.Vdd)
+		idsat, _, _ := f.Params.Eval(f.W, tech.Vdd, tech.Vdd, false)
 		if idsat > 0 {
 			r := tech.Vdd / 2 / idsat
 			if r > rEst {

@@ -131,3 +131,27 @@ func TestDriveNetProbes(t *testing.T) {
 		t.Fatalf("far end (%v) should lag near end (%v)", tFar, tNear)
 	}
 }
+
+// BenchmarkReceive times one receiver simulation of the alignment
+// search: a noisy input — a rising ramp with a triangular noise dip
+// superposed near its 50% point — driving the cell into a lumped load.
+// It is the kernel underneath noisebench's ladder.receiver_sim_us rung.
+func BenchmarkReceive(b *testing.B) {
+	noiseless := Input(tech, 120e-12, true)
+	dip := waveform.New([]float64{0, 40e-12, 120e-12}, []float64{0, -0.5, 0})
+	in := waveform.Sum(noiseless, dip.Shift(InputStart+40e-12))
+	for _, name := range []string{"INVX1", "NAND2X1"} {
+		cell, err := lib.Cell(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Receive(cell, in, 20e-15, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -89,46 +89,52 @@ func TestFactorCacheExactOnLinearCircuits(t *testing.T) {
 // TestTransientStepZeroAlloc asserts the steady-state transient inner
 // loop — Newton solve, factorization reuse, and commit — performs zero
 // allocations: everything lives in the solver's scratch arena and the
-// presized output series.
+// presized output series. NAND2X1 adds a series stack with an internal
+// node, so the per-FET bypass entries and the waveform hints are
+// exercised on more than one FET per rail.
 func TestTransientStepZeroAlloc(t *testing.T) {
-	c := gateFixture(t, "INVX2")
-	opt := Options{TStop: 2e-9, Step: 1e-12}
-	opt.defaults()
-	s := newSolver(c)
-	tr := &transient{
-		s:    s,
-		opt:  &opt,
-		x:    make([]float64, s.n),
-		xNew: make([]float64, s.n),
-		ist0: make([]float64, s.n),
-	}
-	s.loadFixed(0)
-	if err := s.dcNewton(context.Background(), 0, tr.x, 0, dcMaxIter); err != nil {
-		t.Fatal(err)
-	}
-	const room = 4096
-	tr.times = make([]float64, 0, room)
-	tr.statesBuf = make([]float64, 0, room*s.n)
-	tr.times = append(tr.times, 0)
-	tr.statesBuf = append(tr.statesBuf, tr.x...)
-	s.charge(tr.x, s.q0)
-	s.static(tr.x, 0, nil)
-	copy(tr.ist0, s.ist)
+	for _, cellName := range []string{"INVX2", "NAND2X1"} {
+		t.Run(cellName, func(t *testing.T) {
+			c := gateFixture(t, cellName)
+			opt := Options{TStop: 2e-9, Step: 1e-12}
+			opt.defaults()
+			s := newSolver(c)
+			tr := &transient{
+				s:    s,
+				opt:  &opt,
+				x:    make([]float64, s.n),
+				xNew: make([]float64, s.n),
+				ist0: make([]float64, s.n),
+			}
+			s.loadFixed(0)
+			if err := s.dcNewton(context.Background(), 0, tr.x, 0, dcMaxIter); err != nil {
+				t.Fatal(err)
+			}
+			const room = 4096
+			tr.times = make([]float64, 0, room)
+			tr.statesBuf = make([]float64, 0, room*s.n)
+			tr.times = append(tr.times, 0)
+			tr.statesBuf = append(tr.statesBuf, tr.x...)
+			s.charge(tr.x, s.q0)
+			s.static(tr.x, 0, nil)
+			copy(tr.ist0, s.ist)
 
-	h := opt.Step
-	now := 0.0
-	stepOnce := func() {
-		now += h
-		_, ok, err := tr.step(now, h)
-		if err != nil || !ok {
-			t.Fatalf("step to t=%v: ok=%v err=%v", now, ok, err)
-		}
-		tr.commit(now)
-	}
-	for i := 0; i < 8; i++ {
-		stepOnce() // warm the arena before counting
-	}
-	if allocs := testing.AllocsPerRun(200, stepOnce); allocs > 0 {
-		t.Fatalf("steady-state transient step allocates %.1f objects/op, want 0", allocs)
+			h := opt.Step
+			now := 0.0
+			stepOnce := func() {
+				now += h
+				_, ok, err := tr.step(now, h)
+				if err != nil || !ok {
+					t.Fatalf("step to t=%v: ok=%v err=%v", now, ok, err)
+				}
+				tr.commit(now)
+			}
+			for i := 0; i < 8; i++ {
+				stepOnce() // warm the arena before counting
+			}
+			if allocs := testing.AllocsPerRun(200, stepOnce); allocs > 0 {
+				t.Fatalf("steady-state transient step allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -93,6 +93,17 @@ type solver struct {
 	dx         []float64 // Newton update, solved in place each iteration
 	fixedCache []float64 // voltage of every node at current eval time
 
+	// fixedHint and isrcHint carry the last breakpoint segment of every
+	// fixed-node and current-source waveform lookup (waveform.AtHint);
+	// evaluation times mostly advance, so a lookup is usually a
+	// one-segment walk instead of a binary search.
+	fixedHint []int
+	isrcHint  []int
+
+	// memo holds, per FET, the last bias it was evaluated at and the
+	// results there (see evalFET).
+	memo []fetMemo
+
 	// fc reuses the Jacobian LU factorization across Newton iterations
 	// and trapezoidal steps (see factorCache); fullNewton disables the
 	// reuse, refactoring every iteration.
@@ -120,6 +131,9 @@ func newSolver(c *Circuit) *solver {
 		f:          make([]float64, n),
 		dx:         make([]float64, n),
 		fixedCache: make([]float64, len(c.nodes)),
+		fixedHint:  make([]int, len(c.nodes)),
+		isrcHint:   make([]int, len(c.isrcs)),
+		memo:       make([]fetMemo, len(c.fets)),
 		fc:         newFactorCache(n),
 		srcScale:   1,
 	}
@@ -150,10 +164,12 @@ func (s *solver) stateOf(r Ref) int {
 
 // loadFixed caches the prescribed voltages at time t, scaled by the
 // source-stepping ramp (srcScale is 1 outside continuation).
+//
+//lint:hot
 func (s *solver) loadFixed(t float64) {
 	for i := range s.ckt.nodes {
 		if w := s.ckt.nodes[i].fixed; w != nil {
-			s.fixedCache[i] = s.srcScale * w.At(t)
+			s.fixedCache[i] = s.srcScale * w.AtHint(t, &s.fixedHint[i])
 		}
 	}
 }
@@ -173,6 +189,8 @@ func (s *solver) volt(r Ref, x []float64) float64 {
 
 // charge fills q with the capacitor charge at each unknown node for state
 // x at the already-loaded fixed time.
+//
+//lint:hot
 func (s *solver) charge(x []float64, q []float64) {
 	for i := range q {
 		q[i] = 0
@@ -191,7 +209,10 @@ func (s *solver) charge(x []float64, q []float64) {
 
 // static fills ist with the net static current *leaving* each unknown
 // node (resistors, FETs, minus injected sources) at time t with state x.
-// When jac is non-nil it also accumulates d(ist)/dx into it.
+// When jac is non-nil it also accumulates d(ist)/dx into it; when it is
+// nil the FETs are evaluated for their currents only.
+//
+//lint:hot
 func (s *solver) static(x []float64, t float64, jac *linalg.Matrix) {
 	for i := range s.ist {
 		s.ist[i] = 0
@@ -221,24 +242,25 @@ func (s *solver) static(x []float64, t float64, jac *linalg.Matrix) {
 			addJ(sb, sa, -r.g)
 		}
 	}
-	for _, src := range s.ckt.isrcs {
+	for k, src := range s.ckt.isrcs {
 		if sa := s.stateOf(src.a); sa >= 0 {
-			s.ist[sa] -= s.srcScale * src.w.At(t)
+			s.ist[sa] -= s.srcScale * src.w.AtHint(t, &s.isrcHint[k])
 		}
 	}
-	for _, f := range s.ckt.fets {
+	derivs := jac != nil
+	for k, f := range s.ckt.fets {
 		vd, vg, vs := s.volt(f.d, x), s.volt(f.g, x), s.volt(f.s, x)
 		// id is the current leaving the drain node; gm = d(id)/dVg and
 		// gds = d(id)/dVd. For both polarities d(id)/dVs = -(gm+gds).
 		var id, gm, gds float64
 		if f.p.Type == device.NMOS {
-			id, gm, gds = f.p.Ids(f.w, vg-vs, vd-vs)
+			id, gm, gds = s.evalFET(k, vg-vs, vd-vs, derivs)
 		} else {
 			// PMOS conducts in the source-to-drain sense: evaluate with
 			// (vsg, vsd) and flip the current. The chain rule flips the
 			// inner derivatives too, so gm and gds come out unchanged:
 			// d(-ip)/dVg = -gmp * d(vsg)/dVg = gmp, and likewise for gds.
-			ip, gmp, gdsp := f.p.Ids(f.w, vs-vg, vs-vd)
+			ip, gmp, gdsp := s.evalFET(k, vs-vg, vs-vd, derivs)
 			id, gm, gds = -ip, gmp, gdsp
 		}
 		sd, sg, ss := s.stateOf(f.d), s.stateOf(f.g), s.stateOf(f.s)
@@ -258,6 +280,39 @@ func (s *solver) static(x []float64, t float64, jac *linalg.Matrix) {
 		addJ(ss, sg, -gm)
 		addJ(ss, ss, gm+gds)
 	}
+}
+
+// fetMemo is one FET's exact-bias bypass entry: the last (vgs, vds) it
+// was evaluated at, as bits, and the evaluator's results there. This is
+// SPICE's device bypass with zero tolerance — device.MOSParams.Eval is a
+// pure function of (params, width, vgs, vds), so replaying the stored
+// results for a bit-identical bias is exact.
+type fetMemo struct {
+	vgs, vds    uint64
+	id, gm, gds float64
+	// filled is set once the entry holds a result; derivs records
+	// whether that result carries gm and gds.
+	filled, derivs bool
+}
+
+// evalFET evaluates FET k at device-sense bias (vgs, vds) through its
+// bypass entry. It reuses the stored results when the bias bits match
+// and the entry holds the derivatives or the caller does not need them;
+// otherwise it evaluates and overwrites the entry. Settled stretches of
+// a run and FETs whose gate does not move between Newton iterations
+// and the commit evaluation hit the entry.
+//
+//lint:hot
+func (s *solver) evalFET(k int, vgs, vds float64, derivs bool) (id, gm, gds float64) {
+	m := &s.memo[k]
+	bg, bd := math.Float64bits(vgs), math.Float64bits(vds)
+	if m.filled && m.vgs == bg && m.vds == bd && (m.derivs || !derivs) {
+		return m.id, m.gm, m.gds
+	}
+	f := &s.ckt.fets[k]
+	id, gm, gds = f.p.Eval(f.w, vgs, vds, derivs)
+	*m = fetMemo{vgs: bg, vds: bd, id: id, gm: gm, gds: gds, filled: true, derivs: derivs}
+	return id, gm, gds
 }
 
 // dcMaxIter is the damped-Newton iteration budget of one DC solve (one

@@ -67,6 +67,24 @@ func (w *PWL) Clone() *PWL {
 //
 //lint:hot
 func (w *PWL) At(t float64) float64 {
+	var seg int
+	return w.AtHint(t, &seg)
+}
+
+// hintWalk bounds the forward walk of AtHint before it falls back to
+// the binary search.
+const hintWalk = 8
+
+// AtHint is At for query sequences whose times mostly advance. *hint
+// carries the breakpoint segment of the previous lookup (start it at
+// 0): when t lies at or after that segment AtHint walks forward from
+// it, and otherwise, or when the walk runs past hintWalk segments, it
+// binary searches like At. Either way it finds the same segment as At
+// and interpolates with the same arithmetic, so the value is
+// bit-identical to At(t); it stores the segment back into *hint.
+//
+//lint:hot
+func (w *PWL) AtHint(t float64, hint *int) float64 {
 	n := len(w.T)
 	if n == 0 {
 		return 0
@@ -77,10 +95,24 @@ func (w *PWL) At(t float64) float64 {
 	if t >= w.T[n-1] {
 		return w.V[n-1]
 	}
-	i := sort.SearchFloat64s(w.T, t)
-	// w.T[i-1] < t <= w.T[i] here (t < last, t > first).
-	//lint:ignore noiselint/floatsafe exact breakpoint hit after binary search; interpolation below handles the inexact case
-	if w.T[i] == t {
+	// i is the first breakpoint at or after t: w.T[i-1] < t <= w.T[i]
+	// (t < last, t > first).
+	i := *hint
+	if i < 1 || i >= n || !(w.T[i-1] < t) {
+		i = sort.SearchFloat64s(w.T, t)
+	} else {
+		for k := 0; w.T[i] < t; k++ {
+			if k == hintWalk {
+				i = sort.SearchFloat64s(w.T, t)
+				break
+			}
+			i++
+		}
+	}
+	*hint = i
+	// An exact breakpoint hit (t is not NaN here, so equal bits or two
+	// zeros are exactly t == w.T[i]).
+	if math.Float64bits(w.T[i]) == math.Float64bits(t) || (w.T[i] == 0 && t == 0) {
 		return w.V[i]
 	}
 	t0, t1 := w.T[i-1], w.T[i]
@@ -139,14 +171,24 @@ func (w *PWL) Offset(dv float64) *PWL {
 const timeResolution = 1e-18 // 1 as, far below any circuit time scale
 
 func mergeTimes(ws []*PWL) []float64 {
-	var all []float64
+	total := 0
 	for _, w := range ws {
-		all = append(all, w.T...)
+		total += len(w.T)
 	}
-	sort.Float64s(all)
-	out := all[:0]
-	for i, t := range all {
-		if i == 0 || t-out[len(out)-1] > timeResolution {
+	// A k-way merge of the already-sorted breakpoint lists; next[j] is
+	// the first unmerged breakpoint of ws[j].
+	next := make([]int, len(ws))
+	out := make([]float64, 0, total)
+	for range total {
+		src := -1
+		for j, w := range ws {
+			if next[j] < len(w.T) && (src < 0 || w.T[next[j]] < ws[src].T[next[src]]) {
+				src = j
+			}
+		}
+		t := ws[src].T[next[src]]
+		next[src]++
+		if len(out) == 0 || t-out[len(out)-1] > timeResolution {
 			out = append(out, t)
 		}
 	}
@@ -167,10 +209,13 @@ func Sum(ws ...*PWL) *PWL {
 	}
 	t := mergeTimes(ws2)
 	v := make([]float64, len(t))
+	// The sample times ascend, so every input is read through its own
+	// segment hint.
+	hints := make([]int, len(ws2))
 	for i, ti := range t {
 		s := 0.0
-		for _, w := range ws2 {
-			s += w.At(ti)
+		for j, w := range ws2 {
+			s += w.AtHint(ti, &hints[j])
 		}
 		v[i] = s
 	}
