@@ -26,7 +26,7 @@ race:
 # a 3-seed matrix); CHAOS_JOURNAL_OUT captures the journals.
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_JOURNAL_OUT=$(CHAOS_JOURNAL_OUT) \
-		$(GO) test -race -run 'TestChaosBatch|TestResumeByteIdentical' -v ./internal/clarinet/
+		$(GO) test -race -run 'TestChaosBatch|TestChaosDuplicateNets|TestResumeByteIdentical' -v ./internal/clarinet/
 
 # The full lint suite over ./...: every noiselint analyzer, go vet,
 # and a gofmt check. CI's noiselint job runs the same checker with a

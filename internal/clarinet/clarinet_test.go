@@ -200,32 +200,36 @@ func TestErrorInjectionDoesNotPoisonBatch(t *testing.T) {
 	}
 }
 
-// TestCacheHitAccounting analyzes a batch containing duplicated nets and
-// checks that the shared caches record hits in the tool metrics.
+// TestCacheHitAccounting analyzes one case under two names with separate
+// AnalyzeNet calls on one session. A batch hands a copy its first
+// report without reaching the caches, so this is where the hit path is
+// exercised: the second call must hit the shared caches, miss nothing
+// new, and report bit-identically to the first.
 func TestCacheHitAccounting(t *testing.T) {
-	names, cases, lib := population(t, 2)
-	// Duplicate both nets so characterizations repeat across the batch.
-	names = append(names, "dupA", "dupB")
-	cases = append(cases, cases[0], cases[1])
+	names, cases, lib := population(t, 1)
 	tool := MustNew(lib, Config{
 		Hold:    delaynoise.HoldTransient,
 		Align:   delaynoise.AlignReceiverInput,
-		Workers: 4,
+		Workers: 1,
 	})
-	reports := tool.AnalyzeAll(names, cases)
-	for _, r := range reports {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
+	first := tool.AnalyzeNet(context.Background(), names[0], cases[0])
+	_, coldMisses, _ := tool.Metrics().Snapshot().CacheRatio("cache.char.full")
+	second := tool.AnalyzeNet(context.Background(), "dup", cases[0])
+	if first.Err != nil || second.Err != nil {
+		t.Fatalf("analysis failed: %v / %v", first.Err, second.Err)
 	}
 	s := tool.Metrics().Snapshot()
-	if hits, misses, _ := s.CacheRatio("cache.char.full"); hits == 0 || misses == 0 {
-		t.Fatalf("char cache hit/miss = %d/%d, want both nonzero (counters: %v)",
-			hits, misses, s.Counters)
+	for _, cache := range []string{"cache.char.full", "cache.holdres"} {
+		if hits, _, _ := s.CacheRatio(cache); hits == 0 {
+			t.Errorf("%s: no hits on the repeated case (counters: %v)", cache, s.Counters)
+		}
 	}
-	// Duplicated nets must agree exactly with their originals.
-	if reports[0].Res.DelayNoise != reports[2].Res.DelayNoise {
-		t.Fatal("duplicate net diverged from original")
+	if _, misses, _ := s.CacheRatio("cache.char.full"); misses != coldMisses {
+		t.Errorf("repeated case missed the characterization cache: %d -> %d misses", coldMisses, misses)
+	}
+	first.Name = "dup"
+	if got, want := wire(t, second), wire(t, first); got != want {
+		t.Fatalf("cache hits changed the report:\n got %s\nwant %s", got, want)
 	}
 }
 

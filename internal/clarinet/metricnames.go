@@ -16,6 +16,10 @@ const (
 	mNetsFallback = "nets.fallback"
 	mNetsExact    = "nets.exact"
 	mNetsResumed  = "nets.resumed"
+	// mNetsReused counts the names of a batch that took the report of
+	// an identical case analyzed in the same batch; they also count in
+	// nets.analyzed and in their report's quality counter.
+	mNetsReused = "nets.reused"
 
 	mNetAnalyze    = "net.analyze"
 	mNetQuiet      = "net.quiet"

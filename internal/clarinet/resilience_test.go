@@ -21,9 +21,9 @@ import (
 	"repro/internal/resilience"
 )
 
-// cannedResult derives a deterministic, net-unique Result from the net
-// name, standing in for a real analysis in chaos tests: the scalar
-// fields are all the report and journal layers consume.
+// cannedResult derives a deterministic Result from a string (a net name
+// or a case key), standing in for a real analysis in chaos tests: the
+// scalar fields are all the report and journal layers consume.
 func cannedResult(name string) *delaynoise.Result {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -46,9 +46,120 @@ func cannedResult(name string) *delaynoise.Result {
 	return res
 }
 
-// cannedAnalyze is the fault-free base analysis of the chaos suite.
+// cannedAnalyze is the fault-free base analysis of the chaos suite. Its
+// result derives from the case, not the net name, so copies of a case
+// analyzed on their own agree with the report a batch hands them.
 func cannedAnalyze(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
-	return cannedResult(resilience.NetName(ctx)), nil
+	return cannedResult(c.Key()), nil
+}
+
+// TestChaosDuplicateNets runs fault-injected copies of the same cases.
+// A convergence fault on a case's first name is rescued once and every
+// copy reports the same rescued quality without reaching the analysis
+// seam; a panic or a stall on a first name leaves its copies to be
+// analyzed on their own, each under its own fault schedule.
+func TestChaosDuplicateNets(t *testing.T) {
+	const copies = 3
+	firstKinds := []faultinject.Kind{faultinject.KindNone, faultinject.KindConvergence, faultinject.KindPanic, faultinject.KindStall}
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			base, baseCases, lib := population(t, len(firstKinds))
+			names, cases := copiesOf(base, baseCases, copies)
+			plan := faultinject.New(seed, faultinject.Config{ConvergenceFrac: 0.3})
+			// The seed rotates which case's first name gets which fault.
+			firstKind := map[string]faultinject.Kind{}
+			for i, n := range base {
+				k := firstKinds[(i+int(seed))%len(firstKinds)]
+				plan.Assign(n+".0", k)
+				firstKind[n] = k
+			}
+			calls := countCalls(t, plan.WrapAnalyze(cannedAnalyze))
+			tool := MustNew(lib, Config{
+				Workers:    4,
+				NetTimeout: 50 * time.Millisecond, // only the stalled net ever hits it
+				Resilience: resilience.DefaultPolicy(),
+			})
+			var journal bytes.Buffer
+			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&journal))
+
+			byName := map[string]NetReport{}
+			for i, r := range reports {
+				if r.Name != names[i] {
+					t.Fatalf("report %d out of order: %s", i, r.Name)
+				}
+				byName[r.Name] = r
+			}
+			var exact, rescued, reused int64
+			tally := func(q resilience.Quality) {
+				if q == resilience.QualityRescued {
+					rescued++
+				} else {
+					exact++
+				}
+			}
+			for _, n := range base {
+				first := byName[n+".0"]
+				switch firstKind[n] {
+				case faultinject.KindPanic:
+					var pe *noiseerr.PanicError
+					if !errors.As(first.Err, &pe) {
+						t.Errorf("%s.0 (panic): err = %v, want PanicError", n, first.Err)
+					}
+				case faultinject.KindStall:
+					if !errors.Is(first.Err, noiseerr.ErrDeadline) {
+						t.Errorf("%s.0 (stall): err = %v, want deadline", n, first.Err)
+					}
+				default:
+					wantQ := resilience.QualityExact
+					if firstKind[n] == faultinject.KindConvergence {
+						wantQ = resilience.QualityRescued
+					}
+					if first.Err != nil || first.Quality != wantQ {
+						t.Errorf("%s.0 (%v): err=%v quality=%v", n, firstKind[n], first.Err, first.Quality)
+					}
+					tally(first.Quality)
+				}
+				for k := 1; k < copies; k++ {
+					name := fmt.Sprintf("%s.%d", n, k)
+					r := byName[name]
+					if first.Err == nil {
+						// Reused: the first report under this name, no analysis.
+						if r.Err != nil || r.Res != first.Res || r.Quality != first.Quality || calls(name) != 0 {
+							t.Errorf("%s: err=%v quality=%v calls=%d, want %s.0's report reused", name, r.Err, r.Quality, calls(name), n)
+						}
+						reused++
+					} else {
+						// Analyzed alone, under its own fault schedule.
+						wantQ := resilience.QualityExact
+						if plan.Kind(name) == faultinject.KindConvergence {
+							wantQ = resilience.QualityRescued
+						}
+						if r.Err != nil || r.Quality != wantQ || calls(name) == 0 {
+							t.Errorf("%s: err=%v quality=%v calls=%d, want analyzed alone with quality %v", name, r.Err, r.Quality, calls(name), wantQ)
+						}
+					}
+					tally(r.Quality)
+				}
+			}
+			checkCounters(t, tool, map[string]int64{
+				"nets.analyzed": int64(len(names)),
+				"nets.exact":    exact,
+				"nets.rescued":  rescued,
+				"nets.reused":   reused,
+				"nets.failed":   2,
+				"nets.panicked": 1,
+				"nets.deadline": 1,
+				"nets.canceled": 0,
+			})
+			prior, err := ReadJournal(bytes.NewReader(journal.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prior) != len(names) {
+				t.Errorf("journal has %d records, want %d", len(prior), len(names))
+			}
+		})
+	}
 }
 
 // chaosSeeds returns the fault-injection seeds to run: CHAOS_SEED

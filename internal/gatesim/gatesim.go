@@ -82,6 +82,23 @@ func (o Options) step(horizon float64) float64 {
 // output waveform. The horizon doubles until the output has settled to
 // within 1% of a rail (up to 4 doublings).
 func Drive(cell *device.Cell, slew float64, inRising bool, cload float64, inj *waveform.PWL, opt Options) (*waveform.PWL, error) {
+	r, err := DriveWithHorizon(cell, slew, inRising, cload, inj, opt)
+	return r.Out, err
+}
+
+// DriveResult is the outcome of Drive's adaptive horizon search.
+type DriveResult struct {
+	Out     *waveform.PWL
+	Horizon float64 // horizon of the final attempt
+	// Settled is false when the doubling cap, not a settled output,
+	// ended the search.
+	Settled bool
+}
+
+// DriveWithHorizon is Drive reporting how its horizon search ended. When
+// the result settled, a Drive with the same inputs started at Horizon
+// repeats the final attempt and returns Out bit for bit.
+func DriveWithHorizon(cell *device.Cell, slew float64, inRising bool, cload float64, inj *waveform.PWL, opt Options) (DriveResult, error) {
 	tech := cell.Tech
 	horizon := opt.Horizon
 	if horizon == 0 {
@@ -103,14 +120,14 @@ func Drive(cell *device.Cell, slew float64, inRising bool, cload float64, inj *w
 		}
 		res, err := nlsim.Run(c, nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx})
 		if err != nil {
-			return nil, fmt.Errorf("gatesim: drive sim failed: %w", err)
+			return DriveResult{}, fmt.Errorf("gatesim: drive sim failed: %w", err)
 		}
 		v, err := res.Voltage("out")
 		if err != nil {
-			return nil, err
+			return DriveResult{}, err
 		}
-		if settled(v, tech.Vdd, cell.OutputRisingFor(inRising)) || attempt >= 4 {
-			return v, nil
+		if ok := settled(v, tech.Vdd, cell.OutputRisingFor(inRising)); ok || attempt >= 4 {
+			return DriveResult{Out: v, Horizon: horizon, Settled: ok}, nil
 		}
 		horizon *= 2
 	}

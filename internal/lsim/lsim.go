@@ -130,6 +130,9 @@ type stepper struct {
 	// Scratch arena.
 	x, xNext, rhs, scratch []float64
 	uPrev, uNow, uMid, bu  []float64
+	// uHint keeps one segment hint per input waveform, so each step's
+	// input lookup walks forward instead of binary searching.
+	uHint []int
 
 	times  []float64
 	states *linalg.Matrix
@@ -184,6 +187,7 @@ func prepare(sys *mna.System, opt Options) (*stepper, error) {
 		uPrev:  make([]float64, sys.NumInputs()),
 		uNow:   make([]float64, sys.NumInputs()),
 		uMid:   make([]float64, sys.NumInputs()),
+		uHint:  make([]int, sys.NumInputs()),
 		bu:     make([]float64, n),
 	}
 	switch {
@@ -264,7 +268,7 @@ func prepare(sys *mna.System, opt Options) (*stepper, error) {
 	s.states = linalg.NewMatrix(steps+1, n)
 	s.times[0] = opt.TStart
 	copy(s.states.Data[:n], s.x)
-	sys.InputAtTo(s.uPrev, opt.TStart)
+	sys.InputAtTo(s.uPrev, opt.TStart, s.uHint)
 	return s, nil
 }
 
@@ -274,7 +278,7 @@ func prepare(sys *mna.System, opt Options) (*stepper, error) {
 //lint:hot
 func (s *stepper) step(k int) error {
 	t := s.tStart + float64(k)*s.h
-	s.sys.InputAtTo(s.uNow, t)
+	s.sys.InputAtTo(s.uNow, t, s.uHint)
 	for i := range s.uMid {
 		s.uMid[i] = 0.5 * (s.uPrev[i] + s.uNow[i])
 	}

@@ -150,18 +150,23 @@ func (s *System) NumInputs() int { return len(s.Inputs) }
 // InputAt evaluates the input vector u(t).
 func (s *System) InputAt(t float64) []float64 {
 	u := make([]float64, len(s.Inputs))
-	s.InputAtTo(u, t)
+	s.InputAtTo(u, t, make([]int, len(s.Inputs)))
 	return u
 }
 
 // InputAtTo evaluates the input vector u(t) into dst without
-// allocating.
-func (s *System) InputAtTo(dst []float64, t float64) {
-	if len(dst) != len(s.Inputs) {
-		panic(fmt.Sprintf("mna: input vector length %d, want %d", len(dst), len(s.Inputs)))
+// allocating. hints holds one waveform.PWL.AtHint segment hint per
+// input (start them at 0) and is updated in place, so a stepper whose
+// times advance walks each input forward instead of binary searching
+// it; the values are bit-identical to At's either way.
+//
+//lint:hot
+func (s *System) InputAtTo(dst []float64, t float64, hints []int) {
+	if len(dst) != len(s.Inputs) || len(hints) != len(s.Inputs) {
+		panic(fmt.Sprintf("mna: input vector/hint lengths %d/%d, want %d", len(dst), len(hints), len(s.Inputs)))
 	}
 	for i, w := range s.Inputs {
-		dst[i] = w.At(t)
+		dst[i] = w.AtHint(t, &hints[i])
 	}
 }
 
