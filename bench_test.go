@@ -27,6 +27,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/pathnoise"
 	"repro/internal/repro"
+	"repro/internal/stats"
 	"repro/internal/warmstore"
 	"repro/internal/waveform"
 	"repro/internal/workload"
@@ -69,6 +70,14 @@ func BenchmarkFig03ReceiverObjective(b *testing.B) {
 	}
 }
 
+// Floors of the model-error metrics (stats.FloorRelErr): against a
+// reference below its floor the error is absolute, in units of the
+// floor, so a near-zero golden value cannot blow the ratio up.
+const (
+	delayNoiseFloor = 5e-12 // s
+	peakNoiseFloor  = 10e-3 // V
+)
+
 func BenchmarkFig05TransientHoldingR(b *testing.B) {
 	ctx := repro.NewContext()
 	for i := 0; i < b.N; i++ {
@@ -78,8 +87,8 @@ func BenchmarkFig05TransientHoldingR(b *testing.B) {
 		}
 		// Figure 5's claim: the Rtr noise waveform tracks the nonlinear
 		// one; report the residual peak error of both models.
-		b.ReportMetric(100*math.Abs(1-r.RtrPeak/r.GoldenPeak), "rtr-err-%")
-		b.ReportMetric(100*math.Abs(1-r.TheveninPeak/r.GoldenPeak), "thev-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(r.RtrPeak, r.GoldenPeak, peakNoiseFloor), "rtr-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(r.TheveninPeak, r.GoldenPeak, peakNoiseFloor), "thev-err-%")
 	}
 }
 
@@ -253,8 +262,8 @@ func BenchmarkAblationHoldingModels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*math.Abs(1-thev.DelayNoise/golden.DelayNoise), "thev-err-%")
-		b.ReportMetric(100*math.Abs(1-rtr.DelayNoise/golden.DelayNoise), "rtr-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(thev.DelayNoise, golden.DelayNoise, delayNoiseFloor), "thev-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(rtr.DelayNoise, golden.DelayNoise, delayNoiseFloor), "rtr-err-%")
 	}
 }
 
@@ -499,8 +508,8 @@ func BenchmarkAblationCorners(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(100*math.Abs(1-thev.DelayNoise/golden.DelayNoise), "thev-err-%")
-				b.ReportMetric(100*math.Abs(1-rtr.DelayNoise/golden.DelayNoise), "rtr-err-%")
+				b.ReportMetric(100*stats.FloorRelErr(thev.DelayNoise, golden.DelayNoise, delayNoiseFloor), "thev-err-%")
+				b.ReportMetric(100*stats.FloorRelErr(rtr.DelayNoise, golden.DelayNoise, delayNoiseFloor), "rtr-err-%")
 			}
 		})
 	}
@@ -534,8 +543,8 @@ func BenchmarkAblationAggressorTransient(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*math.Abs(1-plain.DelayNoise/golden.DelayNoise), "plain-err-%")
-		b.ReportMetric(100*math.Abs(1-ext.DelayNoise/golden.DelayNoise), "ext-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(plain.DelayNoise, golden.DelayNoise, delayNoiseFloor), "plain-err-%")
+		b.ReportMetric(100*stats.FloorRelErr(ext.DelayNoise, golden.DelayNoise, delayNoiseFloor), "ext-err-%")
 	}
 }
 

@@ -75,13 +75,17 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 			return Result{}, fmt.Errorf("ceff: %w", err)
 		}
 		horizon := m.T0 + m.Dt + 30*m.Rth*cTotal
-		res, err := lsim.Run(sys, lsim.Options{TStop: horizon, Step: horizon / 3000, InitDC: true, Ctx: ctx})
+		run := lsim.Options{TStop: horizon, Step: horizon / 3000, InitDC: true, Ctx: ctx}
+		// The charge integral reads the driver output only up to its
+		// 50% crossing, so the run stops at the step that crosses; its
+		// rows are the full-horizon run's first rows.
+		res, err := lsim.RunToCrossing(sys, run, driveNode, vdd/2, m.Rising)
 		if err != nil {
 			return Result{}, fmt.Errorf("ceff: %w", err)
 		}
 		vOut, err := res.Voltage(driveNode)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("ceff: iteration %d: driver output: %w", iter, err)
 		}
 		var t50 float64
 		if m.Rising {
@@ -100,12 +104,24 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 		// negative; use its magnitude.
 		src := m.SourceWaveform()
 		diff := src.Resample(res.Times[0], t50, 1500)
+		if diff.End() > vOut.End() {
+			// The grid's last point rounded past the crossing step (t50
+			// within an ulp of it): the full-horizon waveform interpolates
+			// there, so finish the run to read the same value.
+			if res, err = lsim.Run(sys, run); err != nil {
+				return Result{}, fmt.Errorf("ceff: %w", err)
+			}
+			if vOut, err = res.Voltage(driveNode); err != nil {
+				return Result{}, fmt.Errorf("ceff: iteration %d: driver output: %w", iter, err)
+			}
+		}
+		var hint int
+		iA := (diff.V[0] - vOut.AtHint(diff.T[0], &hint)) / m.Rth
 		q := 0.0
 		for i := 1; i < diff.Len(); i++ {
-			tA, tB := diff.T[i-1], diff.T[i]
-			iA := (diff.V[i-1] - vOut.At(tA)) / m.Rth
-			iB := (diff.V[i] - vOut.At(tB)) / m.Rth
-			q += 0.5 * (iA + iB) * (tB - tA)
+			iB := (diff.V[i] - vOut.AtHint(diff.T[i], &hint)) / m.Rth
+			q += 0.5 * (iA + iB) * (diff.T[i] - diff.T[i-1])
+			iA = iB
 		}
 		// The lumped model at its own 50% crossing has delivered
 		// Ceff * Vdd/2 of charge (plus the same sign convention).
@@ -126,7 +142,7 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 	// further anyway.
 	m, _, err := thevenin.FitContext(ctx, cell, inSlew, inRising, ceff)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("ceff: final fit at Ceff=%g: %w", ceff, err)
 	}
 	return Result{Ceff: ceff, Model: m, CTotal: cTotal, Iterations: opt.MaxIter}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ceff"
 	"repro/internal/device"
+	"repro/internal/gatesim"
 	"repro/internal/holdres"
 	"repro/internal/memo"
 	"repro/internal/metrics"
@@ -58,6 +59,12 @@ type holdKey struct {
 	noise           uint64 // hash of the injected noise waveform
 }
 
+type driveKey struct {
+	cell       string
+	rising     bool
+	slew, ceff uint64 // exact float bits
+}
+
 // CharCache memoizes driver characterizations across analyses.
 //
 // Rough Thevenin fits are keyed by (cell, slew bucket, load bucket) and
@@ -68,7 +75,11 @@ type holdKey struct {
 // bucket resolution. Full C-effective characterizations and transient
 // holding resistances are keyed exactly (including a content hash of the
 // held circuit or noise waveform), so cache hits are bit-identical to
-// uncached runs and occur for repeated net structures.
+// uncached runs and occur for repeated net structures. The noiseless
+// driver run behind each holding resistance is keyed exactly by its
+// operating point alone and shared by every noise waveform there (the
+// Rtr iterations of one net, and nets with the same victim driver); it
+// stays in memory and is not part of a CharSnapshot.
 //
 // A CharCache must not be shared across cell libraries or technologies:
 // keys identify cells by name.
@@ -78,6 +89,7 @@ type CharCache struct {
 	rough   *memo.Cache[roughKey, thevenin.Model]
 	full    *memo.Cache[fullKey, ceff.Result]
 	hold    *memo.Cache[holdKey, *holdres.Result]
+	drive   *memo.Cache[driveKey, gatesim.DriveResult]
 }
 
 // NewCharCache builds a characterization cache with the given relative
@@ -93,6 +105,7 @@ func NewCharCache(res float64, m *metrics.Registry) *CharCache {
 		rough:   memo.New[roughKey, thevenin.Model](),
 		full:    memo.New[fullKey, ceff.Result](),
 		hold:    memo.New[holdKey, *holdres.Result](),
+		drive:   memo.New[driveKey, gatesim.DriveResult](),
 	}
 }
 
@@ -166,10 +179,29 @@ func (cc *CharCache) HoldRes(ctx context.Context, cell *device.Cell, slew float6
 		noise:  hashPWL(vn),
 	}
 	res, hit, err := cc.hold.Do(key, func() (*holdres.Result, error) {
-		return holdres.ComputeContext(ctx, cell, slew, inRising, cEff, rth, vn)
+		if err := holdres.Check(cEff, rth, vn); err != nil {
+			return nil, err
+		}
+		first, err := cc.noiseless(ctx, cell, slew, inRising, cEff)
+		if err != nil {
+			return nil, err
+		}
+		return holdres.FromNoiseless(ctx, cell, slew, inRising, cEff, rth, vn, first)
 	})
 	cc.count(mCacheHoldres, hit)
 	return res, err
+}
+
+// noiseless returns the holding-resistance noiseless driver run at one
+// operating point, computed once per exact (cell, direction, slew,
+// ceff) key.
+func (cc *CharCache) noiseless(ctx context.Context, cell *device.Cell, slew float64, inRising bool, cEff float64) (gatesim.DriveResult, error) {
+	key := driveKey{cell.Name, inRising, math.Float64bits(slew), math.Float64bits(cEff)}
+	first, hit, err := cc.drive.Do(key, func() (gatesim.DriveResult, error) {
+		return holdres.Noiseless(ctx, cell, slew, inRising, cEff)
+	})
+	cc.count(mCacheDrive, hit)
+	return first, err
 }
 
 type romKey struct {

@@ -113,6 +113,10 @@ func (c *Case) aggLoad() float64 {
 // vdd returns the supply voltage of the case's technology.
 func (c *Case) vdd() float64 { return c.Victim.Cell.Tech.Vdd }
 
+// victimLump is the victim driver's lumped load: the whole victim line
+// plus the receiver input.
+func (c *Case) victimLump() float64 { return c.Net.VictimTotalCap() + c.Receiver.InputCap() }
+
 // sink returns the analyzed receiver attachment node.
 func (c *Case) sink() string {
 	if c.Sink != "" {

@@ -47,53 +47,15 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 	}
 	opt.defaults()
 	e := &engine{ctx: ctx, c: c, opt: opt, interconnect: c.loadedInterconnect()}
-
-	// Pass 1: rough lumped fits.
-	type rough struct {
-		rth  float64
-		lump float64
-	}
-	vdd := c.vdd()
-	roughOf := func(spec DriverSpec, lump float64) (rough, error) {
-		m, err := opt.Chars.RoughFit(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), lump)
-		if err != nil {
-			return rough{}, err
-		}
-		return rough{rth: m.Rth, lump: lump}, nil
-	}
-	vLump := c.Net.VictimTotalCap() + c.Receiver.InputCap()
-	vRough, err := roughOf(c.Victim, vLump)
+	loads, err := c.driverLoads(ctx, opt, e.interconnect)
 	if err != nil {
-		return nil, fmt.Errorf("delaynoise: victim rough fit: %w", err)
-	}
-	aRough := make([]rough, len(c.Aggressors))
-	for k, a := range c.Aggressors {
-		spec := c.Net.Spec.Aggressors[k]
-		lump := spec.Line.CGround + spec.CCouple + c.aggLoad()
-		aRough[k], err = roughOf(a, lump)
-		if err != nil {
-			return nil, fmt.Errorf("delaynoise: aggressor %d rough fit: %w", k, err)
-		}
+		return nil, err
 	}
 
 	// Pass 2: C-effective per driver with the others held.
-	holdOthers := func(skipVictim bool, skipAgg int) *netlist.Circuit {
-		ckt := e.interconnect.Clone()
-		if !skipVictim {
-			ckt.AddDriver("__holdv", c.Net.VictimIn,
-				waveform.Constant(c.Victim.initialOutput(vdd)), vRough.rth)
-		}
-		for k := range c.Aggressors {
-			if k == skipAgg {
-				continue
-			}
-			ckt.AddDriver(fmt.Sprintf("__holda%d", k), c.Net.AggIn[k],
-				waveform.Constant(c.Aggressors[k].initialOutput(vdd)), aRough[k].rth)
-		}
-		return ckt
-	}
-	charOf := func(spec DriverSpec, net *netlist.Circuit, node string) (driverChar, error) {
-		res, err := opt.Chars.Characterize(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), net, node)
+	charOf := func(l DriverLoad) (driverChar, error) {
+		spec := l.Spec
+		res, err := opt.Chars.Characterize(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), l.Net, l.Node)
 		if err != nil {
 			return driverChar{}, err
 		}
@@ -103,13 +65,13 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 		m.T0 += spec.InputStart - gatesim.InputStart
 		return driverChar{spec: spec, ceff: res.Ceff, model: m}, nil
 	}
-	e.victim, err = charOf(c.Victim, holdOthers(true, -1), c.Net.VictimIn)
+	e.victim, err = charOf(loads[0])
 	if err != nil {
 		return nil, fmt.Errorf("delaynoise: victim characterization: %w", err)
 	}
 	e.aggs = make([]driverChar, len(c.Aggressors))
-	for k, a := range c.Aggressors {
-		e.aggs[k], err = charOf(a, holdOthers(false, k), c.Net.AggIn[k])
+	for k := range c.Aggressors {
+		e.aggs[k], err = charOf(loads[k+1])
 		if err != nil {
 			return nil, fmt.Errorf("delaynoise: aggressor %d characterization: %w", k, err)
 		}
@@ -122,7 +84,7 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 			end = t
 		}
 	}
-	tail := 25 * e.victim.model.Rth * vLump
+	tail := 25 * e.victim.model.Rth * c.victimLump()
 	if tail < 1.5e-9 {
 		tail = 1.5e-9
 	}
@@ -131,9 +93,96 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 	return e, nil
 }
 
+// DriverLoad is one driver's C-effective characterization problem: the
+// net it drives, with every other driver held, and its output node.
+type DriverLoad struct {
+	Spec DriverSpec
+	Net  *netlist.Circuit
+	Node string
+}
+
+// DriverLoads returns the C-effective problems the analysis solves, the
+// victim's first and then each aggressor's: pass 1 fits every driver
+// to its lumped load (through opt.Chars), and each pass-2 net is the
+// loaded interconnect with every other driver held at its initial
+// output by its rough Thevenin resistance.
+func DriverLoads(ctx context.Context, c *Case, opt Options) ([]DriverLoad, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return c.driverLoads(ctx, opt, c.loadedInterconnect())
+}
+
+// driverLoads is DriverLoads on a validated case and its loaded
+// interconnect.
+func (c *Case) driverLoads(ctx context.Context, opt Options, interconnect *netlist.Circuit) ([]DriverLoad, error) {
+	// Pass 1: rough lumped fits.
+	roughRth := func(spec DriverSpec, lump float64) (float64, error) {
+		m, err := opt.Chars.RoughFit(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), lump)
+		return m.Rth, err
+	}
+	vRth, err := roughRth(c.Victim, c.victimLump())
+	if err != nil {
+		return nil, fmt.Errorf("delaynoise: victim rough fit: %w", err)
+	}
+	aRth := make([]float64, len(c.Aggressors))
+	for k, a := range c.Aggressors {
+		spec := c.Net.Spec.Aggressors[k]
+		aRth[k], err = roughRth(a, spec.Line.CGround+spec.CCouple+c.aggLoad())
+		if err != nil {
+			return nil, fmt.Errorf("delaynoise: aggressor %d rough fit: %w", k, err)
+		}
+	}
+
+	vdd := c.vdd()
+	holdOthers := func(skipVictim bool, skipAgg int) *netlist.Circuit {
+		ckt := interconnect.Clone()
+		if !skipVictim {
+			ckt.AddDriver("__holdv", c.Net.VictimIn,
+				waveform.Constant(c.Victim.initialOutput(vdd)), vRth)
+		}
+		for k := range c.Aggressors {
+			if k == skipAgg {
+				continue
+			}
+			ckt.AddDriver(fmt.Sprintf("__holda%d", k), c.Net.AggIn[k],
+				waveform.Constant(c.Aggressors[k].initialOutput(vdd)), aRth[k])
+		}
+		return ckt
+	}
+	loads := make([]DriverLoad, 0, 1+len(c.Aggressors))
+	loads = append(loads, DriverLoad{Spec: c.Victim, Net: holdOthers(true, -1), Node: c.Net.VictimIn})
+	for k, a := range c.Aggressors {
+		loads = append(loads, DriverLoad{Spec: a, Net: holdOthers(false, k), Node: c.Net.AggIn[k]})
+	}
+	return loads, nil
+}
+
+// VictimRun returns the victim-switching superposition run of the
+// analysis: the victim's Thevenin source driving the loaded
+// interconnect with every aggressor held by its Thevenin resistance,
+// and the transient options the analysis runs it with. It
+// characterizes the drivers first.
+func VictimRun(ctx context.Context, c *Case, opt Options) (*netlist.Circuit, lsim.Options, error) {
+	e, err := newEngine(ctx, c, opt)
+	if err != nil {
+		return nil, lsim.Options{}, err
+	}
+	rHolds := make([]float64, len(e.aggs))
+	for j := range e.aggs {
+		rHolds[j] = e.aggs[j].model.Rth
+	}
+	return e.victimCircuit(rHolds), e.linearOptions(), nil
+}
+
 // probeSet is the list of nodes every linear run records.
 func (e *engine) probes() []string {
 	return []string{e.c.Net.VictimIn, e.c.sink()}
+}
+
+// linearOptions are the transient options of every linear run.
+func (e *engine) linearOptions() lsim.Options {
+	return lsim.Options{TStop: e.horizon, Step: e.step, InitDC: true, Ctx: e.ctx}
 }
 
 // runLinear simulates a fully assembled linear circuit and returns the
@@ -152,7 +201,7 @@ func (e *engine) runLinearProbes(ckt *netlist.Circuit, probes []string) (map[str
 	if err != nil {
 		return nil, err
 	}
-	opt := lsim.Options{TStop: e.horizon, Step: e.step, InitDC: true, Ctx: e.ctx}
+	opt := e.linearOptions()
 	out := map[string]*waveform.PWL{}
 	if q := e.opt.PRIMAOrder; q > 0 && q < sys.NumStates() {
 		reduceStart := time.Now()
@@ -264,14 +313,7 @@ func (e *engine) victimNoiseless() (recvIn, drvOut *waveform.PWL, err error) {
 // aggressor driver output sees (deviation waveforms, one per aggressor).
 func (e *engine) victimNoiselessWith(rHolds []float64) (recvIn, drvOut *waveform.PWL, aggOuts []*waveform.PWL, err error) {
 	c := e.c
-	vdd := c.vdd()
-	ckt := e.interconnect.Clone()
-	ckt.AddDriver("__vic", c.Net.VictimIn, e.victim.model.SourceWaveform(), e.victim.model.Rth)
-	for j := range e.aggs {
-		ckt.AddDriver(fmt.Sprintf("__hold%d", j), c.Net.AggIn[j],
-			waveform.Constant(c.Aggressors[j].initialOutput(vdd)), rHolds[j])
-	}
-	ws, err := e.runLinearProbes(ckt, append(e.probes(), c.Net.AggIn...))
+	ws, err := e.runLinearProbes(e.victimCircuit(rHolds), append(e.probes(), c.Net.AggIn...))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("delaynoise: victim sim: %w", err)
 	}
@@ -280,6 +322,21 @@ func (e *engine) victimNoiselessWith(rHolds []float64) (recvIn, drvOut *waveform
 		aggOuts[j] = deviation(ws[node])
 	}
 	return ws[c.sink()], ws[c.Net.VictimIn], aggOuts, nil
+}
+
+// victimCircuit assembles the victim-switching circuit: the victim's
+// Thevenin source drives the interconnect and aggressor j is held at
+// its initial output by rHolds[j].
+func (e *engine) victimCircuit(rHolds []float64) *netlist.Circuit {
+	c := e.c
+	vdd := c.vdd()
+	ckt := e.interconnect.Clone()
+	ckt.AddDriver("__vic", c.Net.VictimIn, e.victim.model.SourceWaveform(), e.victim.model.Rth)
+	for j := range e.aggs {
+		ckt.AddDriver(fmt.Sprintf("__hold%d", j), c.Net.AggIn[j],
+			waveform.Constant(c.Aggressors[j].initialOutput(vdd)), rHolds[j])
+	}
+	return ckt
 }
 
 // deviation subtracts the waveform's initial value, turning an

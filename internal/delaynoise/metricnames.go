@@ -8,6 +8,7 @@ const (
 	mCacheCharRough = "cache.char.rough"
 	mCacheCharFull  = "cache.char.full"
 	mCacheHoldres   = "cache.holdres"
+	mCacheDrive     = "cache.drive"
 	mCacheROMHit    = "cache.rom.hit"
 	mCacheROMMiss   = "cache.rom.miss"
 

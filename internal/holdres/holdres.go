@@ -69,27 +69,58 @@ func Compute(cell *device.Cell, inSlew float64, inRising bool, ceff, rth float64
 }
 
 // ComputeContext is Compute with cancellation support for the
-// nonlinear driver simulations.
+// nonlinear driver simulations: the noiseless run of Noiseless followed
+// by FromNoiseless.
 func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, ceff, rth float64, vn *waveform.PWL) (*Result, error) {
+	if err := Check(ceff, rth, vn); err != nil {
+		return nil, err
+	}
+	first, err := Noiseless(ctx, cell, inSlew, inRising, ceff)
+	if err != nil {
+		return nil, err
+	}
+	return FromNoiseless(ctx, cell, inSlew, inRising, ceff, rth, vn, first)
+}
+
+// Check validates the inputs of a holding-resistance derivation.
+func Check(ceff, rth float64, vn *waveform.PWL) error {
 	if ceff <= 0 || rth <= 0 {
-		return nil, noiseerr.Invalidf("holdres: ceff and rth must be positive (got %g, %g)", ceff, rth)
+		return noiseerr.Invalidf("holdres: ceff and rth must be positive (got %g, %g)", ceff, rth)
 	}
 	if vn.Len() < 3 {
-		return nil, noiseerr.Invalidf("holdres: noise waveform too short")
+		return noiseerr.Invalidf("holdres: noise waveform too short")
+	}
+	return nil
+}
+
+// Noiseless is step 3's first simulation: the victim driver switching
+// into ceff without injection, at its own settled horizon. It depends
+// only on the operating point (cell, slew, direction, ceff), not on the
+// noise, so a caller deriving Rtr for many noise waveforms at one
+// operating point can run it once and pass it to FromNoiseless.
+func Noiseless(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, ceff float64) (gatesim.DriveResult, error) {
+	first, err := gatesim.DriveWithHorizon(cell, inSlew, inRising, ceff, nil, gatesim.Options{Ctx: ctx})
+	if err != nil {
+		return gatesim.DriveResult{}, fmt.Errorf("holdres: noiseless driver sim: %w", err)
+	}
+	return first, nil
+}
+
+// FromNoiseless is ComputeContext given the operating point's noiseless
+// run, as Noiseless returns it; the result is the same bit for bit.
+// When the run is reused, Result.Noiseless is first.Out itself.
+func FromNoiseless(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, ceff, rth float64, vn *waveform.PWL, first gatesim.DriveResult) (*Result, error) {
+	if err := Check(ceff, rth, vn); err != nil {
+		return nil, err
 	}
 	// Step 2: In = Vn/Rth + Cload * dVn/dt, sampled on a dense grid so
 	// the PWL derivative is well behaved.
 	in := injectedCurrent(vn, rth, ceff)
 
 	// Step 3: nonlinear driver with and without the injected current.
-	opt := gatesim.Options{Ctx: ctx}
-	first, err := gatesim.DriveWithHorizon(cell, inSlew, inRising, ceff, nil, opt)
-	if err != nil {
-		return nil, fmt.Errorf("holdres: noiseless driver sim: %w", err)
-	}
 	v1 := first.Out
 	// Both runs must share a horizon so the difference is well defined.
-	opt.Horizon = v1.End()
+	opt := gatesim.Options{Ctx: ctx, Horizon: v1.End()}
 	if in.End() > opt.Horizon {
 		opt.Horizon = in.End() + 100e-12
 	}
@@ -98,9 +129,10 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 	// waveform ends exactly at the horizon it ran to. Only otherwise is
 	// the rerun needed.
 	if !first.Settled || in.End() > v1.End() || math.Float64bits(v1.End()) != math.Float64bits(first.Horizon) {
+		var err error
 		v1, err = gatesim.Drive(cell, inSlew, inRising, ceff, nil, opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("holdres: noiseless driver rerun at the shared horizon: %w", err)
 		}
 	}
 	v2, err := gatesim.Drive(cell, inSlew, inRising, ceff, in, opt)

@@ -147,6 +147,97 @@ func (f *LU) SolveInPlace(x []float64) {
 	}
 }
 
+// CompactLU is a read-only copy of an LU factorization that keeps only
+// the entries a solve can use: each row's nonzero columns of L and of U
+// in ascending order, plus the diagonal of U. Its solve performs the
+// dense SolveTo's operations in the same order and skips only the terms
+// whose coefficient is exactly zero, so for finite right-hand sides
+// without -0 entries it returns the same bits (see SolveTo).
+type CompactLU struct {
+	n    int
+	piv  []int
+	lPtr []int // row i of L: lIdx/lVal[lPtr[i]:lPtr[i+1]]
+	lIdx []int
+	lVal []float64
+	uPtr []int // row i of U right of the diagonal: uIdx/uVal[uPtr[i]:uPtr[i+1]]
+	uIdx []int
+	uVal []float64
+	diag []float64
+}
+
+// Compact copies the factorization into its compacted form. The copy
+// is independent of the receiver, which may be refactored afterwards.
+func (f *LU) Compact() *CompactLU {
+	n := f.n
+	d := f.lu.Data
+	c := &CompactLU{
+		n:    n,
+		piv:  append([]int(nil), f.Piv...),
+		lPtr: make([]int, n+1),
+		uPtr: make([]int, n+1),
+		diag: make([]float64, n),
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if v := d[i*n+j]; v != 0 {
+				c.lIdx = append(c.lIdx, j)
+				c.lVal = append(c.lVal, v)
+			}
+		}
+		c.lPtr[i+1] = len(c.lVal)
+		c.diag[i] = d[i*n+i]
+		for j := i + 1; j < n; j++ {
+			if v := d[i*n+j]; v != 0 {
+				c.uIdx = append(c.uIdx, j)
+				c.uVal = append(c.uVal, v)
+			}
+		}
+		c.uPtr[i+1] = len(c.uVal)
+	}
+	return c
+}
+
+// SolveTo solves A*x = b into dst without allocating; dst must not
+// alias b. It matches LU.SolveTo bit for bit whenever every value the
+// solve touches is finite and b holds no -0: each dense partial sum
+// then starts at a value other than -0 and can never become -0, so
+// subtracting a skipped 0*x term (±0) leaves it unchanged.
+//
+//lint:hot
+func (c *CompactLU) SolveTo(dst, b []float64) {
+	if len(b) != c.n || len(dst) != c.n {
+		panic(fmt.Sprintf("linalg: compact LU solve lengths dst=%d b=%d, want %d", len(dst), len(b), c.n))
+	}
+	if c.n > 0 && &dst[0] == &b[0] {
+		panic("linalg: compact LU SolveTo dst must not alias b")
+	}
+	for i, p := range c.piv {
+		dst[i] = b[p]
+	}
+	// Forward substitution with unit-lower L.
+	for i := 1; i < c.n; i++ {
+		vals := c.lVal[c.lPtr[i]:c.lPtr[i+1]]
+		idx := c.lIdx[c.lPtr[i]:c.lPtr[i+1]]
+		idx = idx[:len(vals)]
+		s := dst[i]
+		for k, m := range vals {
+			s -= m * dst[idx[k]]
+		}
+		dst[i] = s
+	}
+	// Back substitution with U.
+	for i := c.n - 1; i >= 0; i-- {
+		vals := c.uVal[c.uPtr[i]:c.uPtr[i+1]]
+		idx := c.uIdx[c.uPtr[i]:c.uPtr[i+1]]
+		idx = idx[:len(vals)]
+		s := dst[i]
+		for k, u := range vals {
+			s -= u * dst[idx[k]]
+		}
+		dst[i] = s / c.diag[i]
+	}
+}
+
 // SolveMatrix solves A*X = B column by column.
 func (f *LU) SolveMatrix(b *Matrix) *Matrix {
 	if b.Rows != f.n {

@@ -39,6 +39,10 @@ func TestPreCanceledContextFailsFast(t *testing.T) {
 	if !errors.Is(err, noiseerr.ErrCanceled) {
 		t.Fatalf("err = %v, want noiseerr.ErrCanceled", err)
 	}
+	_, err = RunToCrossingContext(ctx, sys, Options{TStop: 5e-9, Step: 1e-12}, "out", 0.5, true)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, noiseerr.ErrCanceled) {
+		t.Fatalf("RunToCrossingContext err = %v, want a canceled error", err)
+	}
 }
 
 // TestCancellationBoundedSteps flips the context mid-run and checks the

@@ -113,7 +113,7 @@ func TestStepperZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, solver := range []Solver{SolverDense, SolverBanded, SolverCG} {
-		s, err := prepare(sys, Options{TStop: 2e-9, Step: 2e-12, Solver: solver})
+		s, err := prepare(sys, Options{TStop: 2e-9, Step: 2e-12, Solver: solver}, false)
 		if err != nil {
 			t.Fatalf("%v: %v", solver, err)
 		}
@@ -128,6 +128,7 @@ func TestStepperZeroAlloc(t *testing.T) {
 			k++
 			if k > s.steps {
 				k = 1
+				s.times, s.data = s.times[:1], s.data[:s.n]
 			}
 		}
 		for i := 0; i < 8; i++ {

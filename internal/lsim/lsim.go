@@ -107,8 +107,8 @@ type Result struct {
 
 // stepper owns the prefactored system and the scratch arena of one run.
 // After prepare, advancing a step performs zero allocations: every
-// vector the loop touches is preallocated here and the output matrix is
-// sized up front from the fixed step count.
+// vector the loop touches is preallocated here and the row storage of
+// a full-horizon run is sized up front from the fixed step count.
 type stepper struct {
 	sys    *mna.System
 	n      int
@@ -118,14 +118,15 @@ type stepper struct {
 	solver Solver // concrete choice, never SolverAuto
 
 	// Factor-once state (one of these, by solver).
-	lu     *linalg.LU
+	lu     *linalg.CompactLU
 	banded *linalg.BandedChol
 	sp     *linalg.Sparse // A in CSR, CG path
 	cg     *linalg.CGWorkspace
 
-	// M = C/h - G/2, applied every step.
-	mDense *linalg.Matrix
-	spM    *linalg.Sparse
+	// M = C/h - G/2 in CSR, applied every step. Skipping its exact zeros
+	// keeps the dense product's bits: every row sum starts at +0 and can
+	// never become -0, so adding a 0*x term changes nothing.
+	spM *linalg.Sparse
 
 	// Scratch arena.
 	x, xNext, rhs, scratch []float64
@@ -134,8 +135,30 @@ type stepper struct {
 	// input lookup walks forward instead of binary searching.
 	uHint []int
 
-	times  []float64
-	states *linalg.Matrix
+	// Rows recorded so far, n states each, appended step by step.
+	times []float64
+	data  []float64
+}
+
+// crossing is a stop condition on one state: it fires at the first
+// step whose state crosses level in the given direction, tested the way
+// waveform.PWL's first-crossing search tests a segment. A negative
+// state never fires.
+type crossing struct {
+	state  int
+	level  float64
+	rising bool
+}
+
+// never is the stop condition of a full-horizon run.
+var never = crossing{state: -1}
+
+// hit reports whether the step from v0 to v1 crosses the level.
+func (c crossing) hit(v0, v1 float64) bool {
+	if c.rising {
+		return v0 < c.level && v1 >= c.level
+	}
+	return v0 > c.level && v1 <= c.level
 }
 
 // RunContext is Run with an explicit context, overriding Options.Ctx.
@@ -148,19 +171,49 @@ func RunContext(ctx context.Context, sys *mna.System, opt Options) (*Result, err
 // Run integrates the system over [TStart, TStop]. Cancellation, when
 // needed, comes from Options.Ctx (or use RunContext).
 func Run(sys *mna.System, opt Options) (*Result, error) {
-	s, err := prepare(sys, opt)
+	return runUntil(sys, opt, never)
+}
+
+// RunToCrossing is Run stopped after the first step k at which node
+// crosses level upward (rising) or downward, tested as
+// waveform.PWL.CrossRising/CrossFalling test a segment: v0 < level &&
+// v1 >= level when rising, mirrored when falling. It steps exactly as
+// Run does, so its k+1 rows equal Run's first k+1 rows bit for bit;
+// when node never crosses it returns what Run returns.
+func RunToCrossing(sys *mna.System, opt Options, node string, level float64, rising bool) (*Result, error) {
+	i, err := sys.NodeIndex(node)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.run(opt.Ctx); err != nil {
+	return runUntil(sys, opt, crossing{state: i, level: level, rising: rising})
+}
+
+// RunToCrossingContext is RunToCrossing with an explicit context,
+// overriding Options.Ctx.
+func RunToCrossingContext(ctx context.Context, sys *mna.System, opt Options, node string, level float64, rising bool) (*Result, error) {
+	opt.Ctx = ctx
+	return RunToCrossing(sys, opt, node, level, rising)
+}
+
+// runUntil prepares a stepper and steps it until stop fires or the
+// horizon ends.
+func runUntil(sys *mna.System, opt Options, stop crossing) (*Result, error) {
+	s, err := prepare(sys, opt, stop.state >= 0)
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Times: s.times, States: s.states, Chosen: s.solver, sys: sys}, nil
+	if err := s.run(opt.Ctx, stop); err != nil {
+		return nil, err
+	}
+	rows := &linalg.Matrix{Rows: len(s.times), Cols: s.n, Data: s.data}
+	return &Result{Times: s.times, States: rows, Chosen: s.solver, sys: sys}, nil
 }
 
 // prepare validates the options, assembles the trapezoidal matrices,
-// selects and prefactors the solver, and sizes the scratch arena.
-func prepare(sys *mna.System, opt Options) (*stepper, error) {
+// selects and prefactors the solver, and sizes the scratch arena. The
+// row storage holds every step up front unless the run may stop early,
+// in which case it starts at a quarter of the horizon and grows.
+func prepare(sys *mna.System, opt Options, mayStop bool) (*stepper, error) {
 	if opt.Step <= 0 {
 		return nil, noiseerr.Invalidf("lsim: step must be positive, got %g", opt.Step)
 	}
@@ -259,15 +312,19 @@ func prepare(sys *mna.System, opt Options) (*stepper, error) {
 		if err != nil {
 			return nil, noiseerr.Numericalf("lsim: trapezoidal matrix singular: %w", err)
 		}
-		s.lu = lu
-		s.mDense = m
+		s.lu = lu.Compact()
+		s.spM = linalg.FromDense(m)
 	}
 	s.solver = solver
 
-	s.times = make([]float64, steps+1)
-	s.states = linalg.NewMatrix(steps+1, n)
+	rows := steps + 1
+	if mayStop {
+		rows = steps/4 + 1
+	}
+	s.times = make([]float64, 1, rows)
+	s.data = make([]float64, n, rows*n)
 	s.times[0] = opt.TStart
-	copy(s.states.Data[:n], s.x)
+	copy(s.data, s.x)
 	sys.InputAtTo(s.uPrev, opt.TStart, s.uHint)
 	return s, nil
 }
@@ -282,11 +339,7 @@ func (s *stepper) step(k int) error {
 	for i := range s.uMid {
 		s.uMid[i] = 0.5 * (s.uPrev[i] + s.uNow[i])
 	}
-	if s.spM != nil {
-		s.spM.MulVec(s.x, s.rhs)
-	} else {
-		s.mDense.MulVecTo(s.rhs, s.x)
-	}
+	s.spM.MulVec(s.x, s.rhs)
 	s.sys.B.MulVecTo(s.bu, s.uMid)
 	for i := range s.rhs {
 		s.rhs[i] += s.bu[i]
@@ -305,16 +358,31 @@ func (s *stepper) step(k int) error {
 		s.lu.SolveTo(s.xNext, s.rhs)
 	}
 	s.x, s.xNext = s.xNext, s.x
-	s.times[k] = t
-	copy(s.states.Data[k*s.n:(k+1)*s.n], s.x)
+	r := len(s.times)
+	if r == cap(s.times) {
+		s.grow()
+	}
+	s.times = s.times[:r+1]
+	s.times[r] = t
+	s.data = s.data[:(r+1)*s.n]
+	copy(s.data[r*s.n:], s.x)
 	s.uPrev, s.uNow = s.uNow, s.uPrev
 	return nil
 }
 
-// run executes every step with periodic cancellation checks.
+// grow doubles the row storage of a run that started below its full
+// horizon.
+func (s *stepper) grow() {
+	rows := min(2*cap(s.times), s.steps+1)
+	s.times = append(make([]float64, 0, rows), s.times...)
+	s.data = append(make([]float64, 0, rows*s.n), s.data...)
+}
+
+// run executes the steps with periodic cancellation checks until stop
+// fires after a step or the horizon ends.
 //
 //lint:hot
-func (s *stepper) run(ctx context.Context) error {
+func (s *stepper) run(ctx context.Context, stop crossing) error {
 	for k := 1; k <= s.steps; k++ {
 		if k%CtxCheckInterval == 0 {
 			if err := canceled(ctx, k, s.steps); err != nil {
@@ -323,6 +391,9 @@ func (s *stepper) run(ctx context.Context) error {
 		}
 		if err := s.step(k); err != nil {
 			return err
+		}
+		if stop.state >= 0 && stop.hit(s.xNext[stop.state], s.x[stop.state]) {
+			return nil
 		}
 	}
 	return nil

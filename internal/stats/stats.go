@@ -66,6 +66,14 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
+// FloorRelErr is the floor-guarded relative error
+// |model - ref| / max(|ref|, floor): the relative error while the
+// reference is at least floor in magnitude, and the absolute error in
+// units of floor below it, so a near-zero reference cannot inflate it.
+func FloorRelErr(model, ref, floor float64) float64 {
+	return math.Abs(model-ref) / math.Max(math.Abs(ref), floor)
+}
+
 // ErrorSummary compares a model series against a reference.
 type ErrorSummary struct {
 	N               int

@@ -93,3 +93,19 @@ func TestSummaryString(t *testing.T) {
 		t.Fatal("empty string")
 	}
 }
+
+func TestFloorRelErr(t *testing.T) {
+	for _, tc := range []struct {
+		model, ref, floor, want float64
+	}{
+		{110, 100, 5, 0.1},            // above the floor: plain relative error
+		{-90, -100, 5, 0.1},           // sign-symmetric
+		{3, 1, 5, 0.4},                // below the floor: |Δ| / floor
+		{5e-12, 1e-15, 5e-12, 0.9998}, // near-zero reference stays bounded
+		{0, 0, 0.01, 0},
+	} {
+		if got := FloorRelErr(tc.model, tc.ref, tc.floor); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("FloorRelErr(%v, %v, %v) = %v, want %v", tc.model, tc.ref, tc.floor, got, tc.want)
+		}
+	}
+}
