@@ -16,9 +16,10 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent packages (the worker pool, the
-# shared caches, and the scatter-gather gateway); CI runs the same set.
+# shared caches, the scatter-gather gateway, and the path scheduler's
+# workers, ready channel and emit lock); CI runs the same set.
 race:
-	$(GO) test -race ./internal/clarinet/... ./internal/core/... ./internal/delaynoise/... ./internal/noised/... ./internal/noisegw/...
+	$(GO) test -race ./internal/clarinet/... ./internal/delaynoise/... ./internal/noised/... ./internal/noisegw/... ./internal/pathnoise/...
 
 # Fault-injected batch smoke under the race detector: seeded
 # convergence failures, one panic, one stalled net, plus the journal
@@ -68,11 +69,12 @@ vuln:
 
 # Short fuzz pass over the binary decoders — the colblob frame/column
 # readers and the clarinet record decoder all parse untrusted journal
-# and wire bytes — and over the compacted LU solve, which must match
-# the dense solve bit for bit. Go runs one -fuzz pattern per
-# invocation, so the target loops; the committed corpus under each
-# package's testdata/fuzz seeds every run. FUZZTIME bounds each
-# target's budget.
+# and wire bytes — over the compacted LU solve, which must match the
+# dense solve bit for bit, and over nlsim's two-level device bypass,
+# which must match device evaluation bit for bit. Go runs one -fuzz
+# pattern per invocation, so the target loops; the committed corpus
+# under each package's testdata/fuzz seeds every run. FUZZTIME bounds
+# each target's budget.
 FUZZTIME ?= 30s
 COLBLOB_FUZZ = FuzzReadFloats FuzzFrameReader FuzzDecodeBlob FuzzFloatValues
 
@@ -85,6 +87,8 @@ fuzz:
 	@$(GO) test -run='^$$' -fuzz='^FuzzBinaryRecord$$' -fuzztime=$(FUZZTIME) ./internal/clarinet
 	@echo "== FuzzCompactSolve"
 	@$(GO) test -run='^$$' -fuzz='^FuzzCompactSolve$$' -fuzztime=$(FUZZTIME) ./internal/linalg
+	@echo "== FuzzGateMemo"
+	@$(GO) test -run='^$$' -fuzz='^FuzzGateMemo$$' -fuzztime=$(FUZZTIME) ./internal/nlsim
 
 # Serving-layer smoke: boots a race-built noised on an ephemeral port,
 # drives it with noisectl over a netgen workload, checks the

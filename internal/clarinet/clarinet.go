@@ -66,7 +66,8 @@ type Config struct {
 	// Session, when non-nil, backs the tool with an existing engine
 	// session instead of building a private one; the tool then shares
 	// the session's library, caches, and registry with every other view
-	// over it (e.g. a core.Analyzer). The cache knobs above are ignored.
+	// over it (e.g. a second Tool with other analysis options). The cache
+	// knobs above are ignored.
 	Session *engine.Session
 }
 

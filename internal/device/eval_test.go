@@ -180,7 +180,10 @@ func TestSharedPowMatchesMathPow(t *testing.T) {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // BenchmarkMOSEval times one device evaluation at a strong-inversion
-// bias, with derivatives (full) and without (value).
+// bias, with derivatives (full) and without (value), and the finishing
+// step alone over a kept Gate whose derivative powers are filled
+// (finish): the cost of a FET whose gate bias repeats while its drain
+// moves.
 func BenchmarkMOSEval(b *testing.B) {
 	p := Default180().N
 	for _, mode := range []struct {
@@ -188,6 +191,7 @@ func BenchmarkMOSEval(b *testing.B) {
 		derivs bool
 	}{{"full", true}, {"value", false}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			sink := 0.0
 			for i := 0; i < b.N; i++ {
 				id, gm, _ := p.Eval(2e-6, 1.2+1e-9*float64(i&63), 0.9, mode.derivs)
@@ -198,4 +202,16 @@ func BenchmarkMOSEval(b *testing.B) {
 			}
 		})
 	}
+	b.Run("finish", func(b *testing.B) {
+		b.ReportAllocs()
+		g := p.Gate(1.2)
+		sink := 0.0
+		for i := 0; i < b.N; i++ {
+			id, gm, _ := p.Finish(&g, 2e-6, 0.9+1e-9*float64(i&63), true)
+			sink += id + gm
+		}
+		if math.IsNaN(sink) {
+			b.Fatal("NaN current")
+		}
+	})
 }

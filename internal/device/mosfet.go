@@ -112,8 +112,56 @@ func (p *MOSParams) Ids(w, vgs, vds float64) (id, gm, gds float64) {
 // Callers that discard the conductances (residual-only Newton
 // iterations, committed-state currents) take the value-only path.
 //
+// Eval is Gate followed by Finish. Callers that see the same vgs
+// again with another vds keep the Gate and call Finish alone.
+//
 //lint:hot
 func (p *MOSParams) Eval(w, vgs, vds float64, derivs bool) (id, gm, gds float64) {
+	g := p.Gate(vgs)
+	return p.Finish(&g, w, vds, derivs)
+}
+
+// Gate holds the terms of one evaluation that depend on vgs alone:
+// the smoothed overdrive and its slope, the alpha-power current factor
+// and Vdsat, and, once a Finish with derivatives has asked for them,
+// their vgs derivatives. It is a pure function of (params, vgs), so a
+// Gate kept from an earlier evaluation at the same vgs bits gives
+// Finish exactly the inputs a fresh one would.
+type Gate struct {
+	vgst, dvgst float64
+	vga, vdsat  float64
+	pw          sharedPow
+	// dvga and dvdsat are d(vga)/dvgs and d(vdsat)/dvgs, valid once
+	// hasDerivs is set.
+	dvga, dvdsat float64
+	hasDerivs    bool
+}
+
+// Gate computes the vgs-only terms of an evaluation at gate bias vgs
+// (device sense, as for Eval). The derivative powers are left for
+// Finish to fill when it first needs them.
+//
+//lint:hot
+func (p *MOSParams) Gate(vgs float64) Gate {
+	var g Gate
+	g.vgst, g.dvgst = softplus(vgs-p.Vth, p.Vs)
+	if g.vgst <= 0 {
+		return g
+	}
+	g.pw = newSharedPow(g.vgst)
+	g.vga = g.pw.pow(p.Alpha)
+	g.vdsat = p.Kv * g.pw.pow(0.5*p.Alpha)
+	return g
+}
+
+// Finish completes an evaluation of a device of width w at drain bias
+// vds from the gate terms g that p.Gate computed; the results are those
+// of Eval at the same (vgs, vds, derivs), bit for bit. With derivs true
+// it fills g's derivative powers if they are missing, so g must be the
+// caller's own.
+//
+//lint:hot
+func (p *MOSParams) Finish(g *Gate, w, vds float64, derivs bool) (id, gm, gds float64) {
 	if w <= 0 {
 		panic(fmt.Sprintf("device: non-positive width %g", w))
 	}
@@ -125,16 +173,13 @@ func (p *MOSParams) Eval(w, vgs, vds float64, derivs bool) (id, gm, gds float64)
 		sign = -1
 	}
 	gminI := p.Gmin * w * vds
-	vgst, dvgst := softplus(vgs-p.Vth, p.Vs)
-	if vgst <= 0 {
+	if g.vgst <= 0 {
 		if !derivs {
 			return sign * gminI, 0, 0
 		}
 		return sign * gminI, 0, p.Gmin * w
 	}
-	pw := newSharedPow(vgst)
-	vga := pw.pow(p.Alpha)
-	vdsat := p.Kv * pw.pow(0.5*p.Alpha)
+	vga, vdsat := g.vga, g.vdsat
 	u := vds / vdsat
 	th := math.Tanh(p.Sat * u)
 
@@ -152,10 +197,13 @@ func (p *MOSParams) Eval(w, vgs, vds float64, derivs bool) (id, gm, gds float64)
 	// d(vga)/dvgs = Alpha * vgst^(Alpha-1) * dvgst
 	// d(u)/dvgs   = -vds/vdsat^2 * dVdsat/dvgs,
 	// dVdsat/dvgs = Kv * Alpha/2 * vgst^(Alpha/2-1) * dvgst
-	dvga := p.Alpha * pw.pow(p.Alpha-1) * dvgst
-	dvdsat := p.Kv * 0.5 * p.Alpha * pw.pow(0.5*p.Alpha-1) * dvgst
-	du := -vds / (vdsat * vdsat) * dvdsat
-	gm = p.K * w * (dvga*th + vga*p.Sat*sech2*du)
+	if !g.hasDerivs {
+		g.dvga = p.Alpha * g.pw.pow(p.Alpha-1) * g.dvgst
+		g.dvdsat = p.Kv * 0.5 * p.Alpha * g.pw.pow(0.5*p.Alpha-1) * g.dvgst
+		g.hasDerivs = true
+	}
+	du := -vds / (vdsat * vdsat) * g.dvdsat
+	gm = p.K * w * (g.dvga*th + vga*p.Sat*sech2*du)
 	gm *= sign
 	return id, gm, gds
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/clarinet"
-	"repro/internal/core"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/engine"
@@ -52,57 +51,58 @@ func TestBindWiresCachesWithoutClobberingKnobs(t *testing.T) {
 	}
 }
 
-// TestViewsShareOneSession is the tentpole invariant: a core.Analyzer
-// and a clarinet.Tool built over the same session share the library,
-// the registry, the characterization caches, and the alignment tables.
+// TestViewsShareOneSession is the session invariant: two clarinet.Tool
+// views built over the same session, with different alignment methods,
+// share the library, the registry, the characterization caches, and
+// the alignment tables.
 func TestViewsShareOneSession(t *testing.T) {
 	s := engine.New(engine.Config{PrecharGrid: 5})
-	an := core.NewAnalyzerSession(s)
-	tool := clarinet.MustNew(nil, clarinet.Config{Session: s, Align: delaynoise.AlignReceiverInput})
+	input := clarinet.MustNew(nil, clarinet.Config{Session: s, Align: delaynoise.AlignReceiverInput})
+	prechar := clarinet.MustNew(nil, clarinet.Config{Session: s, Align: delaynoise.AlignPrechar})
 
-	if an.Session() != s || tool.Session() != s {
+	if input.Session() != s || prechar.Session() != s {
 		t.Fatal("views must expose the shared session")
 	}
-	if an.Metrics() != tool.Metrics() {
+	if input.Metrics() != prechar.Metrics() {
 		t.Fatal("views must share one metrics registry")
 	}
-	if an.Lib != tool.Lib {
+	if input.Lib != prechar.Lib || input.Lib != s.Lib() {
 		t.Fatal("views must share one cell library")
 	}
 
 	// Work done through one view must be visible to the other: analyze a
-	// net with the tool and check the shared registry and caches moved.
+	// net with one tool and check the shared registry moved.
 	gen := workload.NewGenerator(s.Lib(), workload.DefaultProfile(), 7)
 	cases, err := gen.Population(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tool.AnalyzeNet(context.Background(), "shared0", cases[0])
-	if r.Err != nil {
+	c := cases[0]
+	if r := input.AnalyzeNet(context.Background(), "shared0", c); r.Err != nil {
 		t.Fatalf("analysis failed: %v", r.Err)
 	}
-	if got := an.Metrics().Counter("nets.analyzed").Value(); got != 1 {
-		t.Fatalf("core view sees nets.analyzed = %d, want 1", got)
+	reg := prechar.Metrics()
+	if got := reg.Counter("nets.analyzed").Value(); got != 1 {
+		t.Fatalf("second view sees nets.analyzed = %d, want 1", got)
 	}
 
-	// A table built through the session is shared by both views.
-	recv := cases[0].Receiver
-	tab1, err := s.Table(context.Background(), recv, true)
-	if err != nil {
+	// A table built through the session serves the other view's
+	// table-driven analysis, and the driver characterizations the first
+	// analysis made are hits for the second.
+	if _, err := s.Table(context.Background(), c.Receiver, c.Victim.OutputRising); err != nil {
 		t.Fatal(err)
 	}
-	tab2, err := an.Table(recv, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab1 != tab2 {
-		t.Fatal("table not shared across views")
+	fullHits := reg.Counter("cache.char.full.hit").Value()
+	if r := prechar.AnalyzeNet(context.Background(), "shared1", c); r.Err != nil {
+		t.Fatalf("table-driven analysis failed: %v", r.Err)
 	}
 	if s.TableCount() != 1 {
 		t.Fatalf("TableCount = %d, want 1", s.TableCount())
 	}
-	hits := an.Metrics().Counter("cache.tables.hit").Value()
-	if hits != 1 {
+	if hits := reg.Counter("cache.tables.hit").Value(); hits != 1 {
 		t.Fatalf("cache.tables.hit = %d, want 1", hits)
+	}
+	if got := reg.Counter("cache.char.full.hit").Value(); got <= fullHits {
+		t.Fatalf("cache.char.full.hit stayed at %d: the second view missed the first view's characterizations", got)
 	}
 }

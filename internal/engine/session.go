@@ -1,14 +1,12 @@
-// Package engine is the shared session core under the library facade
-// (internal/core) and the batch tool (internal/clarinet). A Session owns
-// everything both front ends used to duplicate: the technology, its cell
-// library, the metrics registry, and the three single-flight caches —
-// alignment pre-characterization tables, driver characterizations, and
-// PRIMA reduced-order models.
+// Package engine is the shared session core under the batch tool
+// (internal/clarinet) and the layers built on it. A Session owns the
+// technology, its cell library, the metrics registry, and the three
+// single-flight caches — alignment pre-characterization tables, driver
+// characterizations, and PRIMA reduced-order models.
 //
-// The front ends are thin views: core.Analyzer binds a Session to the
-// paper's default per-net flow, clarinet.Tool fans a Session across a
-// worker pool. Two views over one Session share every cache and counter;
-// the Session is safe for concurrent use.
+// Front ends are thin views: clarinet.Tool fans a Session across a
+// worker pool with its own analysis options. Two views over one Session
+// share every cache and counter; the Session is safe for concurrent use.
 package engine
 
 import (

@@ -100,8 +100,7 @@ type solver struct {
 	fixedHint []int
 	isrcHint  []int
 
-	// memo holds, per FET, the last bias it was evaluated at and the
-	// results there (see evalFET).
+	// memo holds, per FET, its two-level bypass entry (see fetMemo).
 	memo []fetMemo
 
 	// fc reuses the Jacobian LU factorization across Newton iterations
@@ -253,14 +252,15 @@ func (s *solver) static(x []float64, t float64, jac *linalg.Matrix) {
 		// id is the current leaving the drain node; gm = d(id)/dVg and
 		// gds = d(id)/dVd. For both polarities d(id)/dVs = -(gm+gds).
 		var id, gm, gds float64
+		m := &s.memo[k]
 		if f.p.Type == device.NMOS {
-			id, gm, gds = s.evalFET(k, vg-vs, vd-vs, derivs)
+			id, gm, gds = m.eval(f.p, f.w, vg-vs, vd-vs, derivs)
 		} else {
 			// PMOS conducts in the source-to-drain sense: evaluate with
 			// (vsg, vsd) and flip the current. The chain rule flips the
 			// inner derivatives too, so gm and gds come out unchanged:
 			// d(-ip)/dVg = -gmp * d(vsg)/dVg = gmp, and likewise for gds.
-			ip, gmp, gdsp := s.evalFET(k, vs-vg, vs-vd, derivs)
+			ip, gmp, gdsp := m.eval(f.p, f.w, vs-vg, vs-vd, derivs)
 			id, gm, gds = -ip, gmp, gdsp
 		}
 		sd, sg, ss := s.stateOf(f.d), s.stateOf(f.g), s.stateOf(f.s)
@@ -282,36 +282,45 @@ func (s *solver) static(x []float64, t float64, jac *linalg.Matrix) {
 	}
 }
 
-// fetMemo is one FET's exact-bias bypass entry: the last (vgs, vds) it
-// was evaluated at, as bits, and the evaluator's results there. This is
-// SPICE's device bypass with zero tolerance — device.MOSParams.Eval is a
-// pure function of (params, width, vgs, vds), so replaying the stored
-// results for a bit-identical bias is exact.
+// fetMemo is one FET's bypass entry, in two levels. The gate level
+// keeps the vgs-only terms (device.Gate) computed at the bits of the
+// last vgs; the bias level keeps the last vds, as bits, and the
+// evaluator's results at (vgs, vds). This is SPICE's device bypass with
+// zero tolerance: device.MOSParams.Gate and Finish are pure functions
+// of their inputs, so replaying them for bit-identical inputs is exact.
+// A FET whose gate and source sit on fixed nodes keeps its vgs bits
+// while its drain moves, so it hits the gate level across the Newton
+// iterations and the commit of a step, and across every step before
+// and after the input edge.
 type fetMemo struct {
 	vgs, vds    uint64
+	gate        device.Gate
 	id, gm, gds float64
 	// filled is set once the entry holds a result; derivs records
 	// whether that result carries gm and gds.
 	filled, derivs bool
 }
 
-// evalFET evaluates FET k at device-sense bias (vgs, vds) through its
-// bypass entry. It reuses the stored results when the bias bits match
-// and the entry holds the derivatives or the caller does not need them;
-// otherwise it evaluates and overwrites the entry. Settled stretches of
-// a run and FETs whose gate does not move between Newton iterations
-// and the commit evaluation hit the entry.
+// eval evaluates a device of params p and width w at device-sense bias
+// (vgs, vds) through the entry. It replays the stored results when the
+// bias bits match and the entry holds the derivatives or the caller
+// does not need them; otherwise it reruns Finish, and Gate too unless
+// the vgs bits match, and overwrites the entry. With derivs false only
+// id is meaningful: a replay returns the stored gm and gds.
 //
 //lint:hot
-func (s *solver) evalFET(k int, vgs, vds float64, derivs bool) (id, gm, gds float64) {
-	m := &s.memo[k]
+func (m *fetMemo) eval(p *device.MOSParams, w, vgs, vds float64, derivs bool) (id, gm, gds float64) {
 	bg, bd := math.Float64bits(vgs), math.Float64bits(vds)
-	if m.filled && m.vgs == bg && m.vds == bd && (m.derivs || !derivs) {
-		return m.id, m.gm, m.gds
+	if m.filled && m.vgs == bg {
+		if m.vds == bd && (m.derivs || !derivs) {
+			return m.id, m.gm, m.gds
+		}
+	} else {
+		m.gate = p.Gate(vgs)
+		m.vgs, m.filled = bg, true
 	}
-	f := &s.ckt.fets[k]
-	id, gm, gds = f.p.Eval(f.w, vgs, vds, derivs)
-	*m = fetMemo{vgs: bg, vds: bd, id: id, gm: gm, gds: gds, filled: true, derivs: derivs}
+	id, gm, gds = p.Finish(&m.gate, w, vds, derivs)
+	m.vds, m.id, m.gm, m.gds, m.derivs = bd, id, gm, gds, derivs
 	return id, gm, gds
 }
 

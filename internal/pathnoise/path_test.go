@@ -178,6 +178,55 @@ func TestRunFixpointIterates(t *testing.T) {
 	}
 }
 
+// TestRunFixpointRepeatsPassTwo pins the fixpoint's structure: every
+// pass derives each stage's input and window from that pass's own
+// upstream handoffs, so pass 3 gets exactly pass 2's inputs and repeats
+// it bit for bit. Its final arrival then meets the Tol test, and the
+// path stops after 3 passes even when more are allowed.
+func TestRunFixpointRepeatsPassTwo(t *testing.T) {
+	paths, lib := pathPopulation(t, 1, 3, 13)
+	tool := pathTool(t, lib, 2)
+
+	recs := map[pathnoise.StageKey]pathnoise.StageRecord{}
+	_, err := pathnoise.Run(context.Background(), tool, paths, pathnoise.Options{
+		MaxIterations: 4,
+		Emit:          func(rec pathnoise.StageRecord) { recs[rec.Key()] = rec },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// encode renders a record as binary journal bytes with the pass
+	// fields cleared, so equal bytes mean bit-equal results and series.
+	encode := func(rec pathnoise.StageRecord) []byte {
+		rec.Iter, rec.Done = 0, false
+		var buf bytes.Buffer
+		if err := pathnoise.NewPathJournal(&buf, pathnoise.BinaryStages).Record(rec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	p := paths[0]
+	for s := range p.Stages {
+		pass2, ok2 := recs[pathnoise.StageKey{Path: p.Name, Stage: s, Iter: 1}]
+		pass3, ok3 := recs[pathnoise.StageKey{Path: p.Name, Stage: s, Iter: 2}]
+		if !ok2 || !ok3 || pass2.Result == nil || pass3.Result == nil {
+			t.Fatalf("stage %d: pass 2 or 3 missing or failed", s)
+		}
+		if !bytes.Equal(encode(pass2), encode(pass3)) {
+			t.Errorf("stage %d: pass 3 differs from pass 2 (%+v vs %+v)", s, *pass3.Result, *pass2.Result)
+		}
+		if _, ok := recs[pathnoise.StageKey{Path: p.Name, Stage: s, Iter: 3}]; ok {
+			t.Errorf("stage %d ran a fourth pass", s)
+		}
+	}
+	if last := recs[pathnoise.StageKey{Path: p.Name, Stage: len(p.Stages) - 1, Iter: 2}]; !last.Done {
+		t.Error("pass 3's final record is not Done")
+	}
+	if got := tool.Metrics().Counter("paths.iterations").Value(); got != 3 {
+		t.Fatalf("paths.iterations = %d, want 3", got)
+	}
+}
+
 // TestRunJournalResume is the checkpoint/resume contract at stage
 // granularity: a run killed mid-path resumes from its journal without
 // re-simulating completed stages, and the final report is byte-identical

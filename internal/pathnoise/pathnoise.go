@@ -19,8 +19,11 @@
 // per-net engine propagates along the path (a path is as degraded as
 // its worst stage). Window/noise iteration follows the internal/sta
 // fixpoint: a second pass constrains each stage's aggressor alignment
-// to the switching window implied by the first pass's arrivals, and
-// iteration stops when arrivals are stable.
+// to the switching window implied by that pass's own upstream arrivals,
+// and iteration stops when the end-to-end arrival is stable. Because
+// each pass derives its windows from its own chains, the first pass
+// feeds only that stability test, and a third pass would repeat the
+// second exactly.
 //
 // The stage-graph vocabulary itself — Path, Stage, the chaining
 // invariants, and the topology hash — lives in internal/pathgraph, a

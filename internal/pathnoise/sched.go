@@ -16,14 +16,18 @@ import (
 
 // The DAG-aware scheduler. A path workload is a dependency graph of
 // stage executions: node (path p, stage s, iteration i) depends on
-// (p, s-1, i) — the chains hand waveforms forward — and node (p, 0, i)
-// depends on (p, S-1, i-1), because the window fixpoint's iteration i
-// constrains each stage's aggressor alignment with arrivals from
-// iteration i-1's chains. Within a path the graph is a line, so the
-// scheduler keeps exactly one ready node per unfinished path and runs
-// ready nodes on a bounded worker pool: independent paths overlap
-// freely, dependent stages never reorder, and a path that fails or
-// converges early frees its worker for the others immediately.
+// (p, s-1, i) — the chains hand waveforms forward, and execute derives
+// stage s's input and, from pass 2 on, its switching window from those
+// same-pass handoffs — and node (p, 0, i) depends on (p, S-1, i-1)
+// only through the Tol test, which compares the two passes' final
+// arrivals. No pass reads an earlier pass's arrivals: pass 1 is
+// unconstrained and feeds only the Tol test, and pass 3 receives
+// exactly pass 2's inputs, so it repeats pass 2 bit for bit and stops
+// the path. Within a path the graph is a line, so the scheduler keeps
+// exactly one ready node per unfinished path and runs ready nodes on a
+// bounded worker pool: independent paths overlap freely, dependent
+// stages never reorder, and a path that fails or converges early frees
+// its worker for the others immediately.
 //
 // Each path runs under its own deadline (Options.PathTimeout) layered
 // on the caller's context, and each stage execution inherits the
@@ -36,7 +40,10 @@ type Options struct {
 	// MaxIterations bounds the window/noise fixpoint passes over each
 	// path (default DefaultMaxIterations). Pass 1 aligns every stage
 	// worst-case unconstrained; passes >=2 clamp each stage's composite
-	// peak to the switching window implied by the previous chains.
+	// peak to the switching window implied by the same pass's upstream
+	// chains. A pass's windows do not depend on earlier passes, so pass
+	// 3 repeats pass 2 exactly and meets the Tol test: values above 3
+	// run no further passes.
 	MaxIterations int
 	// Tol stops the fixpoint early when a path's end-to-end noisy
 	// arrival moves less than this between passes (default DefaultTol).
@@ -64,9 +71,9 @@ type Options struct {
 
 // Fixpoint defaults. MaxIterations mirrors the internal/sta iteration
 // structure but defaults lower: a path re-derives every downstream
-// stage input from freshly simulated waveforms each pass, so the
-// second pass already sees self-consistent arrivals and further passes
-// move arrivals below solver resolution in practice.
+// stage input and window from the same pass's freshly simulated
+// waveforms, so the second pass already sees self-consistent arrivals,
+// and a third would repeat it exactly.
 const (
 	DefaultMaxIterations = 2
 	DefaultTol           = 1e-12
