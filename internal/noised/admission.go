@@ -9,19 +9,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// errQueueFull is returned by acquire when the wait queue is at
-// capacity; the handler maps it to 503 + Retry-After.
-var errQueueFull = errors.New("noised: admission queue full")
-
-// errDraining is returned by acquire once the server has begun its
-// graceful drain.
-var errDraining = errors.New("noised: server draining")
-
-// admission is the server's load gate: a semaphore of analysis slots
-// fronted by a bounded wait queue. Its instantaneous state is exported
-// through the server.inflight and server.queue_depth gauges — the load
-// signals counters cannot express.
-type admission struct {
+// Gate is a serving binary's load gate: a semaphore of analysis (or, in
+// the gateway, coordination) slots fronted by a bounded wait queue. Its
+// instantaneous state is exported through two gauges — the load signals
+// counters cannot express. The gateway's gate is what completes the
+// end-to-end backpressure story: replica sheds slow its sub-requests,
+// and its own gate sheds clients rather than queueing unboundedly on a
+// saturated fleet.
+type Gate struct {
 	slots    chan struct{}
 	mu       sync.Mutex
 	queued   int
@@ -30,28 +25,40 @@ type admission struct {
 
 	inflight   *metrics.Gauge
 	queueDepth *metrics.Gauge
+
+	// errFull and errDraining are acquire's refusals: the wait queue is
+	// at capacity, or the binary has begun its graceful drain.
+	errFull, errDraining error
 }
 
-func newAdmission(maxInflight, maxQueue int, reg *metrics.Registry) *admission {
-	return &admission{
-		slots:      make(chan struct{}, maxInflight),
-		maxQueue:   maxQueue,
-		inflight:   reg.Gauge(mServerInflight),
-		queueDepth: reg.Gauge(mServerQueueDepth),
+// NewGate builds a gate of maxInflight slots and maxQueue waiters whose
+// live state lands in the inflight and queueDepth gauges. name and role
+// word its refusals: "<name>: admission queue full" and
+// "<name>: <role> draining".
+func NewGate(name, role string, maxInflight, maxQueue int, inflight, queueDepth *metrics.Gauge) *Gate {
+	return &Gate{
+		slots:       make(chan struct{}, maxInflight),
+		maxQueue:    maxQueue,
+		inflight:    inflight,
+		queueDepth:  queueDepth,
+		errFull:     errors.New(name + ": admission queue full"),
+		errDraining: errors.New(name + ": " + role + " draining"),
 	}
 }
 
-func (a *admission) drain()         { a.drained.Store(true) }
-func (a *admission) draining() bool { return a.drained.Load() }
+// Drain flips the gate into drain mode; it is idempotent.
+func (a *Gate) Drain() { a.drained.Store(true) }
 
-// acquire claims an analysis slot, waiting in the bounded queue when
-// every slot is busy. It fails fast with errDraining during shutdown,
-// with errQueueFull when the queue is at capacity, and with the
-// context's error when the caller gives up while queued. On success the
-// caller must release.
-func (a *admission) acquire(ctx context.Context) error {
-	if a.draining() {
-		return errDraining
+// Draining reports whether the gate has begun its drain.
+func (a *Gate) Draining() bool { return a.drained.Load() }
+
+// acquire claims a slot, waiting in the bounded queue when every slot
+// is busy. It fails fast with errDraining during shutdown, with errFull
+// when the queue is at capacity, and with the context's error when the
+// caller gives up while queued. On success the caller must release.
+func (a *Gate) acquire(ctx context.Context) error {
+	if a.Draining() {
+		return a.errDraining
 	}
 	// Fast path: a free slot, no queueing.
 	select {
@@ -63,7 +70,7 @@ func (a *admission) acquire(ctx context.Context) error {
 	a.mu.Lock()
 	if a.queued >= a.maxQueue {
 		a.mu.Unlock()
-		return errQueueFull
+		return a.errFull
 	}
 	a.queued++
 	a.queueDepth.Set(int64(a.queued))
@@ -83,8 +90,8 @@ func (a *admission) acquire(ctx context.Context) error {
 	}
 }
 
-// release returns an analysis slot claimed by acquire.
-func (a *admission) release() {
+// release returns a slot claimed by acquire.
+func (a *Gate) release() {
 	<-a.slots
 	a.inflight.Dec()
 }

@@ -6,14 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/clarinet"
-	"repro/internal/colblob"
 	"repro/internal/delaynoise"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
@@ -69,348 +65,94 @@ type Health struct {
 // replica restarted, not blipped.
 const InstanceHeader = "X-Noised-Instance"
 
-// requestIDPattern bounds request IDs to filesystem- and header-safe
-// names, since they become journal file names.
-var requestIDPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$`)
+// HeartbeatHeader advertises an analyze stream's heartbeat interval (a
+// Go duration, absent when heartbeats are off). A gateway sizes its
+// stall watchdog on the stream from it.
+const HeartbeatHeader = "X-Noised-Heartbeat"
 
-// ValidRequestID reports whether id is acceptable as a request_id —
-// the gateway validates client IDs against the same rule before
-// deriving its per-shard sub-request IDs from them.
-func ValidRequestID(id string) bool { return requestIDPattern.MatchString(id) }
-
-// retryAfterSeconds renders the Retry-After hint, rounding up so a
-// sub-second hint does not collapse to "0".
-func (s *Server) retryAfterSeconds() string {
-	secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
+// netExchange is the daemon's POST /v1/analyze: a workload case file
+// in, one record per net out as the clarinet pool completes them.
+type netExchange struct {
+	s     *Server
+	names []string
+	cases []*delaynoise.Case
+	sum   Summary
 }
 
-// unavailable sheds one request: 503 with the Retry-After backoff hint.
-func (s *Server) unavailable(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	http.Error(w, reason, http.StatusServiceUnavailable)
-}
-
-// analyzeOptions are the per-request knobs parsed from the query
-// string, overlaid on the server's configured defaults.
-type analyzeOptions struct {
-	hold       delaynoise.HoldModel
-	align      delaynoise.AlignMethod
-	rescue     bool
-	netTimeout time.Duration
-	timeout    time.Duration
-	requestID  string
-}
-
-// parseAnalyzeOptions validates the query parameters of an analyze
-// request against the server defaults.
-func (s *Server) parseAnalyzeOptions(r *http.Request) (analyzeOptions, error) {
-	q := r.URL.Query()
-	opt := analyzeOptions{
-		hold:       s.cfg.Hold,
-		align:      s.cfg.Align,
-		rescue:     s.cfg.Resilience.Enabled(),
-		netTimeout: s.cfg.NetTimeout,
-	}
-	if v := q.Get("hold"); v != "" {
-		h, err := clarinet.ParseHold(v)
-		if err != nil {
-			return opt, err
-		}
-		opt.hold = h
-	}
-	if v := q.Get("align"); v != "" {
-		a, err := clarinet.ParseAlign(v)
-		if err != nil {
-			return opt, err
-		}
-		opt.align = a
-	}
-	if v := q.Get("rescue"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return opt, noiseerr.Invalidf("noised: bad rescue %q: %w", v, err)
-		}
-		opt.rescue = b
-	}
-	if v := q.Get("net_timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noised: bad net_timeout %q", v)
-		}
-		opt.netTimeout = d
-	}
-	if v := q.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return opt, noiseerr.Invalidf("noised: bad timeout %q", v)
-		}
-		opt.timeout = d
-	}
-	if cap := s.cfg.MaxRequestTimeout; cap > 0 {
-		if opt.timeout <= 0 || opt.timeout > cap {
-			opt.timeout = cap
-		}
-	}
-	opt.requestID = r.Header.Get("X-Request-ID")
-	if v := q.Get("request_id"); v != "" {
-		opt.requestID = v
-	}
-	if opt.requestID != "" && !requestIDPattern.MatchString(opt.requestID) {
-		return opt, noiseerr.Invalidf("noised: bad request_id %q (want %s)", opt.requestID, requestIDPattern)
-	}
-	return opt, nil
-}
-
-// streamWriter abstracts the analyze response encoding: NDJSON (the
-// default) or the negotiated colblob binary framing. Both carry the
-// same records — clarinet.ToWireRecord shapes them — so the two wires
-// decode to identical values.
-type streamWriter interface {
-	record(rec clarinet.JournalRecord) error
-	heartbeat() error
-	summary(sum *Summary) error
-}
-
-// ndjsonStream writes the JSON lines wire: one StreamLine per record,
-// the summary as the terminal line.
-type ndjsonStream struct{ enc *json.Encoder }
-
-func (s ndjsonStream) record(rec clarinet.JournalRecord) error { return s.enc.Encode(rec) }
-func (s ndjsonStream) heartbeat() error {
-	return s.enc.Encode(StreamLine{Heartbeat: true})
-}
-func (s ndjsonStream) summary(sum *Summary) error {
-	return s.enc.Encode(StreamLine{Summary: sum})
-}
-
-// colblobStream writes the binary wire: each record as one colblob
-// record frame (the same chained encoding the binary journal uses, so
-// the codec's writer carries this stream's compression state), the
-// summary as a summary frame with a JSON payload (it occurs once, so
-// its schema stays shared with the NDJSON wire).
-type colblobStream struct {
-	w   io.Writer
-	rw  clarinet.RecordWriter
-	buf []byte
-}
-
-func newColblobStream(w io.Writer) *colblobStream {
-	return &colblobStream{w: w, rw: clarinet.Binary.NewWriter(w)}
-}
-
-func (s *colblobStream) record(rec clarinet.JournalRecord) error {
-	return s.rw.WriteRecord(rec)
-}
-
-func (s *colblobStream) heartbeat() error {
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameHeartbeat, nil)
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func (s *colblobStream) summary(sum *Summary) error {
-	payload, err := json.Marshal(sum)
-	if err != nil {
+func (x *netExchange) Load(body io.Reader) error {
+	names, cases, err := workload.Load(body, x.s.session.Lib())
+	switch {
+	case err != nil:
 		return err
+	case len(cases) == 0:
+		return noiseerr.Invalidf("noised: empty case set")
+	case len(cases) > x.s.cfg.MaxNets:
+		return &StatusError{http.StatusRequestEntityTooLarge,
+			noiseerr.Invalidf("noised: %d nets exceeds the per-request limit %d", len(cases), x.s.cfg.MaxNets)}
 	}
-	s.buf = colblob.AppendFrame(s.buf[:0], colblob.FrameSummary, payload)
-	_, err = s.w.Write(s.buf)
-	return err
+	x.names, x.cases = names, cases
+	return nil
 }
 
-// negotiateStream picks the response encoding from the Accept header:
-// a client that asks for application/x-noise-colblob gets the binary
-// wire, everyone else the NDJSON default.
-func negotiateStream(r *http.Request, w http.ResponseWriter) (streamWriter, string) {
-	if strings.Contains(r.Header.Get("Accept"), clarinet.ContentTypeColblob) {
-		return newColblobStream(w), clarinet.ContentTypeColblob
-	}
-	return ndjsonStream{enc: json.NewEncoder(w)}, clarinet.ContentTypeNDJSON
-}
-
-// handleAnalyze is POST /v1/analyze: admission, per-request deadline,
-// the streamed batch, and the terminal summary.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter(mServerRequests).Inc()
-	if s.adm.draining() {
-		s.reg.Counter(mServerRejectedDraining).Inc()
-		s.unavailable(w, "draining")
-		return
-	}
-	opt, err := s.parseAnalyzeOptions(r)
+func (x *netExchange) Start(ctx context.Context, opt Options) (<-chan clarinet.NetReport, func() error, error) {
+	s := x.s
+	tool, err := s.tool(opt)
 	if err != nil {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, nil, err
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	names, cases, err := workload.Load(r.Body, s.session.Lib())
-	if err != nil {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(cases) == 0 {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, "noised: empty case set", http.StatusBadRequest)
-		return
-	}
-	if len(cases) > s.cfg.MaxNets {
-		s.reg.Counter(mServerRejectedValidation).Inc()
-		http.Error(w, fmt.Sprintf("noised: %d nets exceeds the per-request limit %d", len(cases), s.cfg.MaxNets),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-
-	// Admission: wait for an analysis slot in the bounded queue.
-	switch err := s.adm.acquire(r.Context()); err {
-	case nil:
-		defer s.adm.release()
-	case errQueueFull, errDraining:
-		s.reg.Counter(mServerRejectedQueue).Inc()
-		s.unavailable(w, err.Error())
-		return
-	default:
-		// The client went away while queued; nothing to answer.
-		return
-	}
-
-	tool, err := clarinet.New(nil, clarinet.Config{
-		Session:    s.session,
-		Hold:       opt.hold,
-		Align:      opt.align,
-		Workers:    s.cfg.Workers,
-		Resilience: s.requestPolicy(opt),
-		NetTimeout: opt.netTimeout,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-
 	// Server-side journal: replay a resubmitted request's completed
 	// nets, then append the new ones.
 	var prior map[string]clarinet.NetReport
 	var journal *clarinet.Journal
-	if path, ok := s.journalPath(opt.requestID); ok {
-		prior, err = readPriorJournal(path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	var release func() error
+	if path, ok := s.journalPath(opt.RequestID, ".journal"); ok {
+		if prior, err = readPriorJournal(path); err != nil {
+			return nil, nil, err
 		}
 		if len(prior) > 0 {
 			s.reg.Counter(mServerRequestsResumed).Inc()
 		}
-		j, closeJournal, err := clarinet.OpenJournal(path, s.cfg.JournalCodec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer closeJournal()
-		journal = j
-	}
-
-	// The stream context: the request context (client disconnect)
-	// bounded by the per-request deadline, and cancelable from the
-	// write path so a broken pipe stops the pool promptly.
-	ctx := r.Context()
-	var cancel context.CancelFunc
-	if opt.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opt.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	defer cancel()
-
-	stream, contentType := negotiateStream(r, w)
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set(InstanceHeader, s.instance)
-	if opt.requestID != "" {
-		w.Header().Set("X-Request-ID", opt.requestID)
-	}
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	// Push the header out now: the client should learn the request was
-	// accepted before the first (possibly slow) net completes.
-	rc.Flush()
-
-	start := time.Now()
-	sum := Summary{RequestID: opt.requestID, Nets: len(cases), Resumed: len(prior)}
-	writeOK := true
-	// Heartbeats keep an idle stream distinguishable from a dead
-	// server: whenever no record has gone out for a full interval, an
-	// empty keepalive line/frame does. The ticker resets on every real
-	// record so a busy stream never carries them.
-	var hbC <-chan time.Time
-	var hb *time.Ticker
-	if s.cfg.Heartbeat > 0 {
-		hb = time.NewTicker(s.cfg.Heartbeat)
-		defer hb.Stop()
-		hbC = hb.C
-	}
-	reports := s.runBatch(tool, ctx, names, cases, prior, journal)
-stream:
-	for {
-		select {
-		case rep, ok := <-reports:
-			if !ok {
-				break stream
-			}
-			switch {
-			case rep.Err == nil:
-				sum.OK++
-			case noiseerr.Class(rep.Err) == noiseerr.ErrCanceled:
-				sum.Canceled++
-			default:
-				sum.Failed++
-			}
-			if !writeOK {
-				continue // keep draining the pool after a broken pipe
-			}
-			s.reg.Counter(mServerNetsStreamed).Inc()
-			if err := stream.record(clarinet.ToWireRecord(rep)); err != nil {
-				writeOK = false
-				cancel() // stop analyzing for a client that is gone
-				continue
-			}
-			rc.Flush()
-			if hb != nil {
-				hb.Reset(s.cfg.Heartbeat)
-			}
-		case <-hbC:
-			if !writeOK {
-				continue
-			}
-			s.reg.Counter(mServerHeartbeats).Inc()
-			if err := stream.heartbeat(); err != nil {
-				writeOK = false
-				cancel()
-				continue
-			}
-			rc.Flush()
+		if journal, release, err = clarinet.OpenJournal(path, s.cfg.JournalCodec); err != nil {
+			return nil, nil, err
 		}
 	}
-	if !writeOK {
-		return
+	x.sum = Summary{RequestID: opt.RequestID, Nets: len(x.cases), Resumed: len(prior)}
+	return s.runBatch(tool, ctx, x.names, x.cases, prior, journal), release, nil
+}
+
+func (x *netExchange) Record(rep clarinet.NetReport) clarinet.JournalRecord {
+	switch {
+	case rep.Err == nil:
+		x.sum.OK++
+	case noiseerr.Class(rep.Err) == noiseerr.ErrCanceled:
+		x.sum.Canceled++
+	default:
+		x.sum.Failed++
 	}
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	sum.Deadline = ctx.Err() == context.DeadlineExceeded
-	sum.Draining = s.adm.draining()
-	if err := stream.summary(&sum); err == nil {
-		rc.Flush()
-	}
+	return clarinet.ToWireRecord(rep)
+}
+
+func (x *netExchange) Summary(context.Context, func(clarinet.JournalRecord) error) (*Summary, error) {
+	return &x.sum, nil
+}
+
+// tool builds one request's clarinet view over the warm session.
+func (s *Server) tool(opt Options) (*clarinet.Tool, error) {
+	return clarinet.New(nil, clarinet.Config{
+		Session:    s.session,
+		Hold:       opt.Hold,
+		Align:      opt.Align,
+		Workers:    s.cfg.Workers,
+		Resilience: s.requestPolicy(opt),
+		NetTimeout: opt.NetTimeout,
+	})
 }
 
 // requestPolicy resolves the resilience policy for one request: the
 // configured ladder (or the default one) when rescue is on, nothing
 // when the request disabled it.
-func (s *Server) requestPolicy(opt analyzeOptions) resilience.Policy {
-	if !opt.rescue {
+func (s *Server) requestPolicy(opt Options) resilience.Policy {
+	if !opt.Rescue {
 		return resilience.Policy{}
 	}
 	if s.cfg.Resilience.Enabled() {
@@ -426,7 +168,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Instance:     s.instance,
 		Build:        buildinfo.Current(),
 		UptimeS:      time.Since(s.started).Seconds(),
-		Draining:     s.adm.draining(),
+		Draining:     s.Draining(),
 		Inflight:     snap.Gauges[mServerInflight],
 		QueueDepth:   snap.Gauges[mServerQueueDepth],
 		TablesCached: s.session.TableCount(),
@@ -444,8 +186,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(InstanceHeader, s.instance)
-	if s.adm.draining() {
-		s.unavailable(w, "draining")
+	if s.Draining() {
+		s.front.Unavailable(w, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

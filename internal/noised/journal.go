@@ -7,15 +7,16 @@ import (
 	"repro/internal/clarinet"
 )
 
-// journalPath maps a request ID to its server-side journal file.
-// Journaling happens only when the server has a JournalDir and the
-// request named itself; anonymous requests stream without a checkpoint.
-// requestIDPattern has already confined the ID to a safe file name.
-func (s *Server) journalPath(requestID string) (string, bool) {
+// journalPath maps a request ID to its server-side journal file,
+// <JournalDir>/<request_id><suffix>. Journaling happens only when the
+// server has a JournalDir and the request named itself; anonymous
+// requests stream without a checkpoint. requestIDPattern has already
+// confined the ID to a safe file name.
+func (s *Server) journalPath(requestID, suffix string) (string, bool) {
 	if s.cfg.JournalDir == "" || requestID == "" {
 		return "", false
 	}
-	return filepath.Join(s.cfg.JournalDir, requestID+".journal"), true
+	return filepath.Join(s.cfg.JournalDir, requestID+suffix), true
 }
 
 // legacyJournalPath is the pre-binary-era name (<id>.jsonl) for the

@@ -42,8 +42,6 @@ package noised
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"log"
 	"net/http"
 	"time"
@@ -115,6 +113,9 @@ type Config struct {
 	// when no record has been written for this long the server emits a
 	// heartbeat line (NDJSON) or frame (colblob) so clients can tell a
 	// slow net from a dead server (default 10s; negative disables).
+	// Analyze responses advertise the interval in the
+	// X-Noised-Heartbeat header, and a gateway's stall watchdog on the
+	// stream waits at least three intervals before it cuts it.
 	Heartbeat time.Duration
 
 	// JournalDir enables server-side journaling: each request carrying
@@ -201,7 +202,7 @@ type Server struct {
 	session  *engine.Session
 	store    *warmstore.Store
 	reg      *metrics.Registry
-	adm      *admission
+	front    *Front
 	mux      *http.ServeMux
 	started  time.Time
 	instance string
@@ -247,16 +248,46 @@ func New(cfg Config) (*Server, error) {
 		store:    store,
 		reg:      sess.Metrics(),
 		started:  time.Now(),
-		instance: newInstanceID(),
+		instance: NewInstanceID(),
 		runBatch: func(t *clarinet.Tool, ctx context.Context, names []string, cases []*delaynoise.Case, prior map[string]clarinet.NetReport, j *clarinet.Journal) <-chan clarinet.NetReport {
 			return t.StreamBatch(ctx, names, cases, prior, j)
 		},
 		runPaths: pathnoise.Run,
 	}
-	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, s.reg)
+	s.front = &Front{
+		Name:              "noised",
+		Instance:          s.instance,
+		Reg:               s.reg,
+		Gate:              NewGate("noised", "server", cfg.MaxInflight, cfg.MaxQueue, s.reg.Gauge(mServerInflight), s.reg.Gauge(mServerQueueDepth)),
+		RetryAfter:        cfg.RetryAfter,
+		Heartbeat:         cfg.Heartbeat,
+		MaxBodyBytes:      cfg.MaxBodyBytes,
+		MaxRequestTimeout: cfg.MaxRequestTimeout,
+		DrainTimeout:      cfg.DrainTimeout,
+		Defaults: Options{
+			Hold:       cfg.Hold,
+			Align:      cfg.Align,
+			Rescue:     cfg.Resilience.Enabled(),
+			NetTimeout: cfg.NetTimeout,
+			Iterations: pathnoise.DefaultMaxIterations,
+		},
+		Counters: Counters{
+			Requests:           mServerRequests,
+			RejectedDraining:   mServerRejectedDraining,
+			RejectedValidation: mServerRejectedValidation,
+			RejectedQueue:      mServerRejectedQueue,
+			Heartbeats:         mServerHeartbeats,
+			NetsStreamed:       mServerNetsStreamed,
+			StagesStreamed:     mServerStagesStreamed,
+		},
+	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("POST /v1/analyze-path", s.handleAnalyzePath)
+	s.mux.HandleFunc("POST "+Analyze.Path, func(w http.ResponseWriter, r *http.Request) {
+		Handle(s.front, Analyze, &netExchange{s: s}, w, r)
+	})
+	s.mux.HandleFunc("POST "+AnalyzePath.Path, func(w http.ResponseWriter, r *http.Request) {
+		Handle(s.front, AnalyzePath, &pathExchange{s: s}, w, r)
+	})
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -273,20 +304,6 @@ func (s *Server) SaveWarm() error {
 	return s.session.SaveWarm(s.store)
 }
 
-// newInstanceID mints the random per-process identity exposed on
-// /healthz and the X-Noised-Instance header. A gateway that sees the
-// instance change behind an address knows the replica restarted (and
-// lost any unjournaled state), not merely blipped.
-func newInstanceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand is documented never to fail on supported
-		// platforms; fall back to a stable marker rather than crash.
-		return "instance-unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // Instance returns the server's random per-process identity.
 func (s *Server) Instance() string { return s.instance }
 
@@ -301,9 +318,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Draining reports whether the server has begun its graceful drain.
-func (s *Server) Draining() bool { return s.adm.draining() }
+func (s *Server) Draining() bool { return s.front.Gate.Draining() }
 
 // Drain flips the server into drain mode: /readyz answers 503 and new
 // analysis requests are refused while in-flight streams run to
 // completion. Drain is idempotent.
-func (s *Server) Drain() { s.adm.drain() }
+func (s *Server) Drain() { s.front.Gate.Drain() }

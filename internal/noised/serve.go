@@ -2,55 +2,20 @@ package noised
 
 import (
 	"context"
-	"errors"
 	"log"
 	"net"
-	"net/http"
-	"time"
 )
 
 // Serve accepts connections on ln until ctx is canceled, then drains
-// gracefully: the server flips into drain mode (/readyz answers 503,
-// new analyses are refused with Retry-After), in-flight streams run to
-// completion, and only when they finish — or the DrainTimeout budget
-// expires, whichever is first — does Serve return. On budget expiry the
-// remaining connections are force-closed, which cancels their request
-// contexts and stops their pools at the next solver checkpoint.
+// gracefully (see Front.Serve): in-flight streams run to completion
+// within DrainTimeout, and the session's warm state is saved once the
+// drain is over.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	// The acceptor is bounded by srv's lifetime: Serve returns once
-	// Shutdown or Close runs below, the buffered send never blocks, and
-	// both drain branches join it by receiving from errCh.
-	//lint:ignore noiselint/goleak bounded by srv.Shutdown/Close below; errCh is buffered and drained on both exits
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	s.Drain()
-	log.Printf("draining in-flight requests (budget %v)", s.cfg.DrainTimeout)
-	// The run context is already canceled; the drain needs its own
-	// deadline that is not.
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
-		// Budget exhausted: force-close the stragglers so their request
-		// contexts cancel and the process can exit.
-		log.Printf("drain budget exhausted: %v; closing remaining connections", err)
-		srv.Close()
+	err := s.front.Serve(ctx, ln, s.mux)
+	if s.Draining() {
 		s.saveWarmLogged()
-		return err
 	}
-	s.saveWarmLogged()
-	return nil
+	return err
 }
 
 // saveWarmLogged persists the session's warm state at shutdown; a save

@@ -13,6 +13,7 @@ import (
 	"repro/internal/clarinet"
 	"repro/internal/device"
 	"repro/internal/noised"
+	"repro/internal/pathnoise"
 	"repro/internal/workload"
 )
 
@@ -99,5 +100,60 @@ func TestGatewayMatchesSingleReplica(t *testing.T) {
 	}
 	if got, want := canonical(t, recs), canonical(t, golden); !bytes.Equal(got, want) {
 		t.Fatalf("merged records diverge from the single-replica run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// realPathBody generates n paths of the given stage count against the
+// default library — the exact bytes netgen -topology path would write.
+func realPathBody(t testing.TB, n, stages int) []byte {
+	t.Helper()
+	lib := device.NewLibrary(device.Default180())
+	gen := workload.NewGenerator(lib, workload.DefaultProfile(), 97)
+	names, cases, paths, err := gen.PathPopulation(n, stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := workload.SavePaths(&buf, lib.Tech.Name, names, cases, paths); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGatewayPathMatchesSingleReplica is the path twin of
+// TestGatewayMatchesSingleReplica: paths scattered whole over real
+// replicas and merged by the gateway must assemble reports that render
+// byte-identically to the same workload run on one replica directly.
+func TestGatewayPathMatchesSingleReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real path analysis")
+	}
+	body := realPathBody(t, 2, 3)
+
+	// Golden: one replica, direct.
+	direct := realReplica(t)
+	_, gsum := postAnalyzePath(t, direct.URL, body)
+	if gsum == nil || gsum.Paths != 2 || gsum.OK != 2 {
+		t.Fatalf("golden summary = %+v", gsum)
+	}
+	want, err := pathnoise.MarshalReport(gsum.Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Scattered: two replicas behind the gateway.
+	_, ts := newPathGateway(t, func(cfg *Config) {
+		cfg.Replicas = []string{realReplica(t).URL, realReplica(t).URL}
+	})
+	_, sum := postAnalyzePath(t, ts.URL, body)
+	if sum == nil || sum.Paths != 2 || sum.OK != 2 {
+		t.Fatalf("gateway summary = %+v", sum)
+	}
+	got, err := pathnoise.MarshalReport(sum.Reports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("gateway path report diverges from the single-replica run:\n got %s\nwant %s", got, want)
 	}
 }

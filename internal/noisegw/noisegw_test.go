@@ -489,6 +489,78 @@ func TestGatewayStallDetection(t *testing.T) {
 	}
 }
 
+// TestGatewayWatchdogHonorsAdvertisedHeartbeat: a replica that
+// advertises a 1 s heartbeat and keeps it is never cut, even though each
+// of its silences is five times the gateway's StallTimeout — the
+// watchdog waits three advertised intervals.
+func TestGatewayWatchdogHonorsAdvertisedHeartbeat(t *testing.T) {
+	a := newFakeReplica(t)
+	a.behave = func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
+		w.Header().Set(noised.HeartbeatHeader, "1s")
+		w.Header().Set("Content-Type", clarinet.ContentTypeNDJSON)
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		for i := 0; i < 2; i++ {
+			select {
+			case <-r.Context().Done():
+				return true
+			case <-time.After(time.Second):
+			}
+			writeLine(w, noised.StreamLine{Heartbeat: true})
+		}
+		serveAll(w, file, nil)
+		return true
+	}
+	g, ts := newTestGateway(t, func(cfg *Config) { cfg.StallTimeout = 200 * time.Millisecond }, a)
+	cases := testCases(6)
+
+	recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
+	requireExactlyOnce(t, recs, cases)
+	if sum.OK != 6 {
+		t.Fatalf("summary = %+v", sum)
+	}
+	if n := g.Metrics().Snapshot().Counters[mGwShardStalled]; n != 0 {
+		t.Fatalf("stalls = %d, want 0: a replica keeping its advertised heartbeat was cut", n)
+	}
+	if a.callCount() != 1 {
+		t.Fatalf("calls = %d, want 1", a.callCount())
+	}
+}
+
+// TestGatewayWatchdogCutsSilentReplica: a replica that advertises a 1 s
+// heartbeat and then goes silent is cut after three intervals — not at
+// the 200 ms StallTimeout, and not never.
+func TestGatewayWatchdogCutsSilentReplica(t *testing.T) {
+	cut := make(chan time.Duration, 1)
+	a := newFakeReplica(t)
+	a.behave = func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
+		w.Header().Set(noised.HeartbeatHeader, "1s")
+		w.Header().Set("Content-Type", clarinet.ContentTypeNDJSON)
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		opened := time.Now()
+		select {
+		case <-r.Context().Done():
+			cut <- time.Since(opened)
+		case <-time.After(10 * time.Second):
+			cut <- -1
+		}
+		return true
+	}
+	g, ts := newTestGateway(t, func(cfg *Config) { cfg.StallTimeout = 200 * time.Millisecond }, a)
+
+	_, sum := postAnalyze(t, ts.URL, casesBody(t, testCases(3)))
+	if sum == nil || sum.Failed != 3 {
+		t.Fatalf("summary = %+v, want 3 failed (no replica left to reshard onto)", sum)
+	}
+	if d := <-cut; d < 2900*time.Millisecond || d > 6*time.Second {
+		t.Fatalf("silent stream cut after %v, want about 3s (3 x the advertised 1s)", d)
+	}
+	if n := g.Metrics().Snapshot().Counters[mGwShardStalled]; n != 1 {
+		t.Fatalf("stalls = %d, want 1", n)
+	}
+}
+
 // TestGatewayHedge: a slow shard past HedgeAfter is duplicated onto
 // another replica; whichever answers first wins and the loser's replays
 // drop.

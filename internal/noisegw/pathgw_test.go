@@ -374,11 +374,13 @@ func TestGatewayPathSubRequestIDs(t *testing.T) {
 	}
 }
 
-// TestGatewayPathValidation covers the structural 400s the gateway
-// enforces without a device library.
+// TestGatewayPathValidation covers the 400s the gateway enforces
+// without a device library: the structural ones, and the path knobs,
+// which it checks with the replicas' own parser — a request every
+// replica would refuse must not reach (or strike) one.
 func TestGatewayPathValidation(t *testing.T) {
 	f := newFakePathReplica(t)
-	_, ts := newPathGateway(t, nil, f)
+	g, ts := newPathGateway(t, nil, f)
 
 	noPaths := pathFile(1, 2)
 	noPaths.Paths = nil
@@ -387,13 +389,19 @@ func TestGatewayPathValidation(t *testing.T) {
 	dupPath := pathFile(2, 2)
 	dupPath.Paths[1].Name = dupPath.Paths[0].Name
 
-	for name, file := range map[string]workload.FileJSON{
-		"no paths":      noPaths,
-		"unknown stage": unknownStage,
-		"dup path name": dupPath,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/analyze-path", "application/json",
-			bytes.NewReader(pathBody(t, file)))
+	cases := map[string]struct {
+		query string
+		file  workload.FileJSON
+	}{
+		"no paths":          {"", noPaths},
+		"unknown stage":     {"", unknownStage},
+		"dup path name":     {"", dupPath},
+		"iterations over 8": {"?path_iterations=9", pathFile(1, 2)},
+		"iterations zero":   {"?path_iterations=0", pathFile(1, 2)},
+	}
+	for name, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/analyze-path"+tc.query, "application/json",
+			bytes.NewReader(pathBody(t, tc.file)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,6 +414,15 @@ func TestGatewayPathValidation(t *testing.T) {
 	if f.callCount() != 0 {
 		t.Fatal("invalid requests reached a replica")
 	}
+	snap := g.Metrics().Snapshot()
+	if n := snap.Counters[mGwRejectedValidation]; n != int64(len(cases)) {
+		t.Fatalf("rejected.validation = %d, want %d", n, len(cases))
+	}
+	for _, rh := range g.set.health() {
+		if !rh.Healthy || rh.Strikes != 0 {
+			t.Fatalf("replica struck by invalid requests: %+v", rh)
+		}
+	}
 }
 
 // TestShardPathsPinsWholePaths: the shard function itself — every path
@@ -413,7 +430,7 @@ func TestGatewayPathValidation(t *testing.T) {
 func TestShardPathsPinsWholePaths(t *testing.T) {
 	file := pathFile(50, 3)
 	names := []string{"a", "b", "c"}
-	got := shardPaths(file.Paths, names)
+	got := shard(file.Paths, names, pathKey)
 	total := 0
 	for _, shard := range got {
 		total += len(shard)
@@ -421,7 +438,7 @@ func TestShardPathsPinsWholePaths(t *testing.T) {
 	if total != 50 {
 		t.Fatalf("%d paths sharded, want 50", total)
 	}
-	again := shardPaths(file.Paths, []string{"c", "a", "b"})
+	again := shard(file.Paths, []string{"c", "a", "b"}, pathKey)
 	for name, shard := range got {
 		seen := map[string]bool{}
 		for _, p := range again[name] {

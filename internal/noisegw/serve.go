@@ -2,57 +2,24 @@ package noisegw
 
 import (
 	"context"
-	"errors"
-	"log"
 	"net"
-	"net/http"
-	"time"
 )
 
 // Serve accepts connections on ln until ctx is canceled, then drains
-// gracefully: the gateway flips into drain mode (/readyz answers 503,
-// new analyses are refused with Retry-After), in-flight merges run to
-// completion, and only when they finish — or the DrainTimeout budget
-// expires — does Serve return. The replica probe loop runs for the
-// gateway's lifetime under the same ctx.
+// gracefully like a replica (see noised.Front.Serve): new analyses are
+// refused with Retry-After while in-flight merges run to completion
+// within DrainTimeout. The replica probe loop runs for the gateway's
+// lifetime under the same ctx.
 func (g *Gateway) Serve(ctx context.Context, ln net.Listener) error {
 	probeCtx, probeStop := context.WithCancel(ctx)
-	defer probeStop()
 	probeDone := make(chan struct{})
 	go func() {
 		defer close(probeDone)
 		g.set.probeLoop(probeCtx)
 	}()
-	defer func() { <-probeDone }()
-
-	srv := &http.Server{
-		Handler:           g.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	// The acceptor is bounded by srv's lifetime: Serve returns once
-	// Shutdown or Close runs below, the buffered send never blocks, and
-	// both drain branches join it by receiving from errCh.
-	//lint:ignore noiselint/goleak bounded by srv.Shutdown/Close below; errCh is buffered and drained on both exits
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	g.Drain()
-	log.Printf("draining in-flight requests (budget %v)", g.cfg.DrainTimeout)
-	// The run context is already canceled; the drain needs its own
-	// deadline that is not.
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.cfg.DrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
-		log.Printf("drain budget exhausted: %v; closing remaining connections", err)
-		srv.Close()
-		return err
-	}
-	return nil
+	defer func() {
+		probeStop()
+		<-probeDone
+	}()
+	return g.front.Serve(ctx, ln, g.mux)
 }

@@ -100,15 +100,15 @@ func ringHash(s string) uint64 {
 	return x
 }
 
-// shardCases distributes cases over the named replicas by consistent
-// hash of their characterization bucket, preserving input order within
-// each shard. An empty name set maps everything to "".
-func shardCases(cases []workload.CaseJSON, names []string) map[string][]workload.CaseJSON {
+// shard distributes units over the named replicas by consistent hash
+// of their key, preserving input order within each shard. An empty name
+// set maps everything to "".
+func shard[U any](units []U, names []string, key func(U) string) map[string][]U {
 	r := newRing(names)
-	out := make(map[string][]workload.CaseJSON, len(names))
-	for _, c := range cases {
-		owner := r.owner(bucketKey(c))
-		out[owner] = append(out[owner], c)
+	out := make(map[string][]U, len(names))
+	for _, u := range units {
+		owner := r.owner(key(u))
+		out[owner] = append(out[owner], u)
 	}
 	return out
 }

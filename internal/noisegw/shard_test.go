@@ -102,7 +102,7 @@ func TestShardCases(t *testing.T) {
 		cases = append(cases, caseFor(fmt.Sprintf("net%02d", i), fmt.Sprintf("CELL%d", i%7), 50e-12))
 	}
 	names := []string{"a", "b", "c"}
-	shards := shardCases(cases, names)
+	shards := shard(cases, names, bucketKey)
 	total := 0
 	seen := map[string]string{}
 	for replica, shard := range shards {
