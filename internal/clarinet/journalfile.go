@@ -8,108 +8,65 @@ import (
 	"repro/internal/colblob"
 )
 
-// sniffJournalFile identifies the codec of an existing journal file, or
-// returns nil for a missing/empty file (no format committed yet).
-func sniffJournalFile(path string) (JournalCodec, error) {
+// RepairTornTail fixes the torn tail a killed writer leaves on the
+// journal file at path, in the file's own format, and reports the
+// file's first byte, which names that format (ok is false for a missing
+// or empty file: no format committed yet). A JSONL file ending mid-line
+// gets a newline so appended records start fresh. A binary file with a
+// truncated or corrupt tail is truncated back to the end of its last
+// valid frame: frames are not line-oriented, so the JSONL trick of
+// writing a separator cannot resynchronize a binary stream. check, when
+// non-nil, vets each whole frame in file order — a chained decoder
+// replays its state through it — and the first frame it rejects ends
+// the valid prefix too. Self-contained frames (path stage journals)
+// pass nil.
+func RepairTornTail(path string, check func(kind byte, payload []byte) error) (first byte, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return 0, false, nil
 		}
-		return nil, err
-	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.Read(b[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return SniffCodec(b[0]), nil
-}
-
-// repairJournalFile fixes the torn tail a killed run leaves behind, in
-// the file's own format: a JSONL file ending mid-line gets a newline so
-// appended records start fresh; a binary file with a truncated or
-// corrupt tail is truncated back to the end of its last valid record
-// (frames are not line-oriented, so the JSONL trick of writing a
-// separator cannot resynchronize a binary stream). Returns the detected
-// codec — nil for a missing/empty file — and, for binary journals, the
-// compression state at the repaired end, which a writer appending to the
-// file must resume from (binary records chain on their predecessors).
-func repairJournalFile(path string) (JournalCodec, binState, error) {
-	codec, err := sniffJournalFile(path)
-	if err != nil || codec == nil {
-		return nil, binState{}, err
-	}
-	switch codec.Name() {
-	case "jsonl":
-		if !journalEndsMidLine(path) {
-			return codec, binState{}, nil
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return codec, binState{}, err
-		}
-		defer f.Close()
-		if _, err := f.WriteString("\n"); err != nil {
-			return codec, binState{}, err
-		}
-	case "binary":
-		end, torn, st, err := scanBinaryJournal(path)
-		if err != nil {
-			return codec, binState{}, err
-		}
-		if torn {
-			if err := os.Truncate(path, end); err != nil {
-				return codec, st, err
-			}
-		}
-		return codec, st, nil
-	}
-	return codec, binState{}, nil
-}
-
-// scanBinaryJournal replays a binary journal and returns the byte offset
-// just past its last valid record, whether anything unusable (a torn
-// tail) follows that offset, and the codec state at that point. A frame
-// whose checksum passes but whose payload does not decode counts as torn
-// too: records chain, so nothing past it can be appended to coherently.
-func scanBinaryJournal(path string) (end int64, torn bool, st binState, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, st, err
+		return 0, false, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
-	if err != nil {
-		return 0, false, st, err
+	if err != nil || fi.Size() == 0 {
+		return 0, false, err
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], 0); err != nil {
+		return 0, false, err
+	}
+	first = b[0]
+	if first != colblob.FrameMagic {
+		if _, err := f.ReadAt(b[:], fi.Size()-1); err != nil || b[0] == '\n' {
+			return first, true, err
+		}
+		af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return first, true, err
+		}
+		defer af.Close()
+		_, err = af.WriteString("\n")
+		return first, true, err
 	}
 	cr := &countingReader{r: f}
 	fr := colblob.NewFrameReader(cr)
-	var dec BinaryRecordDecoder
+	var end int64
 	for {
-		kind, payload, ferr := fr.Next()
-		if ferr == io.EOF {
-			return end, end < fi.Size(), st, nil
+		kind, payload, err := fr.Next()
+		if err != nil || (check != nil && check(kind, payload) != nil) {
+			break
 		}
-		if ferr != nil {
-			return end, true, st, nil
-		}
-		if kind == colblob.FrameRecord {
-			if _, derr := dec.Decode(payload); derr != nil {
-				// A failed decode may have half-mutated dec; st still
-				// holds the state as of the last good record.
-				return end, true, st, nil
-			}
-		}
-		// The frame decoded; NewFrameReader buffers ahead, so compute the
-		// consumed offset as the reader position minus what is still
+		// The frame is valid; NewFrameReader buffers ahead, so the
+		// consumed offset is the reader position minus what is still
 		// buffered.
 		end = cr.n - int64(fr.Buffered())
-		st = dec.st
 	}
+	if end < fi.Size() {
+		return first, true, os.Truncate(path, end)
+	}
+	return first, true, nil
 }
 
 // countingReader counts bytes handed to the frame reader's buffer.
@@ -124,26 +81,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// journalEndsMidLine reports whether the journal at path ends without a
-// trailing newline — the torn final record a killed JSONL run leaves
-// behind.
-func journalEndsMidLine(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		return false
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], st.Size()-1); err != nil {
-		return false
-	}
-	return b[0] != '\n'
-}
-
 // OpenJournal opens (creating if absent) the journal at path for
 // appending, repairing any torn final record a killed run left behind.
 // codec selects the encoding for a new journal (nil means the binary
@@ -154,12 +91,27 @@ func OpenJournal(path string, codec JournalCodec) (j *Journal, close func() erro
 	if codec == nil {
 		codec = Binary
 	}
-	detected, st, err := repairJournalFile(path)
+	// Binary records chain on their predecessors: replay the file's
+	// compression state, which a writer appending to it resumes from. A
+	// frame whose checksum passes but whose payload does not decode ends
+	// the valid prefix, since nothing past it can be appended to
+	// coherently.
+	var dec BinaryRecordDecoder
+	var st binState
+	first, ok, err := RepairTornTail(path, func(kind byte, payload []byte) error {
+		if kind == colblob.FrameRecord {
+			if _, err := dec.Decode(payload); err != nil {
+				return err // dec may be half-mutated; st holds the last good state
+			}
+		}
+		st = dec.st
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("clarinet: repair torn journal %s: %w", path, err)
 	}
-	if detected != nil {
-		codec = detected
+	if ok {
+		codec = SniffCodec(first)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

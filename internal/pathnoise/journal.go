@@ -493,105 +493,17 @@ func OpenPathJournal(path string, codec StageCodec) (j *PathJournal, close func(
 	if codec == nil {
 		codec = BinaryStages
 	}
-	detected, err := repairStageJournal(path)
+	// Stage frames are self-contained: no decoder state to replay.
+	first, ok, err := clarinet.RepairTornTail(path, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pathnoise: repair torn journal %s: %w", path, err)
 	}
-	if detected != nil {
-		codec = detected
+	if ok {
+		codec = SniffStageCodec(first)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pathnoise: open journal: %w", err)
 	}
 	return NewPathJournal(f, codec), f.Close, nil
-}
-
-// repairStageJournal fixes a torn journal tail in the file's own
-// format and reports the detected codec (nil for missing/empty).
-func repairStageJournal(path string) (StageCodec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var b [1]byte
-	if _, err := f.Read(b[:]); err != nil {
-		f.Close()
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, err
-	}
-	codec := SniffStageCodec(b[0])
-	if codec.Name() == "jsonl" {
-		f.Close()
-		return codec, repairJSONLTail(path)
-	}
-	// Binary: scan whole frames (self-contained — no decoder state to
-	// replay) and truncate anything unusable past the last good one.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return codec, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return codec, err
-	}
-	cr := &countingReader{r: f}
-	fr := colblob.NewFrameReader(cr)
-	var end int64
-	for {
-		_, _, ferr := fr.Next()
-		if ferr != nil {
-			break
-		}
-		end = cr.n - int64(fr.Buffered())
-	}
-	f.Close()
-	if end < fi.Size() {
-		return codec, os.Truncate(path, end)
-	}
-	return codec, nil
-}
-
-// repairJSONLTail appends a newline when the file ends mid-line.
-func repairJSONLTail(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		f.Close()
-		return err
-	}
-	var b [1]byte
-	_, err = f.ReadAt(b[:], st.Size()-1)
-	f.Close()
-	if err != nil || b[0] == '\n' {
-		return err
-	}
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer af.Close()
-	_, err = af.WriteString("\n")
-	return err
-}
-
-// countingReader counts bytes handed to the frame reader's buffer.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
