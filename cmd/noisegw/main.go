@@ -18,6 +18,8 @@
 // The API mirrors noised:
 //
 //	POST /v1/analyze  streams merged per-net results (NDJSON or colblob)
+//	POST /v1/analyze-path  streams merged stage records, whole paths
+//	                  pinned to one replica each
 //	GET  /healthz     gateway status plus per-replica health rows
 //	GET  /readyz      200 while accepting and >=1 replica healthy
 //	GET  /metrics     the gw.* metrics registry as JSON
@@ -25,9 +27,10 @@
 // noisectl works against a gateway unchanged: point -addr at it.
 // Replicas are health-probed every -probe-interval; -max-strikes
 // consecutive failures eject one for an exponentially growing window
-// (circuit breaking). -stall-timeout cuts streams that go silent, and
-// -hedge-after (0 disables) duplicates slow shards onto a second
-// replica. On the first SIGINT/SIGTERM the gateway drains; a second
+// (circuit breaking). -stall-timeout cuts streams that go silent — at
+// the larger of it and three of the heartbeat intervals the replica
+// advertises — and -hedge-after (0 disables) duplicates slow net
+// shards onto a second replica. On the first SIGINT/SIGTERM the gateway drains; a second
 // signal forces exit.
 package main
 
@@ -66,7 +69,7 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", noisegw.DefaultProbeInterval, "replica health-probe period")
 	maxStrikes := flag.Int("max-strikes", noisegw.DefaultMaxStrikes, "consecutive failures that eject a replica")
 	ejectBackoff := flag.Duration("eject-backoff", noisegw.DefaultEjectBackoff, "first ejection window (doubles per trip)")
-	stallTimeout := flag.Duration("stall-timeout", noisegw.DefaultStallTimeout, "cut a shard stream silent for this long")
+	stallTimeout := flag.Duration("stall-timeout", noisegw.DefaultStallTimeout, "cut a shard stream silent for this long, or for 3 of the replica's advertised heartbeat intervals if longer")
 	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a slow shard onto a second replica after this long (0 disables)")
 	maxReshards := flag.Int("max-reshards", noisegw.DefaultMaxReshards, "redistribution hops per net before reporting it failed")
 	flag.Parse()

@@ -4,7 +4,10 @@
 # drives the same workload through the gateway while SIGKILLing one
 # actively-streaming replica mid-batch. The gateway must reshard the
 # dead replica's nets onto the survivors (gw.reshards >= 1) and the
-# merged report must be byte-identical to the golden run.
+# merged report must be byte-identical to the golden run, and no shard
+# stream may have stalled: a SIGKILL shows up as a torn stream, while a
+# stall means the gateway's watchdog cut a replica that was still
+# working. On any failure the script prints the gateway's gw.* counters.
 #
 # RACE=1 builds the gateway and replicas with the race detector (CI does).
 set -euo pipefail
@@ -13,7 +16,14 @@ cd "$(dirname "$0")/.."
 race=${RACE:+-race}
 workdir=$(mktemp -d)
 pids=()
+gw=""
 cleanup() {
+  rc=$?
+  if [ "$rc" -ne 0 ] && [ -n "$gw" ]; then
+    echo "== gateway counters at failure (exit $rc)" >&2
+    curl -fsS "$gw/metrics" 2>/dev/null | grep '"gw\.' >&2 ||
+      echo "   (gateway /metrics unreachable)" >&2
+  fi
   for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
   rm -rf "$workdir"
 }
@@ -127,6 +137,10 @@ reshards=$(gw_counter 'gw\.reshards')
 [ "$reshards" -ge 1 ] || { echo "gw.reshards = $reshards, want >= 1" >&2; exit 1; }
 merged=$(gw_counter 'gw\.nets\.merged')
 [ "$merged" -ge 12 ] || { echo "gw.nets.merged = $merged, want >= 12" >&2; exit 1; }
+
+echo "== no shard stream may have stalled"
+stalled=$(gw_counter 'gw\.shard\.stalled')
+[ "$stalled" -eq 0 ] || { echo "gw.shard.stalled = $stalled, want 0: the watchdog cut a live replica" >&2; exit 1; }
 
 echo "== health reflects the dead replica"
 curl -fsS "$gw/healthz" | grep -q '"degraded"\|"healthy": *false' ||
