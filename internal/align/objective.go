@@ -25,9 +25,13 @@ type Objective struct {
 	// cell's polarity.
 	VictimRising bool
 	// Sims, when non-nil, is incremented once per nonlinear receiver
-	// simulation (every exhaustive-search grid point and delay
-	// evaluation funnels through Output).
+	// simulation, by Output and by OutputCross (every exhaustive-search
+	// grid point and delay evaluation funnels through OutputCross).
 	Sims *metrics.Counter
+	// Settled, when non-nil, is incremented once per OutputCross
+	// simulation that the settled-tail certificate ended before its
+	// horizon (see gatesim.ReceiveSettled).
+	Settled *metrics.Counter
 	// Ctx, when non-nil, cancels the receiver simulations and the
 	// exhaustive searches (checked at every grid point).
 	Ctx context.Context
@@ -49,11 +53,18 @@ func (o Objective) Output(in *waveform.PWL) (*waveform.PWL, error) {
 }
 
 // OutputCross simulates the receiver with input waveform in and returns
-// the time of the final 50% crossing of the output transition.
+// the time of the final 50% crossing of the output transition. It reads
+// only that crossing, so the simulation stops at a certified settled
+// tail (gatesim.ReceiveSettled); the crossing, or the error when there
+// is none, is the full run's.
 func (o Objective) OutputCross(in *waveform.PWL) (float64, error) {
-	out, err := o.Output(in)
+	o.Sims.Inc()
+	out, stopped, err := gatesim.ReceiveSettled(o.Receiver, in, o.Load, gatesim.Options{Ctx: o.Ctx})
 	if err != nil {
 		return 0, err
+	}
+	if stopped {
+		o.Settled.Inc()
 	}
 	return o.Cross(out)
 }
@@ -130,6 +141,22 @@ type WorstResult struct {
 // output crossing time. This is the expensive search the paper's
 // pre-characterization replaces.
 func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
+	return o.sweep(noiseless, noise, nGrid, true)
+}
+
+// ExhaustiveBest is the speed-up dual of ExhaustiveWorst: it sweeps the
+// pulse peak to *minimize* the receiver output crossing time. Same-
+// direction aggressors accelerate the victim transition; the minimum
+// bounds the early edge of downstream timing windows.
+func (o Objective) ExhaustiveBest(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
+	return o.sweep(noiseless, noise, nGrid, false)
+}
+
+// sweep is the exhaustive search behind ExhaustiveWorst (latest true:
+// maximize the output crossing) and ExhaustiveBest (minimize it): nGrid
+// points over the search window, then two refinement passes of four
+// points around the incumbent at a step 2.5 times finer each.
+func (o Objective) sweep(noiseless, noise *waveform.PWL, nGrid int, latest bool) (WorstResult, error) {
 	if nGrid < 5 {
 		nGrid = 5
 	}
@@ -137,48 +164,46 @@ func (o Objective) ExhaustiveWorst(noiseless, noise *waveform.PWL, nGrid int) (W
 	if err != nil {
 		return WorstResult{}, err
 	}
-	eval := func(tp float64) (float64, error) {
-		return o.OutputCross(NoisyInput(noiseless, noise, tp))
+	bestT, bestOut := lo, math.Inf(1)
+	if latest {
+		bestOut = math.Inf(-1)
 	}
-	bestT, bestOut := lo, math.Inf(-1)
 	var lastErr error
-	step := (hi - lo) / float64(nGrid-1)
-	for i := 0; i < nGrid; i++ {
+	// try evaluates one alignment and keeps it when it beats the
+	// incumbent; only cancellation aborts the search, since some
+	// alignments may never cross (pathological noise).
+	try := func(tp float64) error {
 		if err := o.canceled(); err != nil {
-			return WorstResult{}, err
+			return err
 		}
-		tp := lo + float64(i)*step
-		out, err := eval(tp)
+		out, err := o.OutputCross(NoisyInput(noiseless, noise, tp))
 		if err != nil {
 			if errors.Is(err, noiseerr.ErrCanceled) {
-				return WorstResult{}, err
+				return err
 			}
-			lastErr = err // some alignments may never cross (pathological noise)
-			continue
+			lastErr = err
+			return nil
 		}
-		if out > bestOut {
+		if (latest && out > bestOut) || (!latest && out < bestOut) {
 			bestT, bestOut = tp, out
 		}
+		return nil
 	}
-	if math.IsInf(bestOut, -1) {
+	step := (hi - lo) / float64(nGrid-1)
+	for i := 0; i < nGrid; i++ {
+		if err := try(lo + float64(i)*step); err != nil {
+			return WorstResult{}, err
+		}
+	}
+	if math.IsInf(bestOut, 0) {
 		return WorstResult{}, noiseerr.Convergencef("align: no alignment produced an output crossing (last: %w)", lastErr)
 	}
 	// Two refinement passes around the incumbent.
 	for pass := 0; pass < 2; pass++ {
 		step /= 2.5
 		for _, tp := range []float64{bestT - 2*step, bestT - step, bestT + step, bestT + 2*step} {
-			if err := o.canceled(); err != nil {
+			if err := try(tp); err != nil {
 				return WorstResult{}, err
-			}
-			out, err := eval(tp)
-			if err != nil {
-				if errors.Is(err, noiseerr.ErrCanceled) {
-					return WorstResult{}, err
-				}
-				continue
-			}
-			if out > bestOut {
-				bestT, bestOut = tp, out
 			}
 		}
 	}
@@ -194,65 +219,6 @@ func (o Objective) canceled() error {
 		return noiseerr.Canceled(fmt.Errorf("align: search canceled: %w", err))
 	}
 	return nil
-}
-
-// ExhaustiveBest is the speed-up dual of ExhaustiveWorst: it sweeps the
-// pulse peak to *minimize* the receiver output crossing time. Same-
-// direction aggressors accelerate the victim transition; the minimum
-// bounds the early edge of downstream timing windows.
-func (o Objective) ExhaustiveBest(noiseless, noise *waveform.PWL, nGrid int) (WorstResult, error) {
-	if nGrid < 5 {
-		nGrid = 5
-	}
-	lo, hi, err := SearchWindow(noiseless, noise, o.Vdd(), o.VictimRising)
-	if err != nil {
-		return WorstResult{}, err
-	}
-	eval := func(tp float64) (float64, error) {
-		return o.OutputCross(NoisyInput(noiseless, noise, tp))
-	}
-	bestT, bestOut := lo, math.Inf(1)
-	var lastErr error
-	step := (hi - lo) / float64(nGrid-1)
-	for i := 0; i < nGrid; i++ {
-		if err := o.canceled(); err != nil {
-			return WorstResult{}, err
-		}
-		tp := lo + float64(i)*step
-		out, err := eval(tp)
-		if err != nil {
-			if errors.Is(err, noiseerr.ErrCanceled) {
-				return WorstResult{}, err
-			}
-			lastErr = err
-			continue
-		}
-		if out < bestOut {
-			bestT, bestOut = tp, out
-		}
-	}
-	if math.IsInf(bestOut, 1) {
-		return WorstResult{}, noiseerr.Convergencef("align: no alignment produced an output crossing (last: %w)", lastErr)
-	}
-	for pass := 0; pass < 2; pass++ {
-		step /= 2.5
-		for _, tp := range []float64{bestT - 2*step, bestT - step, bestT + step, bestT + 2*step} {
-			if err := o.canceled(); err != nil {
-				return WorstResult{}, err
-			}
-			out, err := eval(tp)
-			if err != nil {
-				if errors.Is(err, noiseerr.ErrCanceled) {
-					return WorstResult{}, err
-				}
-				continue
-			}
-			if out < bestOut {
-				bestT, bestOut = tp, out
-			}
-		}
-	}
-	return WorstResult{TPeak: bestT, TOut: bestOut, Va: noiseless.At(bestT)}, nil
 }
 
 // ReceiverInputSpeedup is the speed-up analog of ReceiverInputAlignment:

@@ -100,7 +100,7 @@ func TestAnalyzeAllOrderAndReport(t *testing.T) {
 	}
 	var mb bytes.Buffer
 	WriteMetricsSummary(&mb, tool)
-	if !strings.Contains(mb.String(), "nets analyzed: 4") {
+	if !strings.Contains(mb.String(), "nets analyzed: 4") || !strings.Contains(mb.String(), "stopped at a settled tail") {
 		t.Fatalf("metrics summary malformed:\n%s", mb.String())
 	}
 }

@@ -106,8 +106,8 @@ func WriteMetricsSummary(w io.Writer, t *Tool) {
 			s.Counters[mNetsDeadline], s.Counters[mNetsPanicked],
 			s.Counters[mNetsCanceled], s.Counters[mNetsResumed])
 	}
-	fmt.Fprintf(w, "simulations: %d linear, %d nonlinear receiver\n",
-		s.Counters["sim.linear"], s.Counters["sim.nonlinear.receiver"])
+	fmt.Fprintf(w, "simulations: %d linear, %d nonlinear receiver (%d stopped at a settled tail)\n",
+		s.Counters["sim.linear"], s.Counters["sim.nonlinear.receiver"], s.Counters["sim.nonlinear.receiver.settled"])
 	for _, cache := range []struct{ base, label string }{
 		{"cache.tables", "alignment tables"},
 		{"cache.char.rough", "rough driver fits"},

@@ -225,3 +225,19 @@ func TestHashCircuitSensitivity(t *testing.T) {
 		t.Fatal("changed resistor value did not change the hash")
 	}
 }
+
+// TestSettledCounterCountsSearchRuns checks the settled-tail counter:
+// the exhaustive search's receiver runs stop at their settled tail and
+// count once each, and the report stage's two runs, which keep their
+// waveforms and so run full, never do.
+func TestSettledCounterCountsSearchRuns(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if _, err := Analyze(testCase(t), Options{Align: AlignExhaustive, Hold: HoldThevenin, SearchGrid: 5, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	sims, settled := s.Counters[mSimNonlinearReceiver], s.Counters[mSimReceiverSettled]
+	if settled == 0 || settled > sims-2 {
+		t.Fatalf("%d of %d receiver runs counted as stopped at a settled tail; want between 1 and %d", settled, sims, sims-2)
+	}
+}

@@ -17,4 +17,7 @@ const (
 
 	mSimLinear            = "sim.linear"
 	mSimNonlinearReceiver = "sim.nonlinear.receiver"
+	// mSimReceiverSettled counts the search runs among them that the
+	// settled-tail certificate ended before their horizon.
+	mSimReceiverSettled = "sim.nonlinear.receiver.settled"
 )

@@ -22,6 +22,10 @@ import (
 // settled prefix.
 const InputStart = 100e-12
 
+// cellInstance is the instance name of the cell in every cell-level
+// circuit; its internal nodes are named cellInstance + "." + local.
+const cellInstance = "u"
+
 // Input builds the standard input ramp for a characterization run.
 // slew is the full 0-100% transition time of the saturated ramp.
 func Input(tech *device.Technology, slew float64, rising bool) *waveform.PWL {
@@ -99,6 +103,23 @@ type DriveResult struct {
 // the result settled, a Drive with the same inputs started at Horizon
 // repeats the final attempt and returns Out bit for bit.
 func DriveWithHorizon(cell *device.Cell, slew float64, inRising bool, cload float64, inj *waveform.PWL, opt Options) (DriveResult, error) {
+	return drive(cell, slew, inRising, cload, inj, opt, false)
+}
+
+// DriveSettled is DriveWithHorizon without an injection, each attempt
+// stopped at a certified settled tail: once the input ramp has ended
+// and the output and every gate-driving internal node sit within 0.5%
+// of Vdd of the DC operating point at the final input rail, before
+// settled's window opens. Horizon, Settled and the 10/50/90% crossings
+// of Out are the full search's; Out itself ends at the stop, so it
+// serves callers that read only those crossings (the Thevenin fit).
+func DriveSettled(cell *device.Cell, slew float64, inRising bool, cload float64, opt Options) (DriveResult, error) {
+	return drive(cell, slew, inRising, cload, nil, opt, true)
+}
+
+// drive runs the horizon search; stopTail arms the drive certificate
+// on every attempt.
+func drive(cell *device.Cell, slew float64, inRising bool, cload float64, inj *waveform.PWL, opt Options, stopTail bool) (DriveResult, error) {
 	tech := cell.Tech
 	horizon := opt.Horizon
 	if horizon == 0 {
@@ -107,18 +128,17 @@ func DriveWithHorizon(cell *device.Cell, slew float64, inRising bool, cload floa
 	if inj != nil && inj.End() > horizon {
 		horizon = inj.End() + 100e-12
 	}
+	outRising := cell.OutputRisingFor(inRising)
 	for attempt := 0; ; attempt++ {
-		c := nlsim.NewCircuit()
-		in := c.Fixed("in", Input(tech, slew, inRising))
-		out := c.Node("out")
-		c.AddCell(cell, "u", in, out)
-		if cload > 0 {
-			c.AddC(out, nlsim.Ground, cload)
+		c, out := cellCircuit(cell, Input(tech, slew, inRising), inj, cload)
+		step := opt.step(horizon)
+		nopt := nlsim.Options{TStop: horizon, Step: step, Ctx: opt.Ctx}
+		var tail *driveTail
+		if stopTail {
+			tail = newDriveTail(opt.Ctx, c, out, cell, slew, inRising, 0.9*horizon-step)
+			nopt.Stop = tail.stop
 		}
-		if inj != nil {
-			c.AddI(out, inj)
-		}
-		res, err := nlsim.Run(c, nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx})
+		res, err := nlsim.Run(c, nopt)
 		if err != nil {
 			return DriveResult{}, fmt.Errorf("gatesim: drive sim failed: %w", err)
 		}
@@ -126,7 +146,10 @@ func DriveWithHorizon(cell *device.Cell, slew float64, inRising bool, cload floa
 		if err != nil {
 			return DriveResult{}, err
 		}
-		if ok := settled(v, tech.Vdd, cell.OutputRisingFor(inRising)); ok || attempt >= 4 {
+		if tail != nil && tail.stopped {
+			return DriveResult{Out: v, Horizon: horizon, Settled: true}, nil
+		}
+		if ok := settled(v, tech.Vdd, outRising); ok || attempt >= 4 {
 			return DriveResult{Out: v, Horizon: horizon, Settled: ok}, nil
 		}
 		horizon *= 2
@@ -160,23 +183,62 @@ func settled(v *waveform.PWL, vdd float64, outRising bool) bool {
 // load, and returns the receiver output waveform. The horizon extends
 // beyond the input waveform's end to let the output settle.
 func Receive(cell *device.Cell, in *waveform.PWL, cload float64, opt Options) (*waveform.PWL, error) {
+	out, _, err := receive(cell, in, cload, opt, false)
+	return out, err
+}
+
+// ReceiveSettled is Receive stopped at a certified settled tail: the
+// first step from which the input stays within 2% of Vdd of one rail
+// to the end of the run, and at which the output and every internal
+// node driving a FET gate sit within 2% of Vdd of the DC operating
+// point at that rail. The opposite network is then cut off, so no later
+// step can carry the output back to Vdd/2. The returned waveform is
+// Receive's first rows and holds every output crossing of the full run
+// (the last one included); stopped reports whether the certificate
+// ended the run before its horizon.
+func ReceiveSettled(cell *device.Cell, in *waveform.PWL, cload float64, opt Options) (out *waveform.PWL, stopped bool, err error) {
+	return receive(cell, in, cload, opt, true)
+}
+
+// receive runs one receiver simulation; stopTail arms the receiver
+// certificate.
+func receive(cell *device.Cell, in *waveform.PWL, cload float64, opt Options, stopTail bool) (*waveform.PWL, bool, error) {
 	horizon := opt.Horizon
 	if horizon == 0 {
 		est := estimateHorizon(cell, 0, cload)
 		horizon = in.End() + (est - InputStart)
 	}
+	c, out := cellCircuit(cell, in, nil, cload)
+	nopt := nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx}
+	var tail *receiverTail
+	if stopTail {
+		tail = newReceiverTail(opt.Ctx, c, out, cell, in)
+		nopt.Stop = tail.stop
+	}
+	res, err := nlsim.Run(c, nopt)
+	if err != nil {
+		return nil, false, fmt.Errorf("gatesim: receiver sim failed: %w", err)
+	}
+	v, err := res.Voltage("out")
+	return v, tail != nil && tail.stopped, err
+}
+
+// cellCircuit builds the circuit of every cell-level run: the cell with
+// its input prescribed by in, driving cload and, when inj is non-nil,
+// an injected current at its output. The certificates build the same
+// circuit around a constant input, so the state indices agree.
+func cellCircuit(cell *device.Cell, in, inj *waveform.PWL, cload float64) (*nlsim.Circuit, nlsim.Ref) {
 	c := nlsim.NewCircuit()
 	inRef := c.Fixed("in", in)
 	out := c.Node("out")
-	c.AddCell(cell, "u", inRef, out)
+	c.AddCell(cell, cellInstance, inRef, out)
 	if cload > 0 {
 		c.AddC(out, nlsim.Ground, cload)
 	}
-	res, err := nlsim.Run(c, nlsim.Options{TStop: horizon, Step: opt.step(horizon), Ctx: opt.Ctx})
-	if err != nil {
-		return nil, fmt.Errorf("gatesim: receiver sim failed: %w", err)
+	if inj != nil {
+		c.AddI(out, inj)
 	}
-	return res.Voltage("out")
+	return c, out
 }
 
 // SwitchingThreshold returns the DC input voltage at which the cell's

@@ -240,6 +240,17 @@ func StateOf(c *Circuit, x []float64, r Ref) (float64, error) {
 	return x[n.state], nil
 }
 
+// StateIndex returns the index of node r in a state vector (a DC
+// solution, or the state an Options.Stop hook sees), or -1 for ground
+// and fixed nodes. It seals the circuit.
+func (c *Circuit) StateIndex(r Ref) int {
+	c.seal()
+	if r == Ground {
+		return -1
+	}
+	return c.nodes[r].state
+}
+
 // StateNames returns the node names of the unknown states in state order.
 // It seals the circuit.
 func (c *Circuit) StateNames() []string {

@@ -57,6 +57,13 @@ type Options struct {
 	// against, and an escape hatch for circuits where the stale-factor
 	// heuristics misbehave.
 	FullNewton bool
+
+	// Stop, when non-nil, is called after every committed step with the
+	// step's time and committed state (indexed by Circuit.StateIndex);
+	// returning true ends the run there. The hook only reads, so a
+	// stopped run's rows are the full run's first rows, bit for bit.
+	// It must not keep x, which the next step overwrites.
+	Stop func(t float64, x []float64) bool
 }
 
 func (o *Options) defaults() {
@@ -415,8 +422,9 @@ func RunContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
 	return Run(c, opt)
 }
 
-// Run integrates the circuit over [TStart, TStop]. Cancellation, when
-// needed, comes from Options.Ctx (or use RunContext).
+// Run integrates the circuit over [TStart, TStop], or up to the step
+// at which Options.Stop ends it. Cancellation, when needed, comes from
+// Options.Ctx (or use RunContext).
 func Run(c *Circuit, opt Options) (*Result, error) {
 	opt.defaults()
 	if opt.Step <= 0 {
@@ -494,8 +502,12 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 	// count is known exactly, so the appends in commit never reallocate
 	// and steady-state stepping stays allocation-free. Adaptive runs get
 	// the same capacity as an estimate and grow only if step shrinking
-	// exceeds it.
+	// exceeds it. A run that may stop early starts at a quarter of that
+	// and grows.
 	est := int((opt.TStop-opt.TStart)/hMax+1.5) + 1
+	if opt.Stop != nil {
+		est = est/4 + 1
+	}
 	tr.times = make([]float64, 0, est)
 	tr.statesBuf = make([]float64, 0, est*n)
 	tr.times = append(tr.times, opt.TStart)
@@ -543,6 +555,9 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 		}
 		t += h
 		tr.commit(t)
+		if opt.Stop != nil && opt.Stop(t, tr.x) {
+			break
+		}
 		if opt.Adaptive {
 			switch {
 			case iters <= 3:

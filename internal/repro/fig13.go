@@ -35,18 +35,26 @@ type Fig13Result struct {
 // reports 48.63% average error for (a), 7.41% for (b), with (a) always
 // underestimating.
 func Fig13(ctx *Context) (*Fig13Result, error) {
-	gen := workload.NewGenerator(ctx.Lib, workload.DefaultProfile(), ctx.Seed)
+	return fig13(ctx, eachNet)
+}
+
+// fig13 is Fig13 with the per-net loop supplied: nets are generated in
+// order, analyzed by each, and assembled in net order.
+func fig13(ctx *Context, each func(n int, fn func(i int))) (*Fig13Result, error) {
+	cases, err := population(ctx, workload.NewGenerator(ctx.Lib, workload.DefaultProfile(), ctx.Seed))
+	if err != nil {
+		return nil, err
+	}
+	points := make([]*Fig13Point, len(cases))
+	each(len(cases), func(i int) {
+		// Individual degenerate nets (e.g. noise too small to measure)
+		// are skipped, mirroring how a production tool filters nets
+		// below its noise floor.
+		points[i], _ = fig13Net(cases[i])
+	})
 	res := &Fig13Result{}
-	for i := 0; i < ctx.Nets; i++ {
-		c, err := gen.Next(i)
-		if err != nil {
-			return nil, err
-		}
-		p, err := fig13Net(c)
-		if err != nil {
-			// Individual degenerate nets (e.g. noise too small to measure)
-			// are skipped, mirroring how a production tool filters nets
-			// below its noise floor.
+	for i, p := range points {
+		if p == nil {
 			res.Skipped++
 			continue
 		}
@@ -62,7 +70,6 @@ func Fig13(ctx *Context) (*Fig13Result, error) {
 	for i, p := range res.Points {
 		golden[i], thev[i], rtr[i] = p.Golden, p.Thevenin, p.Rtr
 	}
-	var err error
 	const floor = 1e-12 // 1 ps relative-error floor
 	if res.Thevenin, err = stats.Compare(thev, golden, floor); err != nil {
 		return nil, err

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/delaynoise"
+	"repro/internal/device"
+	"repro/internal/memo"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -43,48 +45,59 @@ type Fig14Result struct {
 // simulations. The paper reports worst-case errors of ~15 ps (ours) vs
 // ~31 ps ([5]).
 func Fig14(ctx *Context) (*Fig14Result, error) {
-	gen := workload.NewGenerator(ctx.Lib, workload.DefaultProfile(), ctx.Seed+1)
-	tables := map[string]*align.Table{}
-	tableFor := func(cellName string, rising bool) (*align.Table, error) {
-		key := fmt.Sprintf("%s/%v", cellName, rising)
-		if t, ok := tables[key]; ok {
-			return t, nil
-		}
-		cell, err := ctx.Lib.Cell(cellName)
-		if err != nil {
-			return nil, err
-		}
-		cfg := align.DefaultConfig(ctx.Tech)
-		cfg.Grid = 17
-		t, err := align.Precharacterize(cell, rising, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tables[key] = t
-		return t, nil
-	}
+	return fig14(ctx, eachNet)
+}
 
+// fig14Table keys the alignment tables: one per receiver cell and
+// victim direction.
+type fig14Table struct {
+	cell   string
+	rising bool
+}
+
+// fig14 is Fig14 with the per-net loop supplied: nets are generated in
+// order, analyzed by each, and assembled in net order. Nets that share
+// a receiver and direction share its table, built once under single
+// flight.
+func fig14(ctx *Context, each func(n int, fn func(i int))) (*Fig14Result, error) {
+	cases, err := population(ctx, workload.NewGenerator(ctx.Lib, workload.DefaultProfile(), ctx.Seed+1))
+	if err != nil {
+		return nil, err
+	}
+	tables := memo.New[fig14Table, *align.Table]()
+	tableFor := func(cell *device.Cell, rising bool) (*align.Table, error) {
+		t, _, err := tables.Do(fig14Table{cell.Name, rising}, func() (*align.Table, error) {
+			cfg := align.DefaultConfig(ctx.Tech)
+			cfg.Grid = 17
+			return align.Precharacterize(cell, rising, cfg)
+		})
+		return t, err
+	}
+	points := make([]*Fig14Point, len(cases))
+	errs := make([]error, len(cases))
+	tabErrs := make([]error, len(cases)) // a failed table build fails the figure
+	each(len(cases), func(i int) {
+		c := cases[i]
+		tab, err := tableFor(c.Receiver, c.Victim.OutputRising)
+		if err != nil {
+			tabErrs[i] = err
+			return
+		}
+		points[i], errs[i] = fig14Net(c, tab)
+	})
 	res := &Fig14Result{}
-	for i := 0; i < ctx.Nets; i++ {
-		c, err := gen.Next(i)
-		if err != nil {
-			return nil, err
+	for i, p := range points {
+		switch {
+		case tabErrs[i] != nil:
+			return nil, tabErrs[i]
+		case p != nil:
+			p.Net = i
+			res.Points = append(res.Points, *p)
+		case errors.Is(errs[i], errGlitchRegime):
+			res.GlitchRegime++
+		default:
+			res.Skipped++
 		}
-		tab, err := tableFor(c.Receiver.Name, c.Victim.OutputRising)
-		if err != nil {
-			return nil, err
-		}
-		p, err := fig14Net(c, tab)
-		if err != nil {
-			if errors.Is(err, errGlitchRegime) {
-				res.GlitchRegime++
-			} else {
-				res.Skipped++
-			}
-			continue
-		}
-		p.Net = i
-		res.Points = append(res.Points, *p)
 	}
 	if len(res.Points) == 0 {
 		return nil, fmt.Errorf("repro: fig14 produced no valid nets")
@@ -95,7 +108,6 @@ func Fig14(ctx *Context) (*Fig14Result, error) {
 	for i, p := range res.Points {
 		exh[i], ours[i], base[i] = p.Exhaustive, p.Ours, p.Baseline
 	}
-	var err error
 	if res.Ours, err = stats.Compare(ours, exh, 1e-12); err != nil {
 		return nil, err
 	}

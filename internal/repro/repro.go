@@ -7,8 +7,13 @@ package repro
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/delaynoise"
 	"repro/internal/device"
+	"repro/internal/workload"
 )
 
 // Context carries the shared configuration of all experiments.
@@ -38,6 +43,39 @@ func (c *Context) Quick(nets int) *Context {
 	out := *c
 	out.Nets = nets
 	return &out
+}
+
+// population draws the Context's nets from gen, in order: the
+// generator is sequential, so net i is the same case however the nets
+// are analyzed afterwards.
+func population(ctx *Context, gen *workload.Generator) ([]*delaynoise.Case, error) {
+	cases := make([]*delaynoise.Case, ctx.Nets)
+	for i := range cases {
+		c, err := gen.Next(i)
+		if err != nil {
+			return nil, err
+		}
+		cases[i] = c
+	}
+	return cases, nil
+}
+
+// eachNet calls fn(i) for every i in [0, n) on GOMAXPROCS workers and
+// returns once all calls have. Each call writes only its own net's
+// slot, so results assemble in net order whatever the schedule.
+func eachNet(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Series is one printable data series (a curve of a figure).

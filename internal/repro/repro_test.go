@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -212,5 +213,35 @@ func TestWindowIterationConverges(t *testing.T) {
 	r.Print(&buf)
 	if !strings.Contains(buf.String(), "fixpoint") {
 		t.Fatal("print output malformed")
+	}
+}
+
+// TestFig13Fig14ParallelMatchesSequential runs the Figure 13 and 14
+// populations on the worker pool and through a plain loop over the same
+// per-net functions, and requires byte-identical printed results.
+func TestFig13Fig14ParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("population experiment is slow")
+	}
+	sequential := func(n int, fn func(i int)) {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+	}
+	ctx := NewContext().Quick(4)
+	render := func(r interface{ Print(io.Writer) }, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		r.Print(&b)
+		return b.String()
+	}
+	if par, seq := render(Fig13(ctx)), render(fig13(ctx, sequential)); par != seq {
+		t.Errorf("fig13 on the worker pool:\n%s\nsequential:\n%s", par, seq)
+	}
+	if par, seq := render(Fig14(ctx)), render(fig14(ctx, sequential)); par != seq {
+		t.Errorf("fig14 on the worker pool:\n%s\nsequential:\n%s", par, seq)
 	}
 }

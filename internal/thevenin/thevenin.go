@@ -166,23 +166,28 @@ func FitWaveform(out *waveform.PWL, vdd, ceff float64, outRising bool) (Model, e
 
 // Fit characterizes a cell: it simulates the nonlinear cell driving ceff
 // with the given input slew and direction and fits the Thevenin model to
-// the resulting output transition. It returns the model and the raw
-// nonlinear output waveform.
+// the resulting output transition. It returns the model and the
+// nonlinear output waveform, which ends where the settled-tail
+// certificate stopped the drive (see FitContext).
 func Fit(cell *device.Cell, inSlew float64, inRising bool, ceff float64) (Model, *waveform.PWL, error) {
 	return FitContext(context.Background(), cell, inSlew, inRising, ceff)
 }
 
 // FitContext is Fit with cancellation support for the underlying
-// nonlinear drive simulation.
+// nonlinear drive simulation. The fit reads only the 10/50/90%
+// crossings, so the drive is gatesim.DriveSettled: each attempt stops
+// at a certified settled tail and the model is the full drive's. The
+// returned waveform ends at that stop rather than at the horizon; every
+// caller in this module discards it.
 func FitContext(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, ceff float64) (Model, *waveform.PWL, error) {
-	out, err := gatesim.Drive(cell, inSlew, inRising, ceff, nil, gatesim.Options{Ctx: ctx})
+	r, err := gatesim.DriveSettled(cell, inSlew, inRising, ceff, gatesim.Options{Ctx: ctx})
 	if err != nil {
 		return Model{}, nil, err
 	}
 	outRising := cell.OutputRisingFor(inRising)
-	m, err := FitWaveform(out, cell.Tech.Vdd, ceff, outRising)
+	m, err := FitWaveform(r.Out, cell.Tech.Vdd, ceff, outRising)
 	if err != nil {
 		return Model{}, nil, fmt.Errorf("thevenin: fitting %s (slew=%g, ceff=%g): %w", cell.Name, inSlew, ceff, err)
 	}
-	return m, out, nil
+	return m, r.Out, nil
 }
