@@ -70,8 +70,10 @@ vuln:
 # Short fuzz pass over the binary decoders — the colblob frame/column
 # readers and the clarinet record decoder all parse untrusted journal
 # and wire bytes — over the compacted LU solve, which must match the
-# dense solve bit for bit, over nlsim's two-level device bypass, which
-# must match device evaluation bit for bit, and over gatesim's
+# dense solve bit for bit, over linalg.Factor, whose banded Cholesky
+# must match the dense LU within a stated tolerance and whose dense
+# side must match it bit for bit, over nlsim's two-level device bypass,
+# which must match device evaluation bit for bit, and over gatesim's
 # settled-tail stop, whose crossings, fits and horizons must match the
 # full runs bit for bit. Go runs one -fuzz
 # pattern per invocation, so the target loops; the committed corpus
@@ -89,6 +91,8 @@ fuzz:
 	@$(GO) test -run='^$$' -fuzz='^FuzzBinaryRecord$$' -fuzztime=$(FUZZTIME) ./internal/clarinet
 	@echo "== FuzzCompactSolve"
 	@$(GO) test -run='^$$' -fuzz='^FuzzCompactSolve$$' -fuzztime=$(FUZZTIME) ./internal/linalg
+	@echo "== FuzzFactor"
+	@$(GO) test -run='^$$' -fuzz='^FuzzFactor$$' -fuzztime=$(FUZZTIME) ./internal/linalg
 	@echo "== FuzzGateMemo"
 	@$(GO) test -run='^$$' -fuzz='^FuzzGateMemo$$' -fuzztime=$(FUZZTIME) ./internal/nlsim
 	@echo "== FuzzSettledStop"

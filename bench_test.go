@@ -369,7 +369,7 @@ func BenchmarkClarinetBatch(b *testing.B) {
 		name string
 		cfg  clarinet.Config
 	}{
-		{"seed", clarinet.Config{Workers: 2, CharCacheRes: -1, DisableROMCache: true}},
+		{"seed", clarinet.Config{Workers: 2, CharCacheRes: -1}},
 		{"parallel", clarinet.Config{}},
 	} {
 		tc.cfg.Hold = delaynoise.HoldTransient
@@ -414,8 +414,8 @@ func seriesSpread(s repro.Series) float64 {
 }
 
 // BenchmarkLargeNetSolvers exercises the "thousands of elements" regime
-// the paper motivates: a long coupled line solved with the prefactored
-// dense path vs the sparse warm-started CG path.
+// the paper motivates: a long coupled line of 802 states, which
+// linalg.Factor steps on the banded Cholesky under RCM.
 func BenchmarkLargeNetSolvers(b *testing.B) {
 	ckt := netlist.NewCircuit()
 	const segs = 400
@@ -433,38 +433,9 @@ func BenchmarkLargeNetSolvers(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := lsim.Options{TStop: 1e-9, Step: 2e-12, InitDC: true}
-	dense := opt
-	dense.Solver = lsim.SolverDense
-	b.Run("denseLU", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lsim.Run(sys, dense); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Zero-value Solver: the auto heuristic, which picks banded Cholesky
-	// under RCM on this narrow-banded line.
-	b.Run("auto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lsim.Run(sys, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	cg := opt
-	cg.Solver = lsim.SolverCG
-	b.Run("sparseCG", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := lsim.Run(sys, cg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	banded := opt
-	banded.Solver = lsim.SolverBanded
 	b.Run("bandedRCM", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := lsim.Run(sys, banded); err != nil {
+			if _, err := lsim.Run(sys, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

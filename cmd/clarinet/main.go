@@ -126,6 +126,12 @@ func main() {
 	if *rescueFlag {
 		policy = resilience.DefaultPolicy()
 	}
+	if *fallback {
+		policy.FallbackToPrechar = true
+	}
+	if *netTimeout > 0 {
+		policy.NetTimeout = *netTimeout
+	}
 
 	lib := cliutil.Library()
 	var names []string
@@ -140,13 +146,11 @@ func main() {
 	}
 
 	tool, err := clarinet.New(lib, clarinet.Config{
-		Hold:              hold,
-		Align:             alignMethod,
-		Workers:           *workers,
-		CharCacheRes:      *charRes,
-		FallbackToPrechar: *fallback,
-		Resilience:        policy,
-		NetTimeout:        *netTimeout,
+		Hold:         hold,
+		Align:        alignMethod,
+		Workers:      *workers,
+		CharCacheRes: *charRes,
+		Resilience:   policy,
 	})
 	if err != nil {
 		log.Fatal(err)

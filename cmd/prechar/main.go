@@ -1,8 +1,10 @@
-// Command prechar builds the characterization tables the analysis flow
-// consumes: for each requested receiver cell, the paper's 8-point
-// worst-case alignment-voltage table (both victim directions), and for
-// each driver cell a slew x load Thevenin grid. Results are written as
-// JSON under the output directory.
+// Command prechar writes the library's characterization tables as JSON
+// under the output directory: for each requested receiver cell, the
+// paper's 8-point worst-case alignment-voltage table (both victim
+// directions), and for each driver cell a slew x load Thevenin grid.
+// The files are for inspection, plotting and outside tools. The
+// analysis flow reads none of them back: it builds the tables it needs
+// in-session (engine.Session.Table) and keeps them in the warm store.
 //
 // Usage:
 //

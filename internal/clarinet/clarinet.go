@@ -8,7 +8,6 @@ package clarinet
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/delaynoise"
 	"repro/internal/device"
@@ -32,33 +31,20 @@ type Config struct {
 	// runtime.GOMAXPROCS(0) — every available core. Negative values are
 	// rejected by New.
 	Workers int
-	// FallbackToPrechar degrades gracefully when the alignment search
-	// fails to converge on a net: the net is retried with the
-	// table-driven pre-characterized alignment instead of failing.
-	// Fallback retries are counted in the nets.fallback metric. This is
-	// the legacy switch for the last rung of the rescue ladder; it is
-	// OR-ed into Resilience.FallbackToPrechar.
-	FallbackToPrechar bool
 	// Resilience configures the convergence rescue ladder (solver
 	// homotopy, timestep halving, prechar fallback) and the per-net
 	// deadline budget. The zero value disables every rung; see
 	// resilience.DefaultPolicy for the recommended production ladder.
+	// Fallback retries count in the nets.fallback metric; nets that
+	// exhaust Resilience.NetTimeout fail with the noiseerr.ErrDeadline
+	// class and count in nets.deadline while the batch keeps running.
 	Resilience resilience.Policy
-	// NetTimeout bounds each net's analysis wall-clock time, rescue
-	// attempts included. It overrides Resilience.NetTimeout when set.
-	// Zero leaves only the batch context's global deadline. Nets that
-	// exhaust their budget fail with the noiseerr.ErrDeadline class and
-	// count in the nets.deadline metric while the batch keeps running.
-	NetTimeout time.Duration
 	// CharCacheRes is the relative bucket resolution of the shared
 	// driver-characterization cache (zero selects
 	// delaynoise.DefaultCharBucketRes). Negative disables the cache:
 	// every net then characterizes its drivers from scratch, exactly as
 	// a standalone delaynoise.Analyze call would.
 	CharCacheRes float64
-	// DisableROMCache turns off PRIMA reduced-order-model sharing. Only
-	// meaningful when Analysis.PRIMAOrder is positive.
-	DisableROMCache bool
 	// Metrics receives run instrumentation (nets analyzed, cache
 	// hit/miss counts, simulation counters, per-stage timers). New
 	// installs a fresh registry when nil. Ignored when Session is set.
@@ -78,19 +64,6 @@ func (c *Config) defaults() {
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// policy resolves the effective resilience policy from the new
-// Resilience field and the legacy FallbackToPrechar / NetTimeout knobs.
-func (c *Config) policy() resilience.Policy {
-	p := c.Resilience
-	if c.FallbackToPrechar {
-		p.FallbackToPrechar = true
-	}
-	if c.NetTimeout > 0 {
-		p.NetTimeout = c.NetTimeout
-	}
-	return p
 }
 
 // ParseHold resolves a holding-model name as it appears on CLI flags
@@ -147,11 +120,10 @@ func New(lib *device.Library, cfg Config) (*Tool, error) {
 	s := cfg.Session
 	if s == nil {
 		s = engine.New(engine.Config{
-			Lib:             lib,
-			Metrics:         cfg.Metrics,
-			PrecharGrid:     cfg.PrecharGrid,
-			CharCacheRes:    cfg.CharCacheRes,
-			DisableROMCache: cfg.DisableROMCache,
+			Lib:          lib,
+			Metrics:      cfg.Metrics,
+			PrecharGrid:  cfg.PrecharGrid,
+			CharCacheRes: cfg.CharCacheRes,
 		})
 	}
 	if lib == nil {

@@ -50,12 +50,12 @@ func TestConfigDefaults(t *testing.T) {
 	if _, err := New(lib, Config{Workers: -1}); err == nil {
 		t.Fatal("negative worker count must be rejected")
 	}
-	off, err := New(lib, Config{CharCacheRes: -1, DisableROMCache: true})
+	off, err := New(lib, Config{CharCacheRes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Session().Chars() != nil || off.Session().ROMs() != nil {
-		t.Fatal("cache opt-outs ignored")
+	if off.Session().Chars() != nil {
+		t.Fatal("characterization cache opt-out ignored")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/delaynoise"
 	"repro/internal/noiseerr"
+	"repro/internal/resilience"
 )
 
 // stubAnalyze swaps the per-net analysis seam for the test's lifetime.
@@ -117,10 +118,10 @@ func TestInvalidCaseClassified(t *testing.T) {
 func TestFallbackToPrechar(t *testing.T) {
 	names, cases, lib := population(t, 1)
 	tool := MustNew(lib, Config{
-		Hold:              delaynoise.HoldTransient,
-		Align:             delaynoise.AlignExhaustive,
-		FallbackToPrechar: true,
-		PrecharGrid:       5, // keep the on-demand table build fast
+		Hold:        delaynoise.HoldTransient,
+		Align:       delaynoise.AlignExhaustive,
+		Resilience:  resilience.Policy{FallbackToPrechar: true},
+		PrecharGrid: 5, // keep the on-demand table build fast
 	})
 	stubAnalyze(t, func(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
 		if opt.Align == delaynoise.AlignExhaustive {

@@ -56,7 +56,7 @@ func (t *Tool) AnalyzeNetWindow(ctx context.Context, name string, c *delaynoise.
 		return NetReport{Name: name, Err: noiseerr.WithNet(name, noiseerr.Canceled(err))}
 	}
 	start := time.Now()
-	pol := t.Cfg.policy()
+	pol := t.Cfg.Resilience
 	netCtx := resilience.WithNet(ctx, name)
 	cancel := func() {}
 	if pol.NetTimeout > 0 {
@@ -137,7 +137,7 @@ func (t *Tool) AnalyzeQuietNet(ctx context.Context, name string, c *delaynoise.C
 	}
 	m := t.session.Metrics()
 	start := time.Now()
-	pol := t.Cfg.policy()
+	pol := t.Cfg.Resilience
 	netCtx := resilience.WithNet(ctx, name)
 	cancel := func() {}
 	if pol.NetTimeout > 0 {

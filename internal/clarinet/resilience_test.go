@@ -74,11 +74,9 @@ func TestChaosDuplicateNets(t *testing.T) {
 				firstKind[n] = k
 			}
 			calls := countCalls(t, plan.WrapAnalyze(cannedAnalyze))
-			tool := MustNew(lib, Config{
-				Workers:    4,
-				NetTimeout: 50 * time.Millisecond, // only the stalled net ever hits it
-				Resilience: resilience.DefaultPolicy(),
-			})
+			pol := resilience.DefaultPolicy()
+			pol.NetTimeout = 50 * time.Millisecond // only the stalled net ever hits it
+			tool := MustNew(lib, Config{Workers: 4, Resilience: pol})
 			var journal bytes.Buffer
 			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&journal))
 
@@ -193,12 +191,13 @@ func TestChaosBatch(t *testing.T) {
 			plan.Assign(names[1], faultinject.KindStall) // exactly one runaway net
 			stubAnalyze(t, plan.WrapAnalyze(cannedAnalyze))
 
+			pol := resilience.DefaultPolicy()
+			pol.NetTimeout = 50 * time.Millisecond // only the stalled net ever hits it
 			tool := MustNew(lib, Config{
 				Align:       delaynoise.AlignExhaustive,
 				Workers:     4,
 				PrecharGrid: 5,
-				NetTimeout:  50 * time.Millisecond, // only the stalled net ever hits it
-				Resilience:  resilience.DefaultPolicy(),
+				Resilience:  pol,
 			})
 			// Warm the alignment-table cache outside the deadline: the
 			// prechar rescue rung then hits the cache instead of spending
@@ -377,7 +376,7 @@ func TestPerNetDeadline(t *testing.T) {
 	plan := faultinject.New(9, faultinject.Config{})
 	plan.Assign(names[1], faultinject.KindStall)
 	stubAnalyze(t, plan.WrapAnalyze(cannedAnalyze))
-	tool := MustNew(lib, Config{Workers: 3, NetTimeout: 40 * time.Millisecond})
+	tool := MustNew(lib, Config{Workers: 3, Resilience: resilience.Policy{NetTimeout: 40 * time.Millisecond}})
 	reports := tool.AnalyzeAllContext(context.Background(), names, cases)
 
 	r := reports[1]

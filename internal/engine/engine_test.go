@@ -27,9 +27,9 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("cell lookup failed: %v", err)
 	}
 
-	off := engine.New(engine.Config{CharCacheRes: -1, DisableROMCache: true})
-	if off.Chars() != nil || off.ROMs() != nil {
-		t.Fatal("cache opt-outs ignored")
+	off := engine.New(engine.Config{CharCacheRes: -1})
+	if off.Chars() != nil {
+		t.Fatal("characterization cache opt-out ignored")
 	}
 
 	lib := device.NewLibrary(device.Default180())

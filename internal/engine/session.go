@@ -48,8 +48,6 @@ type Config struct {
 	// driver-characterization cache (zero selects
 	// delaynoise.DefaultCharBucketRes). Negative disables the cache.
 	CharCacheRes float64
-	// DisableROMCache turns off PRIMA reduced-order-model sharing.
-	DisableROMCache bool
 }
 
 // tableKey identifies one receiver pre-characterization.
@@ -101,12 +99,10 @@ func New(cfg Config) *Session {
 		metrics: reg,
 		grid:    cfg.PrecharGrid,
 		tables:  memo.New[tableKey, *align.Table](),
+		roms:    delaynoise.NewROMCache(reg),
 	}
 	if cfg.CharCacheRes >= 0 {
 		s.chars = delaynoise.NewCharCache(cfg.CharCacheRes, reg)
-	}
-	if !cfg.DisableROMCache {
-		s.roms = delaynoise.NewROMCache(reg)
 	}
 	return s
 }
@@ -129,7 +125,8 @@ func (s *Session) Cell(name string) (*device.Cell, error) {
 // disabled by Config.CharCacheRes < 0).
 func (s *Session) Chars() *delaynoise.CharCache { return s.chars }
 
-// ROMs returns the shared reduced-order-model cache (nil when disabled).
+// ROMs returns the shared reduced-order-model cache, consulted only
+// when delaynoise.Options.PRIMAOrder is positive.
 func (s *Session) ROMs() *delaynoise.ROMCache { return s.roms }
 
 // Bind wires the session's caches and registry into per-run analysis

@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/noiseerr"
 )
 
-// RCM computes a reverse Cuthill-McKee ordering of the matrix's symmetric
+// rcm computes a reverse Cuthill-McKee ordering of the matrix's symmetric
 // sparsity pattern. RC interconnect matrices are chains and shallow trees
 // with neighbor coupling; after RCM the bandwidth collapses to a small
 // constant, which makes banded Cholesky an O(n) direct solver.
 //
 // The returned slice maps new index -> old index.
-func (s *Sparse) RCM() []int {
+func (s *Sparse) rcm() []int {
 	n := s.N
 	// Build symmetric adjacency (pattern of A + A^T, excluding diagonal).
 	adj := make([][]int, n)
@@ -76,9 +74,9 @@ func (s *Sparse) RCM() []int {
 	return order
 }
 
-// Bandwidth returns the half-bandwidth of the matrix under the given
+// bandwidth returns the half-bandwidth of the matrix under the given
 // ordering (perm maps new -> old).
-func (s *Sparse) Bandwidth(perm []int) int {
+func (s *Sparse) bandwidth(perm []int) int {
 	inv := invertPerm(perm)
 	bw := 0
 	for r := 0; r < s.N; r++ {
@@ -104,32 +102,26 @@ func invertPerm(perm []int) []int {
 }
 
 // BandedChol is a banded Cholesky factorization of a symmetric positive-
-// definite matrix under a bandwidth-reducing permutation.
+// definite matrix under a bandwidth-reducing permutation. It owns the
+// scratch vector of its solves, so one factor must not solve on two
+// goroutines at once.
 type BandedChol struct {
 	n, bw int
 	perm  []int // new -> old
-	inv   []int // old -> new
 	// band[i*(bw+1)+k] = L[i][i-bw+k] for k in [0, bw], i.e. the lower
 	// band stored row-wise with the diagonal at k = bw.
 	band []float64
+	y    []float64 // solve scratch: the permuted intermediate
 }
 
-// FactorBandedChol permutes the matrix with perm (use s.RCM(); nil means
-// identity) and computes the banded Cholesky factor.
-func FactorBandedChol(s *Sparse, perm []int) (*BandedChol, error) {
+// factorBandedChol permutes the matrix with perm (new -> old, as s.rcm()
+// returns it) and computes the banded Cholesky factor. It returns
+// ErrSingular when the matrix is not positive definite.
+func factorBandedChol(s *Sparse, perm []int) (*BandedChol, error) {
 	n := s.N
-	if perm == nil {
-		perm = make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-	}
-	if len(perm) != n {
-		return nil, noiseerr.Invalidf("linalg: permutation length %d for %d rows", len(perm), n)
-	}
 	inv := invertPerm(perm)
-	bw := s.Bandwidth(perm)
-	f := &BandedChol{n: n, bw: bw, perm: perm, inv: inv, band: make([]float64, n*(bw+1))}
+	bw := s.bandwidth(perm)
+	f := &BandedChol{n: n, bw: bw, perm: perm, band: make([]float64, n*(bw+1)), y: make([]float64, n)}
 	at := func(i, k int) float64 { return f.band[i*(bw+1)+k] }
 	set := func(i, k int, v float64) { f.band[i*(bw+1)+k] = v }
 	// Load the permuted matrix into the band.
@@ -175,46 +167,16 @@ func FactorBandedChol(s *Sparse, perm []int) (*BandedChol, error) {
 	return f, nil
 }
 
-// Bandwidth returns the factored half-bandwidth.
-func (f *BandedChol) Bandwidth() int { return f.bw }
-
-// SolveMatrix solves A*X = B column by column.
-func (f *BandedChol) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != f.n {
-		panic("linalg: banded SolveMatrix shape mismatch")
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, f.n)
-	x := make([]float64, f.n)
-	scratch := make([]float64, f.n)
-	for c := 0; c < b.Cols; c++ {
-		for i := 0; i < f.n; i++ {
-			col[i] = b.At(i, c)
-		}
-		f.SolveTo(x, col, scratch)
-		out.SetCol(c, x)
-	}
-	return out
-}
-
-// Solve solves A*x = b (in the original ordering).
-func (f *BandedChol) Solve(b []float64) []float64 {
-	x := make([]float64, f.n)
-	f.SolveTo(x, b, make([]float64, f.n))
-	return x
-}
-
-// SolveTo solves A*x = b into dst without allocating, using scratch
-// (length n) for the permuted intermediate. dst may alias b; scratch
-// must not alias either.
+// SolveTo solves A*x = b (in the original ordering) into dst without
+// allocating, through the factor's own scratch. dst may alias b.
 //
 //lint:hot
-func (f *BandedChol) SolveTo(dst, b, scratch []float64) {
+func (f *BandedChol) SolveTo(dst, b []float64) {
 	n, bw := f.n, f.bw
-	if len(b) != n || len(dst) != n || len(scratch) != n {
-		panic(fmt.Sprintf("linalg: banded solve lengths dst=%d b=%d scratch=%d, want %d", len(dst), len(b), len(scratch), n))
+	if len(b) != n || len(dst) != n {
+		panic(fmt.Sprintf("linalg: banded solve lengths dst=%d b=%d, want %d", len(dst), len(b), n))
 	}
-	y := scratch
+	y := f.y
 	for i := 0; i < n; i++ {
 		y[i] = b[f.perm[i]]
 	}

@@ -94,13 +94,6 @@ func (f *LU) Refactor(a *Matrix) error {
 	return nil
 }
 
-// Solve solves A*x = b for a single right-hand side. b is not modified.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.n)
-	f.SolveTo(x, b)
-	return x
-}
-
 // SolveTo solves A*x = b into dst without allocating. dst must not
 // alias b: the pivot permutation reads b while writing dst.
 //
@@ -115,35 +108,25 @@ func (f *LU) SolveTo(dst, b []float64) {
 	for i, p := range f.Piv {
 		dst[i] = b[p]
 	}
-	f.SolveInPlace(dst)
-}
-
-// SolveInPlace solves A*x = b where b is already permuted by Piv and is
-// overwritten with the solution. Most callers want Solve; this entry point
-// avoids allocation in tight simulation loops where the caller applies the
-// permutation itself.
-//
-//lint:hot
-func (f *LU) SolveInPlace(x []float64) {
 	n := f.n
 	d := f.lu.Data
 	// Forward substitution with unit-lower L.
 	for i := 1; i < n; i++ {
-		s := x[i]
+		s := dst[i]
 		row := d[i*n : i*n+i]
 		for j, m := range row {
-			s -= m * x[j]
+			s -= m * dst[j]
 		}
-		x[i] = s
+		dst[i] = s
 	}
 	// Back substitution with U.
 	for i := n - 1; i >= 0; i-- {
-		s := x[i]
+		s := dst[i]
 		row := d[i*n+i+1 : (i+1)*n]
 		for j, u := range row {
-			s -= u * x[i+1+j]
+			s -= u * dst[i+1+j]
 		}
-		x[i] = s / d[i*n+i]
+		dst[i] = s / d[i*n+i]
 	}
 }
 
@@ -167,14 +150,30 @@ type CompactLU struct {
 
 // Compact copies the factorization into its compacted form. The copy
 // is independent of the receiver, which may be refactored afterwards.
+// Each slice is sized from a count of the nonzeros, so the copy costs
+// a fixed number of allocations whatever its fill.
 func (f *LU) Compact() *CompactLU {
 	n := f.n
 	d := f.lu.Data
+	nl, nu := 0, 0
+	for i := 0; i < n; i++ {
+		for j, v := range d[i*n : (i+1)*n] {
+			if v != 0 && j < i {
+				nl++
+			} else if v != 0 && j > i {
+				nu++
+			}
+		}
+	}
 	c := &CompactLU{
 		n:    n,
 		piv:  append([]int(nil), f.Piv...),
 		lPtr: make([]int, n+1),
+		lIdx: make([]int, 0, nl),
+		lVal: make([]float64, 0, nl),
 		uPtr: make([]int, n+1),
+		uIdx: make([]int, 0, nu),
+		uVal: make([]float64, 0, nu),
 		diag: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
@@ -236,61 +235,4 @@ func (c *CompactLU) SolveTo(dst, b []float64) {
 		}
 		dst[i] = s / c.diag[i]
 	}
-}
-
-// SolveMatrix solves A*X = B column by column.
-func (f *LU) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != f.n {
-		panic("linalg: LU SolveMatrix shape mismatch")
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	for c := 0; c < b.Cols; c++ {
-		out.SetCol(c, f.Solve(b.Col(c)))
-	}
-	return out
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	det := 1.0
-	n := f.n
-	for i := 0; i < n; i++ {
-		det *= f.lu.Data[i*n+i]
-	}
-	// Sign of the permutation.
-	seen := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if seen[i] {
-			continue
-		}
-		// Count cycle length.
-		l := 0
-		for j := i; !seen[j]; j = f.Piv[j] {
-			seen[j] = true
-			l++
-		}
-		if l%2 == 0 {
-			det = -det
-		}
-	}
-	return det
-}
-
-// Solve is a convenience wrapper: factor a and solve a*x = b.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Inverse returns a^-1 (for small matrices and tests; simulation code
-// keeps factorizations instead).
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Identity(a.Rows)), nil
 }

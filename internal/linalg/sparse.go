@@ -2,23 +2,19 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sort"
-
-	"repro/internal/noiseerr"
 )
 
 // Sparse is a compressed-sparse-row matrix, built through a coordinate
-// accumulator. It backs the conjugate-gradient path of the linear
-// simulator for nets too large for dense factorization (the paper's
-// motivation: a single victim cluster can carry thousands of RC
-// elements).
+// accumulator. The linear simulator applies its explicit trapezoidal
+// matrix in this form every step, and Factor reorders and bands large
+// systems through it (the paper's motivation: a single victim cluster
+// can carry thousands of RC elements).
 type Sparse struct {
-	N       int
-	rowPtr  []int
-	colIdx  []int
-	values  []float64
-	diagIdx []int // index into values of each diagonal entry (-1 if absent)
+	N      int
+	rowPtr []int
+	colIdx []int
+	values []float64
 }
 
 // SparseBuilder accumulates coordinate triplets; duplicates sum.
@@ -47,15 +43,10 @@ func (b *SparseBuilder) Add(r, c int, v float64) {
 
 // Build compacts the accumulator into CSR form.
 func (b *SparseBuilder) Build() *Sparse {
-	s := &Sparse{
-		N:       b.n,
-		rowPtr:  make([]int, b.n+1),
-		diagIdx: make([]int, b.n),
-	}
+	s := &Sparse{N: b.n, rowPtr: make([]int, b.n+1)}
 	for r := range b.rows {
 		row := b.rows[r]
 		sort.Slice(row, func(i, j int) bool { return row[i].col < row[j].col })
-		s.diagIdx[r] = -1
 		for i := 0; i < len(row); {
 			c := row[i].col
 			v := 0.0
@@ -64,9 +55,6 @@ func (b *SparseBuilder) Build() *Sparse {
 			}
 			if v == 0 && c != r {
 				continue
-			}
-			if c == r {
-				s.diagIdx[r] = len(s.values)
 			}
 			s.colIdx = append(s.colIdx, c)
 			s.values = append(s.values, v)
@@ -93,132 +81,6 @@ func (s *Sparse) MulVec(x, y []float64) {
 	}
 }
 
-// Diag returns a copy of the diagonal (zeros where absent).
-func (s *Sparse) Diag() []float64 {
-	d := make([]float64, s.N)
-	for r, i := range s.diagIdx {
-		if i >= 0 {
-			d[r] = s.values[i]
-		}
-	}
-	return d
-}
-
-// CGOptions tune the conjugate-gradient solver.
-type CGOptions struct {
-	Tol     float64 // relative residual tolerance (default 1e-10)
-	MaxIter int     // default 4*N
-}
-
-// CGWorkspace holds the iteration vectors of SolveCGTo so repeated
-// solves (one per simulator time step) allocate nothing.
-type CGWorkspace struct {
-	r, z, p, ap, invD []float64
-}
-
-// NewCGWorkspace sizes a workspace for n-dimensional systems.
-func NewCGWorkspace(n int) *CGWorkspace {
-	return &CGWorkspace{
-		r:    make([]float64, n),
-		z:    make([]float64, n),
-		p:    make([]float64, n),
-		ap:   make([]float64, n),
-		invD: make([]float64, n),
-	}
-}
-
-// SolveCG solves A*x = b for a symmetric positive-definite sparse A with
-// Jacobi-preconditioned conjugate gradients. x0 (may be nil) seeds the
-// iteration — warm starts across simulator time steps cut the iteration
-// count dramatically. It returns the solution and the iterations used.
-func (s *Sparse) SolveCG(b, x0 []float64, opt CGOptions) ([]float64, int, error) {
-	x := make([]float64, s.N)
-	iters, err := s.SolveCGTo(x, b, x0, NewCGWorkspace(s.N), opt)
-	if err != nil {
-		return nil, iters, err
-	}
-	return x, iters, nil
-}
-
-// SolveCGTo is SolveCG writing the solution into dst and drawing every
-// iteration vector from ws (allocation-free). dst may alias x0; neither
-// may alias b or the workspace slices.
-func (s *Sparse) SolveCGTo(dst, b, x0 []float64, ws *CGWorkspace, opt CGOptions) (int, error) {
-	if len(b) != s.N || len(dst) != s.N {
-		return 0, noiseerr.Invalidf("linalg: CG lengths dst=%d b=%d, want %d", len(dst), len(b), s.N)
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-10
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 4 * s.N
-	}
-	x := dst
-	if x0 != nil {
-		copy(x, x0)
-	} else {
-		for i := range x {
-			x[i] = 0
-		}
-	}
-	r := ws.r
-	s.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	bNorm := Norm2(b)
-	if bNorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return 0, nil // b = 0 and A SPD: the solution is exactly 0
-	}
-	// Jacobi preconditioner.
-	invD := ws.invD
-	for r, i := range s.diagIdx {
-		d := 0.0
-		if i >= 0 {
-			d = s.values[i]
-		}
-		if d <= 0 {
-			return 0, noiseerr.Numericalf("linalg: CG needs positive diagonal (row %d has %g)", r, d)
-		}
-		invD[r] = 1 / d
-	}
-	z, p, ap := ws.z, ws.p, ws.ap
-	for i := range z {
-		z[i] = invD[i] * r[i]
-	}
-	copy(p, z)
-	rz := Dot(r, z)
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		s.MulVec(p, ap)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return iter, noiseerr.Numericalf("linalg: CG breakdown (matrix not SPD?)")
-		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		if Norm2(r) <= opt.Tol*bNorm {
-			return iter, nil
-		}
-		for i := range z {
-			z[i] = invD[i] * r[i]
-		}
-		rzNew := Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return opt.MaxIter, noiseerr.Convergencef("linalg: CG did not converge in %d iterations (residual %g)",
-		opt.MaxIter, Norm2(r)/bNorm)
-}
-
 // FromDense converts a dense matrix (dropping exact zeros).
 func FromDense(m *Matrix) *Sparse {
 	b := NewSparseBuilder(m.Rows)
@@ -230,24 +92,4 @@ func FromDense(m *Matrix) *Sparse {
 		}
 	}
 	return b.Build()
-}
-
-// MaxAbsDiffDense compares against a dense matrix (test helper).
-func (s *Sparse) MaxAbsDiffDense(m *Matrix) float64 {
-	max := 0.0
-	for r := 0; r < s.N; r++ {
-		for c := 0; c < s.N; c++ {
-			v := 0.0
-			for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
-				if s.colIdx[i] == c {
-					v = s.values[i]
-					break
-				}
-			}
-			if d := math.Abs(v - m.At(r, c)); d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

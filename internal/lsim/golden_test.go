@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/waveform"
@@ -34,97 +35,117 @@ func coupledBus(lines, segs int) *netlist.Circuit {
 	return ckt
 }
 
-// TestGoldenSolverEquivalence pins every stepping backend to the
-// dense-LU reference on the coupled-bus fixture: banded, CG, and the
-// auto selection must all reproduce the reference waveform within the
-// engine's own tolerance regime.
+// denseFactor is the compacted dense LU of the trapezoidal matrix
+// A = C/h + G/2, the factor linalg.Factor gives systems under 32 states.
+func denseFactor(t testing.TB, sys *mna.System, h float64) linalg.Solver {
+	t.Helper()
+	a := sys.C.Clone().Scale(1 / h)
+	a.AXPY(0.5, sys.G)
+	lu, err := linalg.FactorLU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lu.Compact()
+}
+
+// denseRun is Run with the prepared stepper's factor swapped for the
+// dense LU: the reference a banded run is held to. No option selects
+// it; only this package can.
+func denseRun(t testing.TB, sys *mna.System, opt Options) *Result {
+	t.Helper()
+	s, err := prepare(sys, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.f = denseFactor(t, sys, opt.Step)
+	if err := s.run(nil, never); err != nil {
+		t.Fatal(err)
+	}
+	return &Result{Times: s.times, States: &linalg.Matrix{Rows: len(s.times), Cols: s.n, Data: s.data}, sys: sys}
+}
+
+// maxStateDiff returns the largest difference between two runs over
+// every state of every row.
+func maxStateDiff(t *testing.T, a, b *Result) float64 {
+	t.Helper()
+	if len(a.States.Data) != len(b.States.Data) {
+		t.Fatalf("runs have %d and %d state values", len(a.States.Data), len(b.States.Data))
+	}
+	max := 0.0
+	for i, v := range a.States.Data {
+		max = math.Max(max, math.Abs(v-b.States.Data[i]))
+	}
+	return max
+}
+
+// TestGoldenSolverEquivalence holds the coupled bus, which the
+// factorization rule steps on the banded Cholesky, to a dense-LU run of
+// the same system: every state of every row within 1e-9 V. The two
+// direct solves differ only in rounding.
 func TestGoldenSolverEquivalence(t *testing.T) {
 	sys, err := mna.Build(coupledBus(3, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{TStop: 2e-9, Step: 2e-12, InitDC: true}
-	opt.Solver = SolverDense
-	ref, err := Run(sys, opt)
+	res, err := Run(sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Chosen != SolverDense {
-		t.Fatalf("reference ran with %v, want dense", ref.Chosen)
-	}
-	vRef, _ := ref.Voltage("n1_40")
-	probes := []float64{2e-10, 4e-10, 7e-10, 1.2e-9, 1.9e-9}
-	for _, tc := range []struct {
-		solver Solver
-		tol    float64
-	}{
-		{SolverBanded, 1e-9}, // direct solve: same arithmetic up to reordering
-		{SolverCG, 1e-6},     // iterative: bounded by the CG tolerance
-		{SolverAuto, 1e-9},   // must resolve to a direct path on this fixture
-	} {
-		opt.Solver = tc.solver
-		res, err := Run(sys, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.solver, err)
-		}
-		v, _ := res.Voltage("n1_40")
-		for _, tt := range probes {
-			if d := math.Abs(v.At(tt) - vRef.At(tt)); d > tc.tol {
-				t.Fatalf("%v diverges from dense reference at t=%v: |Δ|=%v", tc.solver, tt, d)
-			}
-		}
+	if d := maxStateDiff(t, res, denseRun(t, sys, opt)); d > 1e-9 {
+		t.Fatalf("banded run diverges from the dense reference: max |Δ| = %v", d)
 	}
 }
 
-// TestAutoSelection pins the solver-selection heuristic: small systems
-// stay dense, large narrow-banded systems go banded.
+// TestAutoSelection pins the factorization rule as the stepper meets
+// it: small systems step on the compacted dense LU, the large
+// narrow-banded coupled bus on the banded Cholesky.
 func TestAutoSelection(t *testing.T) {
 	small, err := mna.Build(rcCircuit(1000, 1e-12, waveform.Ramp(0, 1e-11, 0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(small, Options{TStop: 1e-9, Step: 1e-12})
+	s, err := prepare(small, Options{TStop: 1e-9, Step: 1e-12}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chosen != SolverDense {
-		t.Fatalf("small net chose %v, want dense", res.Chosen)
+	if _, ok := s.f.(*linalg.CompactLU); !ok {
+		t.Fatalf("small net factored as %T, want the dense LU", s.f)
 	}
 
 	large, err := mna.Build(coupledBus(3, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Run(large, Options{TStop: 1e-9, Step: 2e-12})
+	s, err = prepare(large, Options{TStop: 1e-9, Step: 2e-12}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chosen != SolverBanded {
-		t.Fatalf("coupled bus chose %v, want banded", res.Chosen)
+	if _, ok := s.f.(*linalg.BandedChol); !ok {
+		t.Fatalf("coupled bus factored as %T, want the banded Cholesky", s.f)
 	}
 }
 
-// TestStepperZeroAlloc asserts the inner time-stepping loop of every
-// backend is allocation-free once prepared: the scratch arena owns all
-// per-step vectors.
+// TestStepperZeroAlloc asserts the inner time-stepping loop is
+// allocation-free once prepared, on both factor kinds: the scratch
+// arena and the factor own every per-step vector.
 func TestStepperZeroAlloc(t *testing.T) {
 	sys, err := mna.Build(coupledBus(3, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []Solver{SolverDense, SolverBanded, SolverCG} {
-		s, err := prepare(sys, Options{TStop: 2e-9, Step: 2e-12, Solver: solver}, false)
+	opt := Options{TStop: 2e-9, Step: 2e-12}
+	for _, dense := range []bool{false, true} {
+		s, err := prepare(sys, opt, false)
 		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
+			t.Fatal(err)
 		}
-		if s.solver != solver {
-			t.Fatalf("prepared %v, want %v", s.solver, solver)
+		if dense {
+			s.f = denseFactor(t, sys, opt.Step)
 		}
 		k := 1
 		stepOnce := func() {
-			if err := s.step(k); err != nil {
-				t.Fatalf("%v: step %d: %v", solver, k, err)
-			}
+			s.step(k)
 			k++
 			if k > s.steps {
 				k = 1
@@ -135,7 +156,7 @@ func TestStepperZeroAlloc(t *testing.T) {
 			stepOnce() // warm any lazily-touched state before counting
 		}
 		if allocs := testing.AllocsPerRun(200, stepOnce); allocs > 0 {
-			t.Fatalf("%v: steady-state step allocates %.1f objects/op, want 0", solver, allocs)
+			t.Fatalf("%T: steady-state step allocates %.1f objects/op, want 0", s.f, allocs)
 		}
 	}
 }

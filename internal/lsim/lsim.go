@@ -30,78 +30,16 @@ type Options struct {
 	// condition when X0 is nil. When false and X0 is nil, the run starts
 	// from the zero state.
 	InitDC bool
-	// Solver selects the inner linear solver (see Solver). The zero
-	// value is SolverAuto.
-	Solver Solver
 	// Ctx, when non-nil, cancels the run: the integration loop checks it
 	// every CtxCheckInterval steps and returns a noiseerr.ErrCanceled-
 	// classified error (also matching the context's own error).
 	Ctx context.Context
 }
 
-// Solver identifies the linear-solve strategy of the trapezoidal step.
-type Solver int
-
-const (
-	// SolverAuto — the zero value, so it is the default for every
-	// caller that leaves Options.Solver unset — picks the cheapest
-	// correct path per system: banded Cholesky after RCM reordering
-	// when the system is large and its reordered bandwidth is small
-	// (RC interconnect), dense LU otherwise (small systems and
-	// reduced-order models). The banded attempt falls back to dense LU
-	// if the matrix is not positive definite.
-	SolverAuto Solver = iota
-	// SolverDense prefactors a dense LU once; right for small systems
-	// and for reduced-order models.
-	SolverDense
-	// SolverBanded reorders with reverse Cuthill-McKee and prefactors a
-	// banded Cholesky. RC interconnect matrices have tiny bandwidth after
-	// RCM, making this an O(n)-per-step direct solver — the right choice
-	// for the "thousands of elements" nets the paper targets.
-	SolverBanded
-	// SolverCG steps with Jacobi-preconditioned conjugate gradients,
-	// warm-started from the previous step. Useful for structures whose
-	// bandwidth does not collapse (meshes); on chain-like RC nets the
-	// banded solver is faster.
-	SolverCG
-)
-
-// String names the solver for reports and tests.
-func (s Solver) String() string {
-	switch s {
-	case SolverAuto:
-		return "auto"
-	case SolverDense:
-		return "dense"
-	case SolverBanded:
-		return "banded"
-	case SolverCG:
-		return "cg"
-	default:
-		return fmt.Sprintf("solver(%d)", int(s))
-	}
-}
-
-// Auto-selection thresholds: below autoDenseMax states a dense LU
-// factor is cheap enough that sparsity analysis is pure overhead
-// (reduced-order models live here); above it, banded Cholesky is chosen
-// when the RCM-reordered half-bandwidth keeps the O(n·bw) per-step
-// solve clearly under the dense O(n²) one.
-const autoDenseMax = 32
-
-// autoBandedOK reports whether a banded solve wins over dense for n
-// states at half-bandwidth bw.
-func autoBandedOK(n, bw int) bool {
-	return 4*(bw+1) <= n
-}
-
 // Result holds the simulated node voltages.
 type Result struct {
 	Times  []float64
 	States *linalg.Matrix // len(Times) x NumStates
-	// Chosen is the concrete solver that performed the run (never
-	// SolverAuto): the auto path records its selection here.
-	Chosen Solver
 	sys    *mna.System
 }
 
@@ -115,13 +53,10 @@ type stepper struct {
 	steps  int
 	h      float64
 	tStart float64
-	solver Solver // concrete choice, never SolverAuto
 
-	// Factor-once state (one of these, by solver).
-	lu     *linalg.CompactLU
-	banded *linalg.BandedChol
-	sp     *linalg.Sparse // A in CSR, CG path
-	cg     *linalg.CGWorkspace
+	// f is the factor of A = C/h + G/2, as linalg.Factor chooses it:
+	// factored once, solved every step.
+	f linalg.Solver
 
 	// M = C/h - G/2 in CSR, applied every step. Skipping its exact zeros
 	// keeps the dense product's bits: every row sum starts at +0 and can
@@ -129,8 +64,8 @@ type stepper struct {
 	spM *linalg.Sparse
 
 	// Scratch arena.
-	x, xNext, rhs, scratch []float64
-	uPrev, uNow, uMid, bu  []float64
+	x, xNext, rhs         []float64
+	uPrev, uNow, uMid, bu []float64
 	// uHint keeps one segment hint per input waveform, so each step's
 	// input lookup walks forward instead of binary searching.
 	uHint []int
@@ -206,11 +141,11 @@ func runUntil(sys *mna.System, opt Options, stop crossing) (*Result, error) {
 		return nil, err
 	}
 	rows := &linalg.Matrix{Rows: len(s.times), Cols: s.n, Data: s.data}
-	return &Result{Times: s.times, States: rows, Chosen: s.solver, sys: sys}, nil
+	return &Result{Times: s.times, States: rows, sys: sys}, nil
 }
 
 // prepare validates the options, assembles the trapezoidal matrices,
-// selects and prefactors the solver, and sizes the scratch arena. The
+// factors A once through linalg.Factor, and sizes the scratch arena. The
 // row storage holds every step up front unless the run may stop early,
 // in which case it starts at a quarter of the horizon and grows.
 func prepare(sys *mna.System, opt Options, mayStop bool) (*stepper, error) {
@@ -264,58 +199,11 @@ func prepare(sys *mna.System, opt Options, mayStop bool) (*stepper, error) {
 	m := sys.C.Clone().Scale(1 / h)
 	m.AXPY(-0.5, sys.G)
 
-	solver := opt.Solver
-	var sa *linalg.Sparse
-	var perm []int
-	if solver == SolverAuto {
-		if n < autoDenseMax {
-			solver = SolverDense
-		} else {
-			sa = linalg.FromDense(a)
-			perm = sa.RCM()
-			if autoBandedOK(n, sa.Bandwidth(perm)) {
-				solver = SolverBanded
-			} else {
-				solver = SolverDense
-			}
-		}
+	f, err := linalg.Factor(a)
+	if err != nil {
+		return nil, noiseerr.Numericalf("lsim: trapezoidal matrix singular: %w", err)
 	}
-	switch solver {
-	case SolverCG:
-		s.sp = linalg.FromDense(a)
-		s.spM = linalg.FromDense(m)
-		s.cg = linalg.NewCGWorkspace(n)
-	case SolverBanded:
-		if sa == nil {
-			sa = linalg.FromDense(a)
-		}
-		if perm == nil {
-			perm = sa.RCM()
-		}
-		banded, err := linalg.FactorBandedChol(sa, perm)
-		switch {
-		case err == nil:
-			s.spM = linalg.FromDense(m)
-			s.scratch = make([]float64, n)
-			s.banded = banded
-		case opt.Solver == SolverAuto:
-			// The auto heuristic guessed banded but the matrix is not
-			// positive definite: fall back to the always-correct dense
-			// path rather than failing the run.
-			solver = SolverDense
-		default:
-			return nil, noiseerr.Numericalf("lsim: banded factorization failed (matrix not SPD?): %w", err)
-		}
-	}
-	if solver == SolverDense {
-		lu, err := linalg.FactorLU(a)
-		if err != nil {
-			return nil, noiseerr.Numericalf("lsim: trapezoidal matrix singular: %w", err)
-		}
-		s.lu = lu.Compact()
-		s.spM = linalg.FromDense(m)
-	}
-	s.solver = solver
+	s.f, s.spM = f, linalg.FromDense(m)
 
 	rows := steps + 1
 	if mayStop {
@@ -333,7 +221,7 @@ func prepare(sys *mna.System, opt Options, mayStop bool) (*stepper, error) {
 // records it. It performs no allocations.
 //
 //lint:hot
-func (s *stepper) step(k int) error {
+func (s *stepper) step(k int) {
 	t := s.tStart + float64(k)*s.h
 	s.sys.InputAtTo(s.uNow, t, s.uHint)
 	for i := range s.uMid {
@@ -344,19 +232,7 @@ func (s *stepper) step(k int) error {
 	for i := range s.rhs {
 		s.rhs[i] += s.bu[i]
 	}
-	switch s.solver {
-	case SolverCG:
-		// Warm-start from the previous step's solution: consecutive
-		// states differ little, so CG converges in a handful of
-		// iterations.
-		if _, err := s.sp.SolveCGTo(s.xNext, s.rhs, s.x, s.cg, linalg.CGOptions{Tol: 1e-9}); err != nil {
-			return noiseerr.Numericalf("lsim: CG step at t=%g: %w", t, err)
-		}
-	case SolverBanded:
-		s.banded.SolveTo(s.xNext, s.rhs, s.scratch)
-	default:
-		s.lu.SolveTo(s.xNext, s.rhs)
-	}
+	s.f.SolveTo(s.xNext, s.rhs)
 	s.x, s.xNext = s.xNext, s.x
 	r := len(s.times)
 	if r == cap(s.times) {
@@ -367,7 +243,6 @@ func (s *stepper) step(k int) error {
 	s.data = s.data[:(r+1)*s.n]
 	copy(s.data[r*s.n:], s.x)
 	s.uPrev, s.uNow = s.uNow, s.uPrev
-	return nil
 }
 
 // grow doubles the row storage of a run that started below its full
@@ -389,9 +264,7 @@ func (s *stepper) run(ctx context.Context, stop crossing) error {
 				return err
 			}
 		}
-		if err := s.step(k); err != nil {
-			return err
-		}
+		s.step(k)
 		if stop.state >= 0 && stop.hit(s.xNext[stop.state], s.x[stop.state]) {
 			return nil
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/waveform"
@@ -194,50 +195,6 @@ func TestFinalState(t *testing.T) {
 	}
 }
 
-func TestCGPathMatchesLU(t *testing.T) {
-	// Coupled net with drivers: CG stepping must reproduce the dense-LU
-	// waveforms.
-	ckt := netlist.NewCircuit()
-	ckt.AddDriver("agg", "a0", waveform.Ramp(2e-10, 1e-10, 1.8, 0), 300)
-	prev := "a0"
-	for i := 1; i <= 12; i++ {
-		n := fmt.Sprintf("a%d", i)
-		ckt.AddR(fmt.Sprintf("ra%d", i), prev, n, 40)
-		ckt.AddC(fmt.Sprintf("ca%d", i), n, "0", 3e-15)
-		prev = n
-	}
-	ckt.AddDriver("vic", "v0", waveform.Constant(0), 900)
-	prevV := "v0"
-	for i := 1; i <= 12; i++ {
-		n := fmt.Sprintf("v%d", i)
-		ckt.AddR(fmt.Sprintf("rv%d", i), prevV, n, 50)
-		ckt.AddC(fmt.Sprintf("cv%d", i), n, "0", 3e-15)
-		ckt.AddC(fmt.Sprintf("cc%d", i), n, fmt.Sprintf("a%d", i), 2e-15)
-		prevV = n
-	}
-	sys, err := mna.Build(ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{TStop: 2e-9, Step: 2e-12, InitDC: true}
-	dense, err := Run(sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Solver = SolverCG
-	sparse, err := Run(sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vd, _ := dense.Voltage("v12")
-	vs, _ := sparse.Voltage("v12")
-	for _, tt := range []float64{3e-10, 5e-10, 1e-9, 1.9e-9} {
-		if d := math.Abs(vd.At(tt) - vs.At(tt)); d > 1e-6 {
-			t.Fatalf("CG diverges from LU at %v: %v", tt, d)
-		}
-	}
-}
-
 func TestBandedPathMatchesLU(t *testing.T) {
 	ckt := netlist.NewCircuit()
 	ckt.AddDriver("agg", "a0", waveform.Ramp(2e-10, 1e-10, 1.8, 0), 300)
@@ -254,15 +211,16 @@ func TestBandedPathMatchesLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{TStop: 1.5e-9, Step: 2e-12, InitDC: true}
-	dense, err := Run(sys, opt)
-	if err != nil {
+	if s, err := prepare(sys, opt, false); err != nil {
 		t.Fatal(err)
+	} else if _, ok := s.f.(*linalg.BandedChol); !ok {
+		t.Fatalf("two coupled lines factored as %T, want the banded Cholesky", s.f)
 	}
-	opt.Solver = SolverBanded
 	band, err := Run(sys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dense := denseRun(t, sys, opt)
 	vd, _ := dense.Voltage("v20")
 	vb, _ := band.Voltage("v20")
 	for _, tt := range []float64{3e-10, 6e-10, 1.2e-9} {

@@ -170,30 +170,15 @@ func (s *System) InputAtTo(dst []float64, t float64, hints []int) {
 	}
 }
 
-// dcBandedMin is the system size above which the DC solve tries the
-// sparse banded-Cholesky path before dense LU: below it the dense
-// factor is cheaper than the sparsity analysis.
-const dcBandedMin = 32
-
-// DC solves the DC operating point G x = B u(t0). Large systems whose
-// RCM-reordered bandwidth is small (RC interconnect) are solved with
-// the banded Cholesky path; everything else — and any matrix the
-// Cholesky rejects as not positive definite — falls back to dense LU.
+// DC solves the DC operating point G x = B u(t0), factoring G by
+// linalg.Factor's rule.
 func (s *System) DC(t0 float64) ([]float64, error) {
-	rhs := s.B.MulVec(s.InputAt(t0))
-	if n := s.NumStates(); n >= dcBandedMin {
-		sp := linalg.FromDense(s.G)
-		perm := sp.RCM()
-		if 4*(sp.Bandwidth(perm)+1) <= n {
-			if f, err := linalg.FactorBandedChol(sp, perm); err == nil {
-				return f.Solve(rhs), nil
-			}
-		}
-	}
-	x, err := linalg.Solve(s.G, rhs)
+	f, err := linalg.Factor(s.G)
 	if err != nil {
 		return nil, fmt.Errorf("mna: DC solve failed (floating node?): %w", err)
 	}
+	x := make([]float64, s.NumStates())
+	f.SolveTo(x, s.B.MulVec(s.InputAt(t0)))
 	return x, nil
 }
 

@@ -37,8 +37,8 @@ func Reduce(sys *mna.System, q int) (*ROM, error) {
 }
 
 // ReduceContext is Reduce with cancellation support, checked once per
-// block-Krylov iteration (each iteration is a dense multi-RHS solve, the
-// expensive unit of work here).
+// block-Krylov iteration (each iteration is one solve per input column,
+// the expensive unit of work here).
 func ReduceContext(ctx context.Context, sys *mna.System, q int) (*ROM, error) {
 	n := sys.NumStates()
 	p := sys.NumInputs()
@@ -52,28 +52,29 @@ func ReduceContext(ctx context.Context, sys *mna.System, q int) (*ROM, error) {
 		// Identity projection: the "reduction" is the original system.
 		return &ROM{Reduced: sys, V: linalg.Identity(n), full: sys, Order: n}, nil
 	}
-	gsolve, err := factorG(sys.G)
+	f, err := linalg.Factor(sys.G)
 	if err != nil {
 		return nil, noiseerr.Numericalf("mor: G singular (floating node?): %w", err)
 	}
-	// Block Krylov: R = G^-1 B; X_{k+1} = G^-1 C X_k.
+	// Block Krylov: X_0 = G^-1 B; X_{k+1} = G^-1 C X_k, one column of
+	// the basis per solve.
 	blocks := (q + p - 1) / p
 	basis := linalg.NewMatrix(n, blocks*p)
-	x := gsolve.SolveMatrix(sys.B)
-	col := 0
-	for k := 0; k < blocks; k++ {
-		if ctx != nil {
+	x := make([]float64, n)
+	for c := 0; c < blocks*p; c++ {
+		if c%p == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, noiseerr.Canceled(fmt.Errorf("mor: canceled at block %d of %d: %w", k, blocks, err))
+				return nil, noiseerr.Canceled(fmt.Errorf("mor: canceled at block %d of %d: %w", c/p, blocks, err))
 			}
 		}
-		for c := 0; c < p; c++ {
-			basis.SetCol(col, x.Col(c))
-			col++
+		var rhs []float64
+		if c < p {
+			rhs = sys.B.Col(c)
+		} else {
+			rhs = sys.C.MulVec(basis.Col(c - p))
 		}
-		if k < blocks-1 {
-			x = gsolve.SolveMatrix(sys.C.Mul(x))
-		}
+		f.SolveTo(x, rhs)
+		basis.SetCol(c, x)
 	}
 	kept := linalg.OrthonormalizeMGS(basis, 1e-10)
 	if kept == 0 {
@@ -92,33 +93,6 @@ func ReduceContext(ctx context.Context, sys *mna.System, q int) (*ROM, error) {
 		return nil, err
 	}
 	return &ROM{Reduced: red, V: v, full: sys, Order: kept}, nil
-}
-
-// gSolver abstracts the repeated multi-RHS G-solves of the block-Krylov
-// iteration over the two factorization backends.
-type gSolver interface {
-	SolveMatrix(*linalg.Matrix) *linalg.Matrix
-}
-
-// gBandedMin is the system size above which factorG tries the sparse
-// banded-Cholesky path before dense LU.
-const gBandedMin = 32
-
-// factorG factors the (symmetric, for MNA-stamped circuits) conductance
-// matrix once for the Krylov recurrence: RCM-reordered banded Cholesky
-// when the system is large and narrow-banded, dense LU otherwise or
-// when the Cholesky rejects the matrix.
-func factorG(g *linalg.Matrix) (gSolver, error) {
-	if n := g.Rows; n >= gBandedMin {
-		sp := linalg.FromDense(g)
-		perm := sp.RCM()
-		if 4*(sp.Bandwidth(perm)+1) <= n {
-			if f, err := linalg.FactorBandedChol(sp, perm); err == nil {
-				return f, nil
-			}
-		}
-	}
-	return linalg.FactorLU(g)
 }
 
 // Full returns the full-order system whose node voltages the ROM

@@ -123,7 +123,7 @@ func TestTransientStepZeroAlloc(t *testing.T) {
 			now := 0.0
 			stepOnce := func() {
 				now += h
-				_, ok, err := tr.step(now, h)
+				ok, err := tr.step(now, h)
 				if err != nil || !ok {
 					t.Fatalf("step to t=%v: ok=%v err=%v", now, ok, err)
 				}

@@ -29,14 +29,6 @@ type Options struct {
 	VTol      float64 // Newton convergence tolerance, volts (default 1 uV)
 	Damp      float64 // max Newton update per iteration, volts (default 0.4)
 
-	// Adaptive enables Newton-effort step control: steps that converge in
-	// few iterations grow the step (up to MaxStep), steps that converge
-	// slowly or fail shrink it and retry (down to MinStep). Step is used
-	// as the initial and maximum step when MaxStep is zero.
-	Adaptive bool
-	MinStep  float64 // smallest adaptive step (default Step/64)
-	MaxStep  float64 // largest adaptive step (default Step)
-
 	// Ctx, when non-nil, cancels the run: the time-stepping loop checks
 	// it every CtxCheckInterval step attempts and returns a
 	// noiseerr.ErrCanceled-classified error (also matching the context's
@@ -486,25 +478,12 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 		}
 	}
 
-	hMax := opt.Step
-	if opt.Adaptive && opt.MaxStep > 0 {
-		hMax = opt.MaxStep
-	}
-	hMin := hMax
-	if opt.Adaptive {
-		hMin = opt.MinStep
-		if hMin <= 0 {
-			hMin = hMax / 64
-		}
-	}
-
-	// Size the output series up front — for a fixed-step run the step
-	// count is known exactly, so the appends in commit never reallocate
-	// and steady-state stepping stays allocation-free. Adaptive runs get
-	// the same capacity as an estimate and grow only if step shrinking
-	// exceeds it. A run that may stop early starts at a quarter of that
-	// and grows.
-	est := int((opt.TStop-opt.TStart)/hMax+1.5) + 1
+	// Size the output series up front: at a fixed step the step count
+	// is known exactly, so the appends in commit never reallocate and
+	// steady-state stepping stays allocation-free. Only a rescue's step
+	// halving outgrows it. A run that may stop early starts at a quarter
+	// of that and grows.
+	est := int((opt.TStop-opt.TStart)/opt.Step+1.5) + 1
 	if opt.Stop != nil {
 		est = est/4 + 1
 	}
@@ -519,7 +498,7 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 	s.static(tr.x, opt.TStart, nil)
 	copy(tr.ist0, s.ist)
 
-	h := hMax
+	h := opt.Step
 	t := opt.TStart
 	attempts := 0
 	for t < opt.TStop-1e-24 {
@@ -532,23 +511,17 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 		if t+h > opt.TStop {
 			h = opt.TStop - t
 		}
-		iters, ok, err := tr.step(t+h, h)
+		ok, err := tr.step(t+h, h)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			if opt.Adaptive && h > hMin*1.0001 {
-				h = math.Max(h/4, hMin)
-				continue
-			}
 			// Rescue rung: allow a bounded number of halvings below the
-			// configured floor (and below the fixed step of non-adaptive
-			// runs) before declaring non-convergence. The lowered floor
-			// persists so the adaptive controller may keep using it.
+			// configured step before declaring non-convergence. The
+			// halved step lasts for the rest of the run.
 			if halvings > 0 {
 				halvings--
 				h /= 2
-				hMin = math.Min(hMin, h)
 				continue
 			}
 			return nil, noiseerr.Convergencef("nlsim: Newton did not converge at t=%g", t+h)
@@ -557,14 +530,6 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 		tr.commit(t)
 		if opt.Stop != nil && opt.Stop(t, tr.x) {
 			break
-		}
-		if opt.Adaptive {
-			switch {
-			case iters <= 3:
-				h = math.Min(h*1.6, hMax)
-			case iters > 10:
-				h = math.Max(h/2, hMin)
-			}
 		}
 	}
 	states := linalg.NewMatrix(len(tr.times), n)
@@ -588,7 +553,7 @@ type transient struct {
 }
 
 // step attempts one trapezoidal step of size h to time t; it returns
-// the Newton iteration count and whether it converged. In steady state
+// whether it converged. In steady state
 // it performs zero allocations: the residual, Jacobian, update, and
 // factorization all live in the solver's scratch arena, and the
 // factorization is reused across iterations and steps (modified
@@ -599,10 +564,10 @@ type transient struct {
 // convergence failure the full-Newton engine would not also have had.
 //
 //lint:hot
-func (tr *transient) step(t, h float64) (int, bool, error) {
-	iters, ok, err := tr.attempt(t, h, tr.s.fullNewton)
+func (tr *transient) step(t, h float64) (bool, error) {
+	ok, err := tr.attempt(t, h, tr.s.fullNewton)
 	if err != nil || ok || tr.s.fullNewton {
-		return iters, ok, err
+		return ok, err
 	}
 	tr.s.fc.invalidate()
 	return tr.attempt(t, h, true)
@@ -612,10 +577,10 @@ func (tr *transient) step(t, h float64) (int, bool, error) {
 // forces a fresh Jacobian factorization on every iteration.
 //
 //lint:hot
-func (tr *transient) attempt(t, h float64, fullNewton bool) (int, bool, error) {
+func (tr *transient) attempt(t, h float64, fullNewton bool) (bool, error) {
 	s, opt, n := tr.s, tr.opt, tr.s.n
 	if h <= 0 {
-		return 0, false, noiseerr.Invalidf("nlsim: nonpositive step %g at t=%g", h, t)
+		return false, noiseerr.Invalidf("nlsim: nonpositive step %g at t=%g", h, t)
 	}
 	s.loadFixed(t)
 	copy(tr.xNew, tr.x) // previous solution as the Newton seed
@@ -637,7 +602,7 @@ func (tr *transient) attempt(t, h float64, fullNewton bool) (int, bool, error) {
 			s.jac.Scale(0.5)
 			s.jac.AXPY(1/h, s.cmat)
 			if err := s.fc.refactor(s.jac, cacheTransient, h); err != nil {
-				return iter, false, noiseerr.Numericalf("nlsim: Newton Jacobian singular at t=%g: %w", t, err)
+				return false, noiseerr.Numericalf("nlsim: Newton Jacobian singular at t=%g: %w", t, err)
 			}
 		}
 		s.fc.lu.SolveTo(s.dx, s.f)
@@ -663,7 +628,7 @@ func (tr *transient) attempt(t, h float64, fullNewton bool) (int, bool, error) {
 			// bound before the step commits. Rejection refactors and
 			// keeps iterating rather than accepting a drifted state.
 			if !reuse || vecInfNorm(s.f) <= s.fc.jacNorm*opt.VTol*residSafety {
-				return iter, true, nil
+				return true, nil
 			}
 			s.fc.invalidate()
 			prevWorst = worst
@@ -674,7 +639,7 @@ func (tr *transient) attempt(t, h float64, fullNewton bool) (int, bool, error) {
 		}
 		prevWorst = worst
 	}
-	return opt.MaxNewton, false, nil
+	return false, nil
 }
 
 // commit accepts the trial state as the solution at time t and records

@@ -299,49 +299,3 @@ func TestBufferAndComplexGatesSwitch(t *testing.T) {
 		}
 	}
 }
-
-func TestAdaptiveMatchesFixedStep(t *testing.T) {
-	lib := device.NewLibrary(tech)
-	inv, _ := lib.Cell("INVX2")
-	build := func() *Circuit {
-		c := NewCircuit()
-		in := c.Fixed("in", waveform.Ramp(2e-10, 1.5e-10, 0, 1.8))
-		out := c.Node("out")
-		c.AddCell(inv, "u1", in, out)
-		c.AddC(out, Ground, 25e-15)
-		return c
-	}
-	fixed, err := Run(build(), Options{TStop: 3e-9, Step: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := Run(build(), Options{
-		TStop: 3e-9, Step: 1e-12, Adaptive: true, MaxStep: 20e-12, MinStep: 0.5e-12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vf, _ := fixed.Voltage("out")
-	va, _ := adaptive.Voltage("out")
-	tf, err1 := vf.CrossFalling(0.9)
-	ta, err2 := va.CrossFalling(0.9)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if math.Abs(tf-ta) > 5e-12 {
-		t.Fatalf("adaptive t50 %v vs fixed %v", ta, tf)
-	}
-	// The adaptive run must use meaningfully fewer steps.
-	if len(adaptive.Times) >= len(fixed.Times)/2 {
-		t.Fatalf("adaptive used %d steps vs fixed %d", len(adaptive.Times), len(fixed.Times))
-	}
-	// Times strictly increasing and covering the interval.
-	for i := 1; i < len(adaptive.Times); i++ {
-		if adaptive.Times[i] <= adaptive.Times[i-1] {
-			t.Fatal("adaptive times not increasing")
-		}
-	}
-	if math.Abs(adaptive.Times[len(adaptive.Times)-1]-3e-9) > 1e-15 {
-		t.Fatalf("adaptive run ended at %v", adaptive.Times[len(adaptive.Times)-1])
-	}
-}

@@ -9,8 +9,7 @@ import (
 // holds exactly the full run's rows up to and including that step, bit
 // for bit, the hook sees each committed step once with the state it
 // committed, and a hook that never fires leaves the run full. BUFX4
-// covers a state vector with an internal node, and the adaptive run a
-// time grid the controller chooses.
+// covers a state vector with an internal node.
 func TestStopKeepsFirstRows(t *testing.T) {
 	for _, tc := range []struct {
 		cell string
@@ -18,7 +17,6 @@ func TestStopKeepsFirstRows(t *testing.T) {
 	}{
 		{"INVX2", Options{TStop: 3e-9, Step: 2e-12}},
 		{"BUFX4", Options{TStop: 3e-9, Step: 2e-12}},
-		{"INVX2", Options{TStop: 3e-9, Step: 8e-12, Adaptive: true}},
 	} {
 		full, err := Run(gateFixture(t, tc.cell), tc.opt)
 		if err != nil {

@@ -136,15 +136,19 @@ func (x *netExchange) Summary(context.Context, func(clarinet.JournalRecord) erro
 	return &x.sum, nil
 }
 
-// tool builds one request's clarinet view over the warm session.
+// tool builds one request's clarinet view over the warm session. A
+// positive per-request net timeout overrides the policy's.
 func (s *Server) tool(opt Options) (*clarinet.Tool, error) {
+	pol := s.requestPolicy(opt)
+	if opt.NetTimeout > 0 {
+		pol.NetTimeout = opt.NetTimeout
+	}
 	return clarinet.New(nil, clarinet.Config{
 		Session:    s.session,
 		Hold:       opt.Hold,
 		Align:      opt.Align,
 		Workers:    s.cfg.Workers,
-		Resilience: s.requestPolicy(opt),
-		NetTimeout: opt.NetTimeout,
+		Resilience: pol,
 	})
 }
 

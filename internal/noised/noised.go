@@ -84,8 +84,6 @@ type Config struct {
 	// CharCacheRes tunes the driver-characterization cache bucket
 	// resolution (0 = default, negative disables).
 	CharCacheRes float64
-	// DisableROMCache turns off PRIMA model sharing.
-	DisableROMCache bool
 
 	// MaxInflight is the number of requests analyzed concurrently
 	// (default 2).
@@ -220,10 +218,9 @@ func New(cfg Config) (*Server, error) {
 	sess := cfg.Session
 	if sess == nil {
 		sess = engine.New(engine.Config{
-			Metrics:         cfg.Metrics,
-			PrecharGrid:     cfg.PrecharGrid,
-			CharCacheRes:    cfg.CharCacheRes,
-			DisableROMCache: cfg.DisableROMCache,
+			Metrics:      cfg.Metrics,
+			PrecharGrid:  cfg.PrecharGrid,
+			CharCacheRes: cfg.CharCacheRes,
 		})
 	}
 	var store *warmstore.Store

@@ -16,8 +16,7 @@
 //     bounded number of times.
 //  3. "prechar": fall back to precharacterized alignment — the bounded,
 //     pessimistic answer the paper's flow degrades to when the
-//     nonlinear search cannot be trusted (Config.FallbackToPrechar in
-//     earlier revisions).
+//     nonlinear search cannot be trusted.
 //
 // A net that succeeds on the first pass is QualityExact; one saved by a
 // solver rung is QualityRescued; one saved by the prechar rung is
@@ -111,8 +110,7 @@ type Policy struct {
 	SourceSteps  int
 	StepHalvings int
 	// FallbackToPrechar enables the final, always-converging prechar
-	// alignment rung (the generalization of the former
-	// clarinet.Config.FallbackToPrechar flag).
+	// alignment rung (cmd/clarinet's -fallback flag).
 	FallbackToPrechar bool
 	// NetTimeout bounds each net's analysis, rescue attempts included.
 	// Zero means no per-net deadline.
