@@ -72,7 +72,9 @@ vuln:
 # and wire bytes — over the compacted LU solve, which must match the
 # dense solve bit for bit, over linalg.Factor, whose banded Cholesky
 # must match the dense LU within a stated tolerance and whose dense
-# side must match it bit for bit, over nlsim's two-level device bypass,
+# side must match it bit for bit, over lsim's grouped stepper, whose
+# every input set must match its own Run bit for bit, over nlsim's
+# two-level device bypass,
 # which must match device evaluation bit for bit, and over gatesim's
 # settled-tail stop, whose crossings, fits and horizons must match the
 # full runs bit for bit. Go runs one -fuzz
@@ -93,6 +95,8 @@ fuzz:
 	@$(GO) test -run='^$$' -fuzz='^FuzzCompactSolve$$' -fuzztime=$(FUZZTIME) ./internal/linalg
 	@echo "== FuzzFactor"
 	@$(GO) test -run='^$$' -fuzz='^FuzzFactor$$' -fuzztime=$(FUZZTIME) ./internal/linalg
+	@echo "== FuzzGroup"
+	@$(GO) test -run='^$$' -fuzz='^FuzzGroup$$' -fuzztime=$(FUZZTIME) ./internal/lsim
 	@echo "== FuzzGateMemo"
 	@$(GO) test -run='^$$' -fuzz='^FuzzGateMemo$$' -fuzztime=$(FUZZTIME) ./internal/nlsim
 	@echo "== FuzzSettledStop"

@@ -146,14 +146,12 @@ type Result struct {
 	// Alignment.
 	TPeak float64 // chosen composite peak time (absolute)
 
-	// Nonlinear receiver outputs from the final report stage — the
-	// alignment-objective waveforms themselves, retained so path-level
-	// analysis can feed a stage's noisy output to the next stage's
-	// input without re-simulating. NoisyRecvIn is the superposed input
-	// (noiseless + composite shifted to TPeak) that produced
-	// NoisyRecvOut.
+	// QuietRecvOut is the noiseless receiver output waveform; only
+	// AnalyzeQuiet simulates it whole. NoisyRecvIn is the superposed
+	// receiver input (noiseless + composite shifted to TPeak) of the
+	// noisy report run: path-level analysis simulates it to hand the
+	// stage's noisy output to the next stage.
 	QuietRecvOut *waveform.PWL
-	NoisyRecvOut *waveform.PWL
 	NoisyRecvIn  *waveform.PWL
 	// OutputRising is the receiver output transition direction.
 	OutputRising bool
@@ -195,10 +193,11 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		return nil, noiseerr.InStage(noiseerr.StageCharacterize, err)
 	}
 	opt.Metrics.Observe(noiseerr.StageCharacterize.TimerName(), time.Since(charStart))
-	noiselessIn, noiselessDrv, err := e.victimNoiseless()
+	first, err := e.firstPass(true)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageSimulate, err)
 	}
+	noiselessIn, noiselessDrv := first.noiselessIn, first.noiselessDrv
 	res := &Result{
 		VictimCeff: e.victim.ceff,
 		VictimRth:  e.victim.model.Rth,
@@ -206,30 +205,20 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	}
 	res.NoiselessRecvIn = noiselessIn
 
-	obj := align.Objective{
-		Receiver:     c.Receiver,
-		Load:         c.ReceiverLoad,
-		VictimRising: c.Victim.OutputRising,
-		Sims:         opt.Metrics.Counter(mSimNonlinearReceiver),
-		Settled:      opt.Metrics.Counter(mSimReceiverSettled),
-		Ctx:          ctx,
-	}
+	obj := c.Objective(ctx, opt.Metrics)
 
 	rHold := e.victim.model.Rth
 	var composite *waveform.PWL
 	var tPeak float64
-	var recvNoises, drvNoises []*waveform.PWL
+	recvNoises, drvNoises := first.recvNoises, first.drvNoises
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
 		res.Iterations = iter
-		recvNoises = recvNoises[:0]
-		drvNoises = drvNoises[:0]
-		for k := range e.aggs {
-			rn, dn, err := e.aggressorNoise(k, rHold)
-			if err != nil {
+		if iter > 1 {
+			// Iteration 1 held the victim by Rth and ran with the
+			// victim-switching simulation; later ones hold it by Rtr.
+			if recvNoises, drvNoises, err = e.aggressorNoises(rHold); err != nil {
 				return nil, noiseerr.InStage(noiseerr.StageSimulate, err)
 			}
-			recvNoises = append(recvNoises, rn)
-			drvNoises = append(drvNoises, dn)
 		}
 		composite, err = align.Composite(recvNoises...)
 		if err != nil {
@@ -286,26 +275,20 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	res.Composite = composite
 	res.TPeak = tPeak
 
-	// Final delay evaluation with nonlinear receiver simulations. The
-	// output waveforms are retained on the result (not just their
-	// crossings): stage k's NoisyRecvOut is exactly what path-level
-	// analysis hands to stage k+1.
+	// Final delay evaluation with nonlinear receiver simulations. Only
+	// the two output crossings are read, so both runs stop at their
+	// settled tails (align.Objective.OutputCross) with the full runs'
+	// crossings; a caller that needs the noisy output waveform (path
+	// analysis hands it to the next stage) simulates it from
+	// NoisyRecvIn.
 	reportStart := time.Now()
 	defer func() { opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(reportStart)) }()
 	noisyIn := align.NoisyInput(noiselessIn, composite, tPeak)
-	quietOutW, err := obj.Output(noiselessIn)
+	quietOut, err := obj.OutputCross(noiselessIn)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noiseless receiver: %w", err))
 	}
-	quietOut, err := obj.Cross(quietOutW)
-	if err != nil {
-		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noiseless receiver: %w", err))
-	}
-	noisyOutW, err := obj.Output(noisyIn)
-	if err != nil {
-		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noisy receiver: %w", err))
-	}
-	noisyOut, err := obj.Cross(noisyOutW)
+	noisyOut, err := obj.OutputCross(noisyIn)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noisy receiver: %w", err))
 	}
@@ -313,8 +296,6 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, noiseerr.Numericalf("delaynoise: victim driver output: %w", err))
 	}
-	res.QuietRecvOut = quietOutW
-	res.NoisyRecvOut = noisyOutW
 	res.NoisyRecvIn = noisyIn
 	res.OutputRising = obj.OutputRising()
 	res.VictimDrv50 = drv50
@@ -330,6 +311,21 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		}
 	}
 	return res, nil
+}
+
+// Objective is the receiver objective the analysis of c evaluates:
+// c's receiver and load, driven by the victim's transition, counting
+// its simulations (and those stopped at a settled tail) in m, which may
+// be nil.
+func (c *Case) Objective(ctx context.Context, m *metrics.Registry) align.Objective {
+	return align.Objective{
+		Receiver:     c.Receiver,
+		Load:         c.ReceiverLoad,
+		VictimRising: c.Victim.OutputRising,
+		Sims:         m.Counter(mSimNonlinearReceiver),
+		Settled:      m.Counter(mSimReceiverSettled),
+		Ctx:          ctx,
+	}
 }
 
 // AnalyzeQuiet runs only the quiet half of the flow: driver
@@ -352,10 +348,11 @@ func AnalyzeQuietContext(ctx context.Context, c *Case, opt Options) (*Result, er
 		return nil, noiseerr.InStage(noiseerr.StageCharacterize, err)
 	}
 	opt.Metrics.Observe(noiseerr.StageCharacterize.TimerName(), time.Since(charStart))
-	noiselessIn, noiselessDrv, err := e.victimNoiseless()
+	first, err := e.firstPass(false)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageSimulate, err)
 	}
+	noiselessIn, noiselessDrv := first.noiselessIn, first.noiselessDrv
 	res := &Result{
 		VictimCeff:      e.victim.ceff,
 		VictimRth:       e.victim.model.Rth,
@@ -363,14 +360,7 @@ func AnalyzeQuietContext(ctx context.Context, c *Case, opt Options) (*Result, er
 		NoiselessRecvIn: noiselessIn,
 		Iterations:      1,
 	}
-	obj := align.Objective{
-		Receiver:     c.Receiver,
-		Load:         c.ReceiverLoad,
-		VictimRising: c.Victim.OutputRising,
-		Sims:         opt.Metrics.Counter(mSimNonlinearReceiver),
-		Settled:      opt.Metrics.Counter(mSimReceiverSettled),
-		Ctx:          ctx,
-	}
+	obj := c.Objective(ctx, opt.Metrics)
 	reportStart := time.Now()
 	defer func() { opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(reportStart)) }()
 	quietOutW, err := obj.Output(noiselessIn)

@@ -43,11 +43,11 @@ func driverNoise(t *testing.T) *waveform.PWL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dn, err := e.aggressorNoise(0, e.victim.model.Rth)
+	_, dn, err := e.aggressorNoises(e.victim.model.Rth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dn.Shift(gatesim.InputStart - c.Victim.InputStart)
+	return dn[0].Shift(gatesim.InputStart - c.Victim.InputStart)
 }
 
 // TestHoldResSharedNoiselessBitIdentical runs holdres's reuse sweep —

@@ -168,14 +168,10 @@ func VictimRun(ctx context.Context, c *Case, opt Options) (*netlist.Circuit, lsi
 	if err != nil {
 		return nil, lsim.Options{}, err
 	}
-	rHolds := make([]float64, len(e.aggs))
-	for j := range e.aggs {
-		rHolds[j] = e.aggs[j].model.Rth
-	}
-	return e.victimCircuit(rHolds), e.linearOptions(), nil
+	return e.circuit(e.victim.model.SourceWaveform(), e.victim.model.Rth, e.aggRth()), e.linearOptions(), nil
 }
 
-// probeSet is the list of nodes every linear run records.
+// probes is the list of nodes every linear run records.
 func (e *engine) probes() []string {
 	return []string{e.c.Net.VictimIn, e.c.sink()}
 }
@@ -185,24 +181,73 @@ func (e *engine) linearOptions() lsim.Options {
 	return lsim.Options{TStop: e.horizon, Step: e.step, InitDC: true, Ctx: e.ctx}
 }
 
-// runLinear simulates a fully assembled linear circuit and returns the
-// waveforms at the standard probe nodes, optionally through a PRIMA
-// reduction.
-func (e *engine) runLinear(ckt *netlist.Circuit) (map[string]*waveform.PWL, error) {
-	return e.runLinearProbes(ckt, e.probes())
+// aggRth returns every aggressor's Thevenin resistance, the resistance
+// that holds it while another driver switches.
+func (e *engine) aggRth() []float64 {
+	r := make([]float64, len(e.aggs))
+	for j := range e.aggs {
+		r[j] = e.aggs[j].model.Rth
+	}
+	return r
 }
 
-// runLinearProbes is runLinear with an explicit probe list.
-func (e *engine) runLinearProbes(ckt *netlist.Circuit, probes []string) (map[string]*waveform.PWL, error) {
-	e.opt.Metrics.Counter(mSimLinear).Inc()
+// switchVictim is the entry of a superposition group that switches the
+// victim driver; entry k >= 0 switches aggressor k.
+const switchVictim = -1
+
+// circuit assembles the linear circuit of the superposition runs: the
+// loaded interconnect with the victim driver on its node, behind
+// rVictim with source vicSrc, and aggressor j on its own node, held at
+// its initial output by rAggs[j]. Each driver is stamped once, after
+// the interconnect, so runs that differ only in their sources share G,
+// C and B bit for bit.
+func (e *engine) circuit(vicSrc *waveform.PWL, rVictim float64, rAggs []float64) *netlist.Circuit {
+	c := e.c
+	vdd := c.vdd()
+	ckt := e.interconnect.Clone()
+	ckt.AddDriver("__vic", c.Net.VictimIn, vicSrc, rVictim)
+	for j := range e.aggs {
+		ckt.AddDriver(fmt.Sprintf("__hold%d", j), c.Net.AggIn[j],
+			waveform.Constant(c.Aggressors[j].initialOutput(vdd)), rAggs[j])
+	}
+	return ckt
+}
+
+// superpose runs one group of superposition simulations over one
+// system: the victim driver held by rVictim and aggressor j by
+// rAggs[j], every driver at its initial output except the one each
+// entry of switching names (switchVictim, or an aggressor index), which
+// drives its Thevenin source. The runs step together over one factor
+// (lsim.RunGroup), optionally on one PRIMA reduction of the shared
+// system, and each returns its waveforms at the probe nodes.
+func (e *engine) superpose(rVictim float64, rAggs []float64, switching []int, probes []string) ([]map[string]*waveform.PWL, error) {
+	e.opt.Metrics.Counter(mSimLinear).Add(int64(len(switching)))
 	start := time.Now()
 	defer func() { e.opt.Metrics.Observe(noiseerr.StageSimulate.TimerName(), time.Since(start)) }()
+	c := e.c
+	ckt := e.circuit(waveform.Constant(c.Victim.initialOutput(c.vdd())), rVictim, rAggs)
 	sys, err := mna.Build(ckt)
 	if err != nil {
 		return nil, err
 	}
+	// The victim driver's input column follows the interconnect's own
+	// sources; aggressor k's is the k-th after it.
+	vic := len(ckt.CurrentSources) + len(e.interconnect.Drivers)
+	sets := make([][]*waveform.PWL, len(switching))
+	for n, k := range switching {
+		set := append([]*waveform.PWL(nil), sys.Inputs...)
+		if k == switchVictim {
+			set[vic] = e.victim.model.SourceWaveform()
+		} else {
+			set[vic+1+k] = e.aggs[k].model.SourceWaveform()
+		}
+		sets[n] = set
+	}
+
+	var runs []interface {
+		Voltage(string) (*waveform.PWL, error)
+	}
 	opt := e.linearOptions()
-	out := map[string]*waveform.PWL{}
 	if q := e.opt.PRIMAOrder; q > 0 && q < sys.NumStates() {
 		reduceStart := time.Now()
 		rom, err := e.opt.ROMs.Reduce(e.ctx, sys, q)
@@ -213,130 +258,128 @@ func (e *engine) runLinearProbes(ckt *netlist.Circuit, probes []string) (map[str
 		// PRIMA matches the first block moment, so the DC point of the
 		// reduced system projects exactly onto the full DC solution; the
 		// reduced InitDC start is therefore exact for these circuits.
-		res, err := rom.RunContext(e.ctx, opt)
+		res, err := rom.RunGroup(e.ctx, sets, opt)
 		if err != nil {
 			return nil, err
 		}
+		for _, r := range res {
+			runs = append(runs, r)
+		}
+	} else {
+		res, err := lsim.RunGroup(sys, sets, probes, opt)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range res {
+			runs = append(runs, r)
+		}
+	}
+	out := make([]map[string]*waveform.PWL, len(runs))
+	for n, r := range runs {
+		out[n] = make(map[string]*waveform.PWL, len(probes))
 		for _, p := range probes {
-			w, err := res.Voltage(p)
+			w, err := r.Voltage(p)
 			if err != nil {
 				return nil, err
 			}
-			out[p] = w
+			out[n][p] = w
 		}
-		return out, nil
-	}
-	res, err := lsim.Run(sys, opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range probes {
-		w, err := res.Voltage(p)
-		if err != nil {
-			return nil, err
-		}
-		out[p] = w
 	}
 	return out, nil
 }
 
-// aggressorNoise runs the superposition simulation for aggressor k: its
-// Thevenin source transitions while the victim is held by rHoldVictim and
-// every other aggressor by its own Thevenin resistance. It returns the
-// noise (deviation from DC) at the receiver input and the victim driver
-// output.
-func (e *engine) aggressorNoise(k int, rHoldVictim float64) (recvIn, drvOut *waveform.PWL, err error) {
-	c := e.c
-	vdd := c.vdd()
-	ckt := e.interconnect.Clone()
-	ckt.AddDriver("__agg", c.Net.AggIn[k], e.aggs[k].model.SourceWaveform(), e.aggs[k].model.Rth)
-	ckt.AddDriver("__vic", c.Net.VictimIn,
-		waveform.Constant(c.Victim.initialOutput(vdd)), rHoldVictim)
-	for j := range e.aggs {
-		if j == k {
-			continue
-		}
-		ckt.AddDriver(fmt.Sprintf("__hold%d", j), c.Net.AggIn[j],
-			waveform.Constant(c.Aggressors[j].initialOutput(vdd)), e.aggs[j].model.Rth)
+// aggressorNoises runs the superposition simulation of every aggressor
+// as one group: aggressor k's Thevenin source transitions while the
+// victim is held by rHoldVictim and every other aggressor by its own
+// Thevenin resistance. It returns each aggressor's noise (deviation
+// from DC) at the receiver input and at the victim driver output.
+func (e *engine) aggressorNoises(rHoldVictim float64) (recvIn, drvOut []*waveform.PWL, err error) {
+	switching := make([]int, len(e.aggs))
+	for k := range switching {
+		switching[k] = k
 	}
-	ws, err := e.runLinear(ckt)
+	ws, err := e.superpose(rHoldVictim, e.aggRth(), switching, e.probes())
 	if err != nil {
-		return nil, nil, fmt.Errorf("delaynoise: aggressor %d sim: %w", k, err)
+		return nil, nil, fmt.Errorf("delaynoise: aggressor sims: %w", err)
 	}
-	recvIn = deviation(ws[c.sink()])
-	drvOut = deviation(ws[c.Net.VictimIn])
+	recvIn, drvOut = e.noises(ws)
 	return recvIn, drvOut, nil
 }
 
-// victimNoiseless runs the victim-switching superposition simulation (all
-// aggressors held) and returns the noiseless waveforms at the receiver
-// input and victim driver output. With Options.AggressorTransient set,
-// the aggressor holding resistances are upgraded to transient values —
-// the extension the paper sketches at the end of Section 1 ("the
-// proposed approach can also be extended to the shorted aggressor driver
-// models"): the victim's own transition injects noise on the aggressor
-// nets, and the aggregate Thevenin resistance misrepresents how the
-// aggressor drivers absorb it, which feeds back into the victim waveform
-// through the coupling.
-func (e *engine) victimNoiseless() (recvIn, drvOut *waveform.PWL, err error) {
-	rHolds := make([]float64, len(e.aggs))
-	for j := range e.aggs {
-		rHolds[j] = e.aggs[j].model.Rth
+// noises turns the aggressor runs' waveforms into noise waveforms at
+// the receiver input and at the victim driver output.
+func (e *engine) noises(ws []map[string]*waveform.PWL) (recvIn, drvOut []*waveform.PWL) {
+	for _, w := range ws {
+		recvIn = append(recvIn, deviation(w[e.c.sink()]))
+		drvOut = append(drvOut, deviation(w[e.c.Net.VictimIn]))
 	}
-	recvIn, drvOut, aggOuts, err := e.victimNoiselessWith(rHolds)
+	return recvIn, drvOut
+}
+
+// linearPass is the first superposition group of an analysis, with
+// every driver held by its Thevenin resistance: the noiseless victim
+// waveforms and, when the group ran them, every aggressor's noise.
+type linearPass struct {
+	noiselessIn, noiselessDrv *waveform.PWL
+	recvNoises, drvNoises     []*waveform.PWL
+}
+
+// firstPass runs the victim-switching simulation, and with withAggs
+// every aggressor's, as one group with each driver held by its Thevenin
+// resistance: the fixpoint's first iteration holds the victim by Rth,
+// so its aggressor runs share the victim run's system. It then returns
+// the noiseless waveforms at the receiver input and victim driver
+// output. With Options.AggressorTransient set, the aggressor holding
+// resistances are upgraded to transient values — the extension the
+// paper sketches at the end of Section 1 ("the proposed approach can
+// also be extended to the shorted aggressor driver models"): the
+// victim's own transition injects noise on the aggressor nets, and the
+// aggregate Thevenin resistance misrepresents how the aggressor drivers
+// absorb it, which feeds back into the victim waveform through the
+// coupling.
+func (e *engine) firstPass(withAggs bool) (linearPass, error) {
+	c := e.c
+	switching := []int{switchVictim}
+	if withAggs {
+		for k := range e.aggs {
+			switching = append(switching, k)
+		}
+	}
+	probes := e.probes()
+	if e.opt.AggressorTransient {
+		probes = append(probes, c.Net.AggIn...)
+	}
+	rHolds := e.aggRth()
+	ws, err := e.superpose(e.victim.model.Rth, rHolds, switching, probes)
 	if err != nil {
-		return nil, nil, err
+		return linearPass{}, fmt.Errorf("delaynoise: victim sim: %w", err)
 	}
+	var p linearPass
+	p.noiselessIn, p.noiselessDrv = ws[0][c.sink()], ws[0][c.Net.VictimIn]
+	p.recvNoises, p.drvNoises = e.noises(ws[1:])
 	if !e.opt.AggressorTransient {
-		return recvIn, drvOut, nil
+		return p, nil
 	}
 	// Upgrade each aggressor's holding resistance from the noise the
 	// victim injected on it, then re-run once (the same single extra
 	// iteration the victim-side flow uses).
 	for j := range e.aggs {
 		spec := e.aggs[j].spec
-		vn := aggOuts[j].Shift(gatesim.InputStart - spec.InputStart)
+		vn := deviation(ws[0][c.Net.AggIn[j]]).Shift(gatesim.InputStart - spec.InputStart)
 		hr, err := e.opt.Chars.HoldRes(e.ctx, spec.Cell, spec.InputSlew,
 			spec.Cell.InputRisingFor(spec.OutputRising),
 			e.aggs[j].ceff, e.aggs[j].model.Rth, vn)
 		if err != nil {
-			return nil, nil, fmt.Errorf("delaynoise: aggressor %d transient hold: %w", j, err)
+			return linearPass{}, fmt.Errorf("delaynoise: aggressor %d transient hold: %w", j, err)
 		}
 		rHolds[j] = hr.Rtr
 	}
-	recvIn, drvOut, _, err = e.victimNoiselessWith(rHolds)
-	return recvIn, drvOut, err
-}
-
-// victimNoiselessWith runs the victim-switching simulation with explicit
-// aggressor holding resistances and additionally returns the noise each
-// aggressor driver output sees (deviation waveforms, one per aggressor).
-func (e *engine) victimNoiselessWith(rHolds []float64) (recvIn, drvOut *waveform.PWL, aggOuts []*waveform.PWL, err error) {
-	c := e.c
-	ws, err := e.runLinearProbes(e.victimCircuit(rHolds), append(e.probes(), c.Net.AggIn...))
+	ws, err = e.superpose(e.victim.model.Rth, rHolds, []int{switchVictim}, e.probes())
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("delaynoise: victim sim: %w", err)
+		return linearPass{}, fmt.Errorf("delaynoise: victim sim: %w", err)
 	}
-	aggOuts = make([]*waveform.PWL, len(c.Net.AggIn))
-	for j, node := range c.Net.AggIn {
-		aggOuts[j] = deviation(ws[node])
-	}
-	return ws[c.sink()], ws[c.Net.VictimIn], aggOuts, nil
-}
-
-// victimCircuit assembles the victim-switching circuit: the victim's
-// Thevenin source drives the interconnect and aggressor j is held at
-// its initial output by rHolds[j].
-func (e *engine) victimCircuit(rHolds []float64) *netlist.Circuit {
-	c := e.c
-	vdd := c.vdd()
-	ckt := e.interconnect.Clone()
-	ckt.AddDriver("__vic", c.Net.VictimIn, e.victim.model.SourceWaveform(), e.victim.model.Rth)
-	for j := range e.aggs {
-		ckt.AddDriver(fmt.Sprintf("__hold%d", j), c.Net.AggIn[j],
-			waveform.Constant(c.Aggressors[j].initialOutput(vdd)), rHolds[j])
-	}
-	return ckt
+	p.noiselessIn, p.noiselessDrv = ws[0][c.sink()], ws[0][c.Net.VictimIn]
+	return p, nil
 }
 
 // deviation subtracts the waveform's initial value, turning an

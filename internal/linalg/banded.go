@@ -172,13 +172,33 @@ func factorBandedChol(s *Sparse, perm []int) (*BandedChol, error) {
 //
 //lint:hot
 func (f *BandedChol) SolveTo(dst, b []float64) {
-	n, bw := f.n, f.bw
-	if len(b) != n || len(dst) != n {
-		panic(fmt.Sprintf("linalg: banded solve lengths dst=%d b=%d, want %d", len(dst), len(b), n))
+	f.SolveColsTo(dst, b, 1)
+}
+
+// SolveColsTo solves A*X = B for r right-hand sides stored interleaved
+// (entry i of column j at i*r+j) into dst without allocating. It solves
+// column by column through the factor's scratch, each with SolveTo's
+// operations, so dst may alias b.
+//
+//lint:hot
+func (f *BandedChol) SolveColsTo(dst, b []float64, r int) {
+	n := f.n
+	if r < 1 || len(b) != n*r || len(dst) != n*r {
+		panic(fmt.Sprintf("linalg: banded solve of %d columns: lengths dst=%d b=%d, want %d", r, len(dst), len(b), n*r))
 	}
+	for j := 0; j < r; j++ {
+		f.solveCol(dst, b, r, j)
+	}
+}
+
+// solveCol solves column j of an interleaved block of r columns.
+//
+//lint:hot
+func (f *BandedChol) solveCol(dst, b []float64, r, j int) {
+	n, bw := f.n, f.bw
 	y := f.y
 	for i := 0; i < n; i++ {
-		y[i] = b[f.perm[i]]
+		y[i] = b[f.perm[i]*r+j]
 	}
 	at := func(i, k int) float64 { return f.band[i*(bw+1)+k] }
 	// Forward: L y' = y.
@@ -206,6 +226,6 @@ func (f *BandedChol) SolveTo(dst, b []float64) {
 		y[i] = s / at(i, bw)
 	}
 	for i := 0; i < n; i++ {
-		dst[f.perm[i]] = y[i]
+		dst[f.perm[i]*r+j] = y[i]
 	}
 }

@@ -6,6 +6,11 @@ type Solver interface {
 	// alias b. A solve may use scratch owned by the factor, so one
 	// Solver must not solve on two goroutines at once.
 	SolveTo(dst, b []float64)
+	// SolveColsTo solves A*X = B for r >= 1 right-hand sides stored
+	// interleaved, entry i of column j at index i*r+j, into dst without
+	// allocating. Each column gets SolveTo's operations in SolveTo's
+	// order, so it returns SolveTo's bits for that column alone.
+	SolveColsTo(dst, b []float64, r int)
 }
 
 // bandedMin is the system size from which Factor considers the banded

@@ -6,12 +6,15 @@ import (
 )
 
 // Sparse is a compressed-sparse-row matrix, built through a coordinate
-// accumulator. The linear simulator applies its explicit trapezoidal
-// matrix in this form every step, and Factor reorders and bands large
-// systems through it (the paper's motivation: a single victim cluster
-// can carry thousands of RC elements).
+// accumulator or from a dense matrix. The linear simulator applies its
+// explicit trapezoidal matrix and its input matrix in this form every
+// step, and Factor reorders and bands large systems through it (the
+// paper's motivation: a single victim cluster can carry thousands of RC
+// elements). N is the number of rows; only FromDense builds a
+// rectangular one.
 type Sparse struct {
 	N      int
+	cols   int
 	rowPtr []int
 	colIdx []int
 	values []float64
@@ -43,7 +46,7 @@ func (b *SparseBuilder) Add(r, c int, v float64) {
 
 // Build compacts the accumulator into CSR form.
 func (b *SparseBuilder) Build() *Sparse {
-	s := &Sparse{N: b.n, rowPtr: make([]int, b.n+1)}
+	s := &Sparse{N: b.n, cols: b.n, rowPtr: make([]int, b.n+1)}
 	for r := range b.rows {
 		row := b.rows[r]
 		sort.Slice(row, func(i, j int) bool { return row[i].col < row[j].col })
@@ -69,7 +72,7 @@ func (s *Sparse) NNZ() int { return len(s.values) }
 
 // MulVec computes y = A*x.
 func (s *Sparse) MulVec(x, y []float64) {
-	if len(x) != s.N || len(y) != s.N {
+	if len(x) != s.cols || len(y) != s.N {
 		panic("linalg: sparse mulvec dimension mismatch")
 	}
 	for r := 0; r < s.N; r++ {
@@ -81,15 +84,153 @@ func (s *Sparse) MulVec(x, y []float64) {
 	}
 }
 
-// FromDense converts a dense matrix (dropping exact zeros).
-func FromDense(m *Matrix) *Sparse {
-	b := NewSparseBuilder(m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			if v := m.At(r, c); v != 0 {
-				b.Add(r, c, v)
+// MulCols computes Y = A*X for k >= 1 columns stored interleaved, entry
+// i of column j at i*k+j. Every column's row sum starts at +0 and adds
+// the row's stored terms in column order, as MulVec's does, so each
+// column gets MulVec's bits. A dense product over the same matrix gets
+// them too when X is finite: its skipped 0*x terms are ±0, and adding
+// ±0 leaves a sum that started at +0 unchanged, since such a sum is
+// never -0. Blocks of two to four columns keep their sums in registers.
+//
+//lint:hot
+func (s *Sparse) MulCols(y, x []float64, k int) {
+	if k == 1 {
+		s.MulVec(x, y)
+		return
+	}
+	if k < 1 || len(x) != s.cols*k || len(y) != s.N*k {
+		panic(fmt.Sprintf("linalg: sparse product of %d columns: lengths x=%d y=%d, want %d and %d", k, len(x), len(y), s.cols*k, s.N*k))
+	}
+	switch k {
+	case 2:
+		s.mul2(y, x)
+	case 3:
+		s.mul3(y, x)
+	case 4:
+		s.mul4(y, x)
+	default:
+		for r := 0; r < s.N; r++ {
+			yr := y[r*k : r*k+k]
+			for j := range yr {
+				yr[j] = 0
+			}
+			for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
+				v := s.values[i]
+				xc := x[s.colIdx[i]*k:]
+				xc = xc[:len(yr)]
+				for j := range yr {
+					yr[j] += v * xc[j]
+				}
 			}
 		}
 	}
-	return b.Build()
+}
+
+// mul2 is MulCols on two columns.
+//
+//lint:hot
+func (s *Sparse) mul2(y, x []float64) {
+	for r := 0; r < s.N; r++ {
+		s0, s1 := 0.0, 0.0
+		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
+			v, q := s.values[i], 2*s.colIdx[i]
+			xc := x[q : q+2 : q+2]
+			s0 += v * xc[0]
+			s1 += v * xc[1]
+		}
+		yr := y[2*r : 2*r+2 : 2*r+2]
+		yr[0], yr[1] = s0, s1
+	}
+}
+
+// mul3 is MulCols on three columns.
+//
+//lint:hot
+func (s *Sparse) mul3(y, x []float64) {
+	for r := 0; r < s.N; r++ {
+		s0, s1, s2 := 0.0, 0.0, 0.0
+		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
+			v, q := s.values[i], 3*s.colIdx[i]
+			xc := x[q : q+3 : q+3]
+			s0 += v * xc[0]
+			s1 += v * xc[1]
+			s2 += v * xc[2]
+		}
+		yr := y[3*r : 3*r+3 : 3*r+3]
+		yr[0], yr[1], yr[2] = s0, s1, s2
+	}
+}
+
+// mul4 is MulCols on four columns.
+//
+//lint:hot
+func (s *Sparse) mul4(y, x []float64) {
+	for r := 0; r < s.N; r++ {
+		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
+			v, q := s.values[i], 4*s.colIdx[i]
+			xc := x[q : q+4 : q+4]
+			s0 += v * xc[0]
+			s1 += v * xc[1]
+			s2 += v * xc[2]
+			s3 += v * xc[3]
+		}
+		yr := y[4*r : 4*r+4 : 4*r+4]
+		yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
+	}
+}
+
+// AddMulCols adds A*X to Y for k >= 1 interleaved columns, as MulCols
+// lays them out. Each row's product is summed from +0 first, as MulCols
+// sums it, and then added to Y; a row without stored entries leaves Y
+// as it is, which is what adding its +0 product does to any Y entry but
+// -0.
+//
+//lint:hot
+func (s *Sparse) AddMulCols(y, x []float64, k int) {
+	if k < 1 || len(x) != s.cols*k || len(y) != s.N*k {
+		panic(fmt.Sprintf("linalg: sparse product of %d columns: lengths x=%d y=%d, want %d and %d", k, len(x), len(y), s.cols*k, s.N*k))
+	}
+	for r := 0; r < s.N; r++ {
+		lo, hi := s.rowPtr[r], s.rowPtr[r+1]
+		if lo == hi {
+			continue
+		}
+		for j := 0; j < k; j++ {
+			sum := 0.0
+			for i := lo; i < hi; i++ {
+				sum += s.values[i] * x[s.colIdx[i]*k+j]
+			}
+			y[r*k+j] += sum
+		}
+	}
+}
+
+// FromDense converts a dense matrix, square or not, dropping exact
+// zeros. It sizes the row storage from a count of the nonzeros, so the
+// conversion costs a fixed number of allocations.
+func FromDense(m *Matrix) *Sparse {
+	nnz := 0
+	for _, v := range m.Data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	s := &Sparse{
+		N:      m.Rows,
+		cols:   m.Cols,
+		rowPtr: make([]int, m.Rows+1),
+		colIdx: make([]int, 0, nnz),
+		values: make([]float64, 0, nnz),
+	}
+	for r := 0; r < m.Rows; r++ {
+		for c, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			if v != 0 {
+				s.colIdx = append(s.colIdx, c)
+				s.values = append(s.values, v)
+			}
+		}
+		s.rowPtr[r+1] = len(s.values)
+	}
+	return s
 }

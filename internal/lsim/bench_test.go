@@ -8,6 +8,7 @@ import (
 	"repro/internal/lsim"
 	"repro/internal/mna"
 	"repro/internal/mor"
+	"repro/internal/waveform"
 	"repro/internal/workload"
 )
 
@@ -57,6 +58,56 @@ func BenchmarkRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGroup is the superposition kernel of one fixpoint
+// iteration: three input sets on the bus victim system, the victim's
+// transition and two aggressor-like ramps with the other drivers quiet,
+// stepped as one group recording the two nodes the analysis reads,
+// against three Runs of the same sets.
+func BenchmarkGroup(b *testing.B) {
+	lib := device.NewLibrary(device.Default180())
+	sys, opt := victimRun(b, lib, workload.BusProfile(), false)
+	if sys.NumInputs() < 3 {
+		b.Fatalf("bus victim system has %d inputs, want at least 3", sys.NumInputs())
+	}
+	quiet := make([]*waveform.PWL, sys.NumInputs())
+	for c, w := range sys.Inputs {
+		quiet[c] = waveform.Constant(w.At(0))
+	}
+	sets := [][]*waveform.PWL{sys.Inputs}
+	for c := 1; c <= 2; c++ {
+		set := append([]*waveform.PWL(nil), quiet...)
+		v0 := quiet[c].At(0)
+		set[c] = waveform.Ramp(3e-10, 1e-10, v0, 1.8-v0)
+		sets = append(sets, set)
+	}
+	nodes := []string{sys.Nodes[0], sys.Nodes[len(sys.Nodes)-1]}
+	b.Run("group", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := lsim.RunGroup(sys, sets, nodes, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runs := make([]*mna.System, len(sets))
+	for j, set := range sets {
+		var err error
+		if runs[j], err = mna.NewSystem(sys.G, sys.C, sys.B, set, sys.Nodes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("runs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, one := range runs {
+				if _, err := lsim.Run(one, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkReduce is the kernel benchmark under noisebench's

@@ -3,6 +3,7 @@ package lsim
 import (
 	"repro/internal/linalg"
 	"repro/internal/mna"
+	"repro/internal/waveform"
 )
 
 // CoupledBus exposes the coupled-bus fixture to the external test
@@ -11,7 +12,7 @@ var CoupledBus = coupledBus
 
 // PreparedFactor returns the factor a run of sys under opt steps with.
 func PreparedFactor(sys *mna.System, opt Options) (linalg.Solver, error) {
-	s, err := prepare(sys, opt, false)
+	s, err := prepare(sys, [][]*waveform.PWL{sys.Inputs}, nil, opt, false)
 	if err != nil {
 		return nil, err
 	}

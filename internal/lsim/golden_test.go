@@ -53,7 +53,7 @@ func denseFactor(t testing.TB, sys *mna.System, h float64) linalg.Solver {
 // it; only this package can.
 func denseRun(t testing.TB, sys *mna.System, opt Options) *Result {
 	t.Helper()
-	s, err := prepare(sys, opt, false)
+	s, err := prepare(sys, [][]*waveform.PWL{sys.Inputs}, nil, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func denseRun(t testing.TB, sys *mna.System, opt Options) *Result {
 	if err := s.run(nil, never); err != nil {
 		t.Fatal(err)
 	}
-	return &Result{Times: s.times, States: &linalg.Matrix{Rows: len(s.times), Cols: s.n, Data: s.data}, sys: sys}
+	return s.results(sys)[0]
 }
 
 // maxStateDiff returns the largest difference between two runs over
@@ -105,7 +105,7 @@ func TestAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := prepare(small, Options{TStop: 1e-9, Step: 1e-12}, false)
+	s, err := prepare(small, [][]*waveform.PWL{small.Inputs}, nil, Options{TStop: 1e-9, Step: 1e-12}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = prepare(large, Options{TStop: 1e-9, Step: 2e-12}, false)
+	s, err = prepare(large, [][]*waveform.PWL{large.Inputs}, nil, Options{TStop: 1e-9, Step: 2e-12}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,36 +127,55 @@ func TestAutoSelection(t *testing.T) {
 }
 
 // TestStepperZeroAlloc asserts the inner time-stepping loop is
-// allocation-free once prepared, on both factor kinds: the scratch
-// arena and the factor own every per-step vector.
+// allocation-free once prepared, on both factor kinds, for a single
+// input set recording every node and for a group of three sets
+// recording two: the scratch arena and the factor own every per-step
+// vector.
 func TestStepperZeroAlloc(t *testing.T) {
 	sys, err := mna.Build(coupledBus(3, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet := make([]*waveform.PWL, sys.NumInputs())
+	for c := range quiet {
+		quiet[c] = waveform.Constant(0)
+	}
+	group := [][]*waveform.PWL{sys.Inputs, quiet, sys.Inputs}
 	opt := Options{TStop: 2e-9, Step: 2e-12}
-	for _, dense := range []bool{false, true} {
-		s, err := prepare(sys, opt, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dense {
-			s.f = denseFactor(t, sys, opt.Step)
-		}
-		k := 1
-		stepOnce := func() {
-			s.step(k)
-			k++
-			if k > s.steps {
-				k = 1
-				s.times, s.data = s.times[:1], s.data[:s.n]
+	for _, tc := range []struct {
+		name string
+		sets [][]*waveform.PWL
+		rec  []int
+	}{
+		{"one", [][]*waveform.PWL{sys.Inputs}, nil},
+		{"group", group, []int{0, 40}},
+	} {
+		for _, dense := range []bool{false, true} {
+			s, err := prepare(sys, tc.sets, tc.rec, opt, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := 0; i < 8; i++ {
-			stepOnce() // warm any lazily-touched state before counting
-		}
-		if allocs := testing.AllocsPerRun(200, stepOnce); allocs > 0 {
-			t.Fatalf("%T: steady-state step allocates %.1f objects/op, want 0", s.f, allocs)
+			if dense {
+				s.f = denseFactor(t, sys, opt.Step)
+			}
+			k := 1
+			stepOnce := func() {
+				s.step(k)
+				k++
+				if k > s.steps {
+					k = 1
+					s.times = s.times[:1]
+					for j := range s.data {
+						s.data[j] = s.data[j][:s.width()]
+					}
+				}
+			}
+			for i := 0; i < 8; i++ {
+				stepOnce() // warm any lazily-touched state before counting
+			}
+			if allocs := testing.AllocsPerRun(200, stepOnce); allocs > 0 {
+				t.Fatalf("%s, %T: steady-state step allocates %.1f objects/op, want 0", tc.name, s.f, allocs)
+			}
 		}
 	}
 }

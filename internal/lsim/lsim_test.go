@@ -211,7 +211,7 @@ func TestBandedPathMatchesLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{TStop: 1.5e-9, Step: 2e-12, InitDC: true}
-	if s, err := prepare(sys, opt, false); err != nil {
+	if s, err := prepare(sys, [][]*waveform.PWL{sys.Inputs}, nil, opt, false); err != nil {
 		t.Fatal(err)
 	} else if _, ok := s.f.(*linalg.BandedChol); !ok {
 		t.Fatalf("two coupled lines factored as %T, want the banded Cholesky", s.f)

@@ -173,13 +173,27 @@ func (s *System) InputAtTo(dst []float64, t float64, hints []int) {
 // DC solves the DC operating point G x = B u(t0), factoring G by
 // linalg.Factor's rule.
 func (s *System) DC(t0 float64) ([]float64, error) {
+	x := make([]float64, s.NumStates())
+	if err := s.DCCols(x, s.InputAt(t0), 1); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// DCCols solves the DC operating points G x_j = B u_j of r input
+// vectors over one factor of G: u holds entry c of u_j at c*r+j, and x
+// receives entry i of x_j at i*r+j. B applies in CSR, which keeps the
+// dense product's bits for finite inputs (linalg.Sparse.MulCols), and
+// each x_j is the solve of u_j alone.
+func (s *System) DCCols(x, u []float64, r int) error {
 	f, err := linalg.Factor(s.G)
 	if err != nil {
-		return nil, fmt.Errorf("mna: DC solve failed (floating node?): %w", err)
+		return fmt.Errorf("mna: DC solve failed (floating node?): %w", err)
 	}
-	x := make([]float64, s.NumStates())
-	f.SolveTo(x, s.B.MulVec(s.InputAt(t0)))
-	return x, nil
+	rhs := make([]float64, s.NumStates()*r)
+	linalg.FromDense(s.B).MulCols(rhs, u, r)
+	f.SolveColsTo(x, rhs, r)
+	return nil
 }
 
 // systemJSON is the persisted shape of a System: the exported state only

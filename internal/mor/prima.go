@@ -158,6 +158,22 @@ func (r *ROM) RunContext(ctx context.Context, opt lsim.Options) (*Result, error)
 	return &Result{rom: r, res: res}, nil
 }
 
+// RunGroup integrates the reduced model once for each input set, as
+// lsim.RunGroup does: sets[j] drives the model's input columns, which
+// are the full system's. It returns one result per set, from which node
+// voltages of the original network can be recovered.
+func (r *ROM) RunGroup(ctx context.Context, sets [][]*waveform.PWL, opt lsim.Options) ([]*Result, error) {
+	res, err := lsim.RunGroupContext(ctx, r.Reduced, sets, nil, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(res))
+	for j := range res {
+		out[j] = &Result{rom: r, res: res[j]}
+	}
+	return out, nil
+}
+
 // Result wraps a reduced-space simulation.
 type Result struct {
 	rom *ROM

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,6 +52,10 @@ type unit[U, R, S any] interface {
 	adopt(sum *S)
 	// finished reports whether the named unit has its real outcome.
 	finished(name string) bool
+	// refuse gives u, which a replica refused on its own, its real
+	// outcome: a failure carrying the replica's message. It returns a
+	// record for the client when the failure takes one.
+	refuse(u U, msg string) (rec R, send bool)
 }
 
 // kind is what is fixed per unit type: the replica route (its wire),
@@ -157,7 +162,11 @@ func (r *run[U, R, S]) runShard(replica string, units []U, attempt int) {
 // streamShard runs the shard's sub-request against one replica,
 // absorbing shed (503) responses with capped jittered backoff. avoid
 // reports that the reshard should go elsewhere: true after a replica
-// failure (struck) or an exhausted shed budget (saturated).
+// failure (struck) or an exhausted shed budget (saturated). A shard the
+// replica refuses as too large (413) is a size signal, not a failure:
+// its halves go to the same replica as new shards, with no strike and
+// no reshard hop spent, and a single unit still refused fails with the
+// replica's message.
 func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (leftover []U, avoid bool) {
 	body, err := r.unit.body(units)
 	if err != nil {
@@ -166,7 +175,7 @@ func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (left
 	}
 	sheds := 0
 	for {
-		outcome, retryAfter := r.streamOnce(replica, units, body, attempt)
+		outcome, retryAfter, refusal := r.streamOnce(replica, units, body, attempt)
 		switch outcome {
 		case streamDone:
 			r.g.set.clearStrikes(replica)
@@ -184,6 +193,15 @@ func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (left
 		case streamFailed:
 			r.g.set.strike(replica)
 			return units, true
+		case streamTooLarge:
+			if len(units) > 1 {
+				r.g.reg.Counter(mGwShardSplit).Inc()
+				r.spawn(replica, units[:len(units)/2], attempt)
+				r.spawn(replica, units[len(units)/2:], attempt)
+			} else {
+				r.refuse(units[0], refusal)
+			}
+			return nil, false
 		default: // streamCtxDone
 			return nil, false
 		}
@@ -220,10 +238,11 @@ func (r *run[U, R, S]) sleepShed(sheds int, retryAfter time.Duration) bool {
 type streamOutcome int
 
 const (
-	streamDone    streamOutcome = iota // summary arrived; the stream is complete
-	streamShed                         // 503/429: the replica asked us to back off
-	streamFailed                       // connect error, torn tail, or stall: strike and reshard
-	streamCtxDone                      // the run's own context died
+	streamDone     streamOutcome = iota // summary arrived; the stream is complete
+	streamShed                          // 503/429: the replica asked us to back off
+	streamFailed                        // connect error, torn tail, or stall: strike and reshard
+	streamTooLarge                      // 413: the shard exceeds the replica's request size
+	streamCtxDone                       // the run's own context died
 )
 
 // streamEvent is one parsed element of a shard stream.
@@ -234,14 +253,15 @@ type streamEvent[R, S any] struct {
 }
 
 // streamOnce opens one sub-request and consumes its stream, merging
-// records as they arrive. The watchdog turns silence into failure: any
+// records as they arrive; a 413 refusal returns the replica's message.
+// The watchdog turns silence into failure: any
 // event (records and heartbeats alike) resets the stall timer, so a
 // stream that goes quiet past its budget (see watchdog) — a SIGKILLed
 // replica whose socket lingers, a stalled response — is canceled and
 // counted. A hedgeable stream with no progress past HedgeAfter is
 // duplicated onto another replica (once) while this one keeps running;
 // paths are not hedged, since a duplicated path re-runs every stage.
-func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attempt int) (streamOutcome, time.Duration) {
+func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attempt int) (streamOutcome, time.Duration, string) {
 	subctx, subcancel := context.WithCancel(r.ctx)
 	defer subcancel()
 	shardStart := time.Now()
@@ -252,15 +272,15 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 	}
 	req, err := http.NewRequestWithContext(subctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
-		return streamFailed, 0
+		return streamFailed, 0, ""
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.g.client.Do(req)
 	if err != nil {
 		if r.ctx.Err() != nil {
-			return streamCtxDone, 0
+			return streamCtxDone, 0, ""
 		}
-		return streamFailed, 0
+		return streamFailed, 0, ""
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
@@ -268,13 +288,16 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 	case http.StatusServiceUnavailable, http.StatusTooManyRequests:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		r.g.reg.Counter(mGwShardShed).Inc()
-		return streamShed, noised.ParseRetryAfter(resp.Header.Get("Retry-After"))
+		return streamShed, noised.ParseRetryAfter(resp.Header.Get("Retry-After")), ""
+	case http.StatusRequestEntityTooLarge:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return streamTooLarge, 0, strings.TrimSpace(string(msg))
 	default:
 		// The replica rejected a request the gateway already validated —
 		// a version skew or a bug, not load. Treat it as a failure so
 		// the work moves elsewhere.
 		r.g.cfg.Logf("noisegw: replica %s answered %s on %s", replica, resp.Status, r.kind.route.Path)
-		return streamFailed, 0
+		return streamFailed, 0, ""
 	}
 	r.g.reg.Counter(mGwShardStreams).Inc()
 
@@ -300,7 +323,7 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 				// EOF without a summary, a scan error, a torn frame: the
 				// replica died mid-stream.
 				r.g.reg.Counter(mGwShardTorn).Inc()
-				return streamFailed, 0
+				return streamFailed, 0, ""
 			}
 			if !stall.Stop() {
 				select {
@@ -314,18 +337,18 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 				r.unit.adopt(ev.sum)
 				r.mu.Unlock()
 				r.g.reg.Histogram(mGwShardLatency).Observe(time.Since(shardStart))
-				return streamDone, 0
+				return streamDone, 0, ""
 			}
 			r.merge(ev.rec)
 		case <-stall.C:
 			r.g.reg.Counter(mGwShardStalled).Inc()
 			r.g.cfg.Logf("noisegw: replica %s stream stalled past %v", replica, budget)
-			return streamFailed, 0
+			return streamFailed, 0, ""
 		case <-hedgeC:
 			r.g.reg.Counter(mGwHedges).Inc()
 			r.hedgeShard(replica, units, attempt)
 		case <-r.ctx.Done():
-			return streamCtxDone, 0
+			return streamCtxDone, 0, ""
 		}
 	}
 }
@@ -404,6 +427,17 @@ func (r *run[U, R, S]) merge(rec R) {
 	select {
 	case r.sink <- rec:
 	case <-r.ctx.Done():
+	}
+}
+
+// refuse finalizes a unit a replica refused on its own with the
+// replica's message, forwarding the failure record if it takes one.
+func (r *run[U, R, S]) refuse(u U, msg string) {
+	r.mu.Lock()
+	rec, send := r.unit.refuse(u, msg)
+	r.mu.Unlock()
+	if send {
+		r.merge(rec)
 	}
 }
 

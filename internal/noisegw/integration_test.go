@@ -103,6 +103,64 @@ func TestGatewayMatchesSingleReplica(t *testing.T) {
 	}
 }
 
+// TestGatewaySplitsOversizedShards: replicas that cap a request at two
+// nets answer a larger shard with 413, a shard-size signal. The gateway
+// halves such shards onto the same replica with no strike and no
+// reshard, so every net of a 3-net and a 5-net request is answered,
+// byte-identically to one default replica.
+func TestGatewaySplitsOversizedShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real engine analysis")
+	}
+	body := realBody(t, 5)
+	resp, err := http.Post(realReplica(t).URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, gsum := readGatewayStream(t, resp.Body)
+	resp.Body.Close()
+	if gsum == nil || gsum.OK != 5 {
+		t.Fatalf("golden summary = %+v", gsum)
+	}
+
+	capped := func() string {
+		s, err := noised.New(noised.Config{Heartbeat: time.Second, MaxNets: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	g, ts := newTestGateway(t, func(cfg *Config) {
+		cfg.Replicas = []string{capped(), capped()}
+		cfg.StallTimeout = 2 * time.Minute
+	})
+	file, err := decodeFile(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 5} {
+		recs, sum := postAnalyze(t, ts.URL, casesBody(t, file.Cases[:n]))
+		if sum == nil || sum.Nets != n || sum.OK != n {
+			t.Fatalf("%d nets: gateway summary = %+v", n, sum)
+		}
+		want := canonical(t, append([]clarinet.JournalRecord(nil), golden...))
+		var wantRecs []clarinet.JournalRecord
+		if err := json.Unmarshal(want, &wantRecs); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := canonical(t, recs), canonical(t, wantRecs[:n]); !bytes.Equal(got, want) {
+			t.Fatalf("%d nets: merged records diverge from the single-replica run:\n got %s\nwant %s", n, got, want)
+		}
+	}
+	snap := g.Metrics().Snapshot()
+	if snap.Counters[mGwShardSplit] < 1 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
+		t.Fatalf("splits %d, reshards %d, ejections %d; want splits and no reshard or ejection",
+			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
+	}
+}
+
 // realPathBody generates n paths of the given stage count against the
 // default library — the exact bytes netgen -topology path would write.
 func realPathBody(t testing.TB, n, stages int) []byte {

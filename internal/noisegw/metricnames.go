@@ -3,7 +3,8 @@ package noisegw
 // Metric-name constant table (enforced by noiselint/metricflow): the
 // gw.* series in one place. Intake mirrors the noised server.* shape
 // (accepted work vs. per-class rejections); the shard counters size the
-// scatter side (streams opened, shed, torn, stalled); the replica
+// scatter side (streams opened, shed, torn, stalled, split for size);
+// the replica
 // counters track the health state machine; gw.reshards and gw.hedges
 // count the two recovery moves; the histograms carry tail latency.
 const (
@@ -29,6 +30,7 @@ const (
 	mGwShardShed    = "gw.shard.shed"
 	mGwShardTorn    = "gw.shard.torn"
 	mGwShardStalled = "gw.shard.stalled"
+	mGwShardSplit   = "gw.shard.split"
 
 	mGwReplicaEjections = "gw.replica.ejections"
 	mGwReplicaRejoins   = "gw.replica.rejoins"

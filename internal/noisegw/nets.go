@@ -97,6 +97,13 @@ func (x *netRequest) shardKey(c workload.CaseJSON) string { return bucketKey(c) 
 func (x *netRequest) adopt(*noised.Summary)               {}
 func (x *netRequest) finished(net string) bool            { return x.done[net] }
 
+// refuse renders a net a replica refused on its own as an invalid-case
+// failure with the replica's message.
+func (x *netRequest) refuse(c workload.CaseJSON, msg string) (clarinet.JournalRecord, bool) {
+	err := noiseerr.WithNet(c.Name, noiseerr.Invalidf("%s", msg))
+	return clarinet.ToWireRecord(clarinet.NetReport{Name: c.Name, Err: err}), true
+}
+
 // body serializes one shard as the workload JSON schema the replicas
 // parse.
 func (x *netRequest) body(cases []workload.CaseJSON) ([]byte, error) {

@@ -727,6 +727,41 @@ func TestGatewayNoHealthyReplicas(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusedUnitFails: a replica that refuses even one net as
+// too large (413) splits the shard down to single nets, and each one it
+// still refuses fails with the replica's message. The refusal is no
+// replica failure: no strike, no reshard, no ejection.
+func TestGatewayRefusedUnitFails(t *testing.T) {
+	a := newFakeReplica(t)
+	a.behave = func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
+		http.Error(w, "noised: request too large", http.StatusRequestEntityTooLarge)
+		return true
+	}
+	g, ts := newTestGateway(t, nil, a)
+	cases := testCases(2)
+	recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
+	requireExactlyOnce(t, recs, cases)
+	if sum == nil || sum.Failed != 2 {
+		t.Fatalf("summary = %+v, want both nets failed", sum)
+	}
+	for _, rec := range recs {
+		if rec.Class != "invalid-case" || !strings.Contains(rec.Error, "noised: request too large") {
+			t.Fatalf("record %+v: want an invalid-case failure with the replica's message", rec)
+		}
+	}
+	if a.callCount() != 3 {
+		t.Fatalf("replica called %d times, want the shard and its two halves", a.callCount())
+	}
+	snap := g.Metrics().Snapshot()
+	if snap.Counters[mGwShardSplit] != 1 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
+		t.Fatalf("splits %d, reshards %d, ejections %d; want 1, 0, 0",
+			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
+	}
+	if got := g.set.health(); len(got) != 1 || got[0].Strikes != 0 {
+		t.Fatalf("replica health %+v, want no strike", got)
+	}
+}
+
 // TestGatewayValidation: requests every replica would reject fail fast
 // at the gateway with 400/413.
 func TestGatewayValidation(t *testing.T) {

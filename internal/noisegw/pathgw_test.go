@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,6 +265,41 @@ func TestGatewayPathMerge(t *testing.T) {
 	}
 	if len(owners) != 12 {
 		t.Fatalf("%d paths assigned, want 12", len(owners))
+	}
+}
+
+// TestGatewayPathSplitsOversizedShards is the path twin of the net
+// shard split: a replica that takes one path per request answers a
+// larger shard with 413, so the gateway halves the shard onto it until
+// every path runs, and a path it refuses even alone fails with its
+// message. None of it strikes the replica or reshards.
+func TestGatewayPathSplitsOversizedShards(t *testing.T) {
+	a := newFakePathReplica(t)
+	a.behave = func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
+		if len(file.Paths) > 1 || file.Paths[0].Name == "p02" {
+			http.Error(w, "noised: stage cases exceed the per-request net limit", http.StatusRequestEntityTooLarge)
+			return true
+		}
+		return false
+	}
+	g, ts := newPathGateway(t, nil, a)
+	file := pathFile(4, 2)
+	_, sum := postAnalyzePath(t, ts.URL, pathBody(t, file))
+	if sum == nil || sum.Paths != 4 || sum.OK != 3 || sum.Failed != 1 {
+		t.Fatalf("summary %+v, want 3 paths done and p02 failed", sum)
+	}
+	for _, rep := range sum.Reports {
+		if failed := rep.Class != ""; failed != (rep.Name == "p02") {
+			t.Fatalf("report %+v", rep)
+		}
+	}
+	if rep := sum.Reports[2]; rep.Class != "invalid-case" || !strings.Contains(rep.Error, "per-request net limit") {
+		t.Fatalf("refused path report %+v: want an invalid-case failure with the replica's message", rep)
+	}
+	snap := g.Metrics().Snapshot()
+	if snap.Counters[mGwShardSplit] != 3 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
+		t.Fatalf("splits %d, reshards %d, ejections %d; want 3, 0, 0",
+			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
 	}
 }
 

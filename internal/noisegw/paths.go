@@ -107,6 +107,15 @@ func (x *pathRequest) name(p workload.PathJSON) string     { return p.Name }
 func (x *pathRequest) shardKey(p workload.PathJSON) string { return pathKey(p) }
 func (x *pathRequest) finished(path string) bool           { return x.reports[path] != nil }
 
+// refuse reports a path a replica refused on its own as an
+// invalid-case failure with the replica's message.
+func (x *pathRequest) refuse(p workload.PathJSON, msg string) (pathnoise.StageRecord, bool) {
+	if x.reports[p.Name] == nil {
+		x.reports[p.Name] = &pathnoise.PathReport{Name: p.Name, Class: noiseerr.ClassName(noiseerr.ErrInvalidCase), Error: msg}
+	}
+	return pathnoise.StageRecord{}, false
+}
+
 func (x *pathRequest) body(paths []workload.PathJSON) ([]byte, error) {
 	return pathShardBody(x.file.Technology, paths, x.caseByName)
 }

@@ -15,8 +15,9 @@ import (
 //
 // Two chains cross each stage boundary. The quiet chain carries the
 // noiseless receiver output; the noisy chain carries the noisy receiver
-// output (delaynoise.Result.NoisyRecvOut — the alignment-objective
-// waveform itself, reused bit-identically rather than re-simulated).
+// output, the receiver run of delaynoise.Result.NoisyRecvIn. That is
+// the run whose crossing the analysis reports; the analysis stops it at
+// its settled tail, so the scheduler simulates it whole.
 // At the boundary the downstream victim's input ramp is *derived* from
 // the chain's waveform: its slew is measured from the 20-80% interval
 // of the handed-off edge (rescaled to the full-swing ramp the driver

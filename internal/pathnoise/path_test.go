@@ -33,13 +33,14 @@ func pathTool(t testing.TB, lib *device.Library, workers int) *clarinet.Tool {
 	})
 }
 
-// TestGoldenHandoffReuse is the reuse guarantee the whole subsystem
+// TestGoldenHandoffReuse is the handoff guarantee the whole subsystem
 // rests on: the noisy waveform a stage hands to its successor is the
-// alignment-objective waveform delaynoise computed — the same slice
-// contents, bit for bit — not a re-simulation or an approximation of
-// it. Stage 0 runs on the workload's nominal case, so an independent
-// per-net analysis of that exact case must reproduce the journaled
-// stage-0 series exactly.
+// receiver output of the noisy input whose crossing delaynoise reported
+// — the same samples, bit for bit — and the quiet one is the receiver
+// output of the noiseless input. Stage 0 runs on the workload's nominal
+// case, so the receiver runs of an independent per-net analysis of that
+// exact case must reproduce the journaled stage-0 series exactly, and
+// the noisy run's crossing must be the reported one.
 func TestGoldenHandoffReuse(t *testing.T) {
 	paths, lib := pathPopulation(t, 1, 2, 7)
 	tool := pathTool(t, lib, 2)
@@ -65,7 +66,14 @@ func TestGoldenHandoffReuse(t *testing.T) {
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
-	want := rep.Res.NoisyRecvOut
+	obj := paths[0].Stages[0].Case.Objective(context.Background(), nil)
+	want, err := obj.Output(rep.Res.NoisyRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cross, err := obj.Cross(want); err != nil || cross != rep.Res.NoisyOutCross {
+		t.Fatalf("full noisy run crosses at %g (%v), the analysis reported %g", cross, err, rep.Res.NoisyOutCross)
+	}
 	if len(s0.NoisyOutT) != len(want.T) {
 		t.Fatalf("stage-0 noisy series has %d points, per-net analysis %d", len(s0.NoisyOutT), len(want.T))
 	}
@@ -78,7 +86,13 @@ func TestGoldenHandoffReuse(t *testing.T) {
 	if s0.Result.NoisyCross != rep.Res.NoisyOutCross {
 		t.Fatalf("noisy crossing %g != alignment objective's %g", s0.Result.NoisyCross, rep.Res.NoisyOutCross)
 	}
-	quiet := rep.Res.QuietRecvOut
+	quiet, err := obj.Output(rep.Res.NoiselessRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s0.QuietOutT) != len(quiet.T) {
+		t.Fatalf("stage-0 quiet series has %d points, per-net analysis %d", len(s0.QuietOutT), len(quiet.T))
+	}
 	for i := range quiet.T {
 		if s0.QuietOutT[i] != quiet.T[i] || s0.QuietOutV[i] != quiet.V[i] {
 			t.Fatalf("quiet handoff diverges at %d", i)

@@ -3,6 +3,7 @@ package pathnoise
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -310,6 +311,13 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	if nrep.Err != nil {
 		return StageRecord{}, nrep.Err
 	}
+	// The noisy handoff is the receiver output of the analysis's noisy
+	// report run, simulated whole here: the analysis reads only its
+	// crossing.
+	noisyOut, err := nc.Objective(ps.ctx, m).Output(nrep.Res.NoisyRecvIn)
+	if err != nil {
+		return StageRecord{}, noiseerr.WithNet(st.Net, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("pathnoise: noisy handoff: %w", err)))
+	}
 	m.Observe(mStageAnalyze, time.Since(start))
 	m.Counter(mStagesRun).Inc()
 
@@ -341,8 +349,8 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 
 		QuietOutT: qrep.Res.QuietRecvOut.T,
 		QuietOutV: qrep.Res.QuietRecvOut.V,
-		NoisyOutT: nrep.Res.NoisyRecvOut.T,
-		NoisyOutV: nrep.Res.NoisyRecvOut.V,
+		NoisyOutT: noisyOut.T,
+		NoisyOutV: noisyOut.V,
 	}
 	if rec.Final && (ps.iter+1 >= r.opt.MaxIterations ||
 		(ps.hasPrev && math.Abs(res.NoisyArr-ps.prevFinalArr) <= r.opt.Tol)) {
@@ -352,7 +360,7 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	ps.quality = worseQuality(ps.quality, nrep.Quality)
 	rising := ps.path.StageRising(ps.stage)
 	ps.quiet = Handoff{Wave: qrep.Res.QuietRecvOut, Rising: rising, Cross: qrep.Res.QuietOutCross, Shift: qshift}
-	ps.noisy = Handoff{Wave: nrep.Res.NoisyRecvOut, Rising: rising, Cross: nrep.Res.NoisyOutCross, Shift: nshift}
+	ps.noisy = Handoff{Wave: noisyOut, Rising: rising, Cross: nrep.Res.NoisyOutCross, Shift: nshift}
 
 	if err := r.opt.Journal.Record(rec); err != nil {
 		return StageRecord{}, noiseerr.Reclass(noiseerr.ErrInternal, err)
