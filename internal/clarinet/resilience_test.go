@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -509,6 +510,79 @@ func TestSolverRescueEndToEnd(t *testing.T) {
 	}
 	if got := m.Counter("rescue.homotopy").Value(); got != 1 {
 		t.Fatalf("rescue.homotopy = %d, want 1", got)
+	}
+}
+
+// TestStageHandoffClimbsLadder: a path stage's noisy handoff run is part
+// of the stage's attempt. The analysis itself runs outside the net's
+// name here, so the injected solver faults hit only the handoff run,
+// which must run under the net's context and deadline. Without a ladder
+// the stage fails to converge in the report stage; with one, the
+// homotopy rung heals it, the report is rescued, and the handoff is the
+// rung's whole noisy receiver output, crossing where the analysis
+// reported.
+func TestStageHandoffClimbsLadder(t *testing.T) {
+	names, cases, lib := population(t, 1)
+	stubAnalyze(t, func(_ context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
+		return delaynoise.AnalyzeContext(context.Background(), c, opt)
+	})
+	plan := faultinject.New(13, faultinject.Config{})
+	plan.Assign(names[0], faultinject.KindSolverConvergence)
+	inject := plan.SolverCheckpoint()
+	var named, deadlined atomic.Int64
+	restore := nlsim.SetCheckpointHook(func(ctx context.Context, at float64) error {
+		if resilience.NetName(ctx) == names[0] {
+			named.Add(1)
+			if _, ok := ctx.Deadline(); ok {
+				deadlined.Add(1)
+			}
+		}
+		return inject(ctx, at)
+	})
+	defer restore()
+
+	base := Config{
+		Hold:       delaynoise.HoldTransient,
+		Align:      delaynoise.AlignReceiverInput,
+		Workers:    1,
+		Resilience: resilience.Policy{NetTimeout: time.Hour},
+	}
+	r, out := MustNew(lib, base).AnalyzeStage(context.Background(), names[0], cases[0], nil)
+	var se *noiseerr.StageError
+	if !errors.Is(r.Err, noiseerr.ErrConvergence) || !errors.As(r.Err, &se) || se.Stage != noiseerr.StageReport || out != nil {
+		t.Fatalf("unrescued stage: err = %v, handoff returned %t; want a report-stage convergence failure and no handoff", r.Err, out != nil)
+	}
+
+	rescued := base
+	rescued.Resilience.DCHomotopy = true
+	tool := MustNew(lib, rescued)
+	r, out = tool.AnalyzeStage(context.Background(), names[0], cases[0], nil)
+	if r.Err != nil {
+		t.Fatalf("rescued stage failed: %v", r.Err)
+	}
+	if r.Quality != resilience.QualityRescued || tool.Metrics().Counter("rescue.homotopy").Value() != 1 {
+		t.Fatalf("quality %v, rescue.homotopy %d; want rescued by the homotopy rung",
+			r.Quality, tool.Metrics().Counter("rescue.homotopy").Value())
+	}
+	if n := named.Load(); n == 0 || deadlined.Load() != n {
+		t.Fatalf("%d of %d handoff checkpoints carried the net's deadline", deadlined.Load(), n)
+	}
+	rung := resilience.WithSolverRescue(resilience.WithNet(context.Background(), names[0]), rescued.Resilience.Ladder()[0].Solver)
+	obj := cases[0].Objective(rung, nil)
+	want, err := obj.Output(r.Res.NoisyRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == nil || len(out.T) != len(want.T) {
+		t.Fatalf("handoff returned %t, want the rung's %d-point noisy output", out != nil, len(want.T))
+	}
+	for i := range want.T {
+		if out.T[i] != want.T[i] || out.V[i] != want.V[i] {
+			t.Fatalf("handoff diverges from the rung's noisy output at %d", i)
+		}
+	}
+	if cross, err := obj.Cross(out); err != nil || cross != r.Res.NoisyOutCross {
+		t.Fatalf("handoff crosses at %g (%v), the analysis reported %g", cross, err, r.Res.NoisyOutCross)
 	}
 }
 

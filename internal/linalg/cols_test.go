@@ -54,9 +54,8 @@ func randomColumns(rng *rand.Rand, n, r int) [][]float64 {
 	return cols
 }
 
-// TestSolveColsMatchesSolveTo holds every width of SolveColsTo, the
-// register-blocked ones and the general loop, on both factor kinds to
-// SolveTo column by column, bit for bit.
+// TestSolveColsMatchesSolveTo holds every width of SolveColsTo, on both
+// factor kinds, to SolveTo column by column, bit for bit.
 func TestSolveColsMatchesSolveTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	_, ladder := ladderSPD(40)

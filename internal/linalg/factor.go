@@ -8,8 +8,9 @@ type Solver interface {
 	SolveTo(dst, b []float64)
 	// SolveColsTo solves A*X = B for r >= 1 right-hand sides stored
 	// interleaved, entry i of column j at index i*r+j, into dst without
-	// allocating. Each column gets SolveTo's operations in SolveTo's
-	// order, so it returns SolveTo's bits for that column alone.
+	// allocating. dst must not alias or overlap b. Each column gets
+	// SolveTo's operations in SolveTo's order, so it returns SolveTo's
+	// bits for that column alone.
 	SolveColsTo(dst, b []float64, r int)
 }
 

@@ -239,12 +239,10 @@ func (c *CompactLU) SolveTo(dst, b []float64) {
 
 // SolveColsTo solves A*X = B for r right-hand sides stored interleaved
 // (entry i of column j at i*r+j) into dst without allocating; dst must
-// not alias b. One column is SolveTo itself. Wider blocks walk the
-// factor once, each stored entry updating every column in turn with
-// SolveTo's operations in SolveTo's order, so every column gets
-// SolveTo's bits under the same conditions. Blocks of two to four
-// columns, the superposition groups of a net, keep their partial sums
-// in registers.
+// not alias or overlap b. One column is SolveTo itself. Wider blocks
+// take one pass down the factor, each row solved for every column in
+// turn with SolveTo's operations in SolveTo's order, so every column
+// gets SolveTo's bits under the same conditions.
 //
 //lint:hot
 func (c *CompactLU) SolveColsTo(dst, b []float64, r int) {
@@ -261,20 +259,13 @@ func (c *CompactLU) SolveColsTo(dst, b []float64, r int) {
 	for i, p := range c.piv {
 		copy(dst[i*r:i*r+r], b[p*r:p*r+r])
 	}
-	switch r {
-	case 2:
-		c.subst2(dst)
-	case 3:
-		c.subst3(dst)
-	case 4:
-		c.subst4(dst)
-	default:
-		c.substCols(dst, r)
-	}
+	c.substCols(dst, r)
 }
 
 // substCols runs the forward and back substitutions of SolveColsTo on
-// r permuted columns.
+// r permuted columns. Each row's stored entries are walked once per
+// column, so every column's partial sum stays in one register and takes
+// SolveTo's operations in SolveTo's order.
 //
 //lint:hot
 func (c *CompactLU) substCols(x []float64, r int) {
@@ -282,141 +273,25 @@ func (c *CompactLU) substCols(x []float64, r int) {
 		vals := c.lVal[c.lPtr[i]:c.lPtr[i+1]]
 		idx := c.lIdx[c.lPtr[i]:c.lPtr[i+1]]
 		idx = idx[:len(vals)]
-		xi := x[i*r : i*r+r]
-		for k, m := range vals {
-			xk := x[idx[k]*r:]
-			xk = xk[:len(xi)]
-			for j := range xi {
-				xi[j] -= m * xk[j]
+		for j := 0; j < r; j++ {
+			s := x[i*r+j]
+			for k, m := range vals {
+				s -= m * x[idx[k]*r+j]
 			}
+			x[i*r+j] = s
 		}
 	}
 	for i := c.n - 1; i >= 0; i-- {
 		vals := c.uVal[c.uPtr[i]:c.uPtr[i+1]]
 		idx := c.uIdx[c.uPtr[i]:c.uPtr[i+1]]
 		idx = idx[:len(vals)]
-		xi := x[i*r : i*r+r]
-		for k, u := range vals {
-			xk := x[idx[k]*r:]
-			xk = xk[:len(xi)]
-			for j := range xi {
-				xi[j] -= u * xk[j]
+		d := c.diag[i]
+		for j := 0; j < r; j++ {
+			s := x[i*r+j]
+			for k, u := range vals {
+				s -= u * x[idx[k]*r+j]
 			}
+			x[i*r+j] = s / d
 		}
-		d := c.diag[i]
-		for j := range xi {
-			xi[j] /= d
-		}
-	}
-}
-
-// subst2 is substCols on two columns.
-//
-//lint:hot
-func (c *CompactLU) subst2(x []float64) {
-	for i := 1; i < c.n; i++ {
-		vals := c.lVal[c.lPtr[i]:c.lPtr[i+1]]
-		idx := c.lIdx[c.lPtr[i]:c.lPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[2*i : 2*i+2 : 2*i+2]
-		s0, s1 := xi[0], xi[1]
-		for k, m := range vals {
-			q := 2 * idx[k]
-			xk := x[q : q+2 : q+2]
-			s0 -= m * xk[0]
-			s1 -= m * xk[1]
-		}
-		xi[0], xi[1] = s0, s1
-	}
-	for i := c.n - 1; i >= 0; i-- {
-		vals := c.uVal[c.uPtr[i]:c.uPtr[i+1]]
-		idx := c.uIdx[c.uPtr[i]:c.uPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[2*i : 2*i+2 : 2*i+2]
-		s0, s1 := xi[0], xi[1]
-		for k, u := range vals {
-			q := 2 * idx[k]
-			xk := x[q : q+2 : q+2]
-			s0 -= u * xk[0]
-			s1 -= u * xk[1]
-		}
-		d := c.diag[i]
-		xi[0], xi[1] = s0/d, s1/d
-	}
-}
-
-// subst3 is substCols on three columns.
-//
-//lint:hot
-func (c *CompactLU) subst3(x []float64) {
-	for i := 1; i < c.n; i++ {
-		vals := c.lVal[c.lPtr[i]:c.lPtr[i+1]]
-		idx := c.lIdx[c.lPtr[i]:c.lPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[3*i : 3*i+3 : 3*i+3]
-		s0, s1, s2 := xi[0], xi[1], xi[2]
-		for k, m := range vals {
-			q := 3 * idx[k]
-			xk := x[q : q+3 : q+3]
-			s0 -= m * xk[0]
-			s1 -= m * xk[1]
-			s2 -= m * xk[2]
-		}
-		xi[0], xi[1], xi[2] = s0, s1, s2
-	}
-	for i := c.n - 1; i >= 0; i-- {
-		vals := c.uVal[c.uPtr[i]:c.uPtr[i+1]]
-		idx := c.uIdx[c.uPtr[i]:c.uPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[3*i : 3*i+3 : 3*i+3]
-		s0, s1, s2 := xi[0], xi[1], xi[2]
-		for k, u := range vals {
-			q := 3 * idx[k]
-			xk := x[q : q+3 : q+3]
-			s0 -= u * xk[0]
-			s1 -= u * xk[1]
-			s2 -= u * xk[2]
-		}
-		d := c.diag[i]
-		xi[0], xi[1], xi[2] = s0/d, s1/d, s2/d
-	}
-}
-
-// subst4 is substCols on four columns.
-//
-//lint:hot
-func (c *CompactLU) subst4(x []float64) {
-	for i := 1; i < c.n; i++ {
-		vals := c.lVal[c.lPtr[i]:c.lPtr[i+1]]
-		idx := c.lIdx[c.lPtr[i]:c.lPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[4*i : 4*i+4 : 4*i+4]
-		s0, s1, s2, s3 := xi[0], xi[1], xi[2], xi[3]
-		for k, m := range vals {
-			q := 4 * idx[k]
-			xk := x[q : q+4 : q+4]
-			s0 -= m * xk[0]
-			s1 -= m * xk[1]
-			s2 -= m * xk[2]
-			s3 -= m * xk[3]
-		}
-		xi[0], xi[1], xi[2], xi[3] = s0, s1, s2, s3
-	}
-	for i := c.n - 1; i >= 0; i-- {
-		vals := c.uVal[c.uPtr[i]:c.uPtr[i+1]]
-		idx := c.uIdx[c.uPtr[i]:c.uPtr[i+1]]
-		idx = idx[:len(vals)]
-		xi := x[4*i : 4*i+4 : 4*i+4]
-		s0, s1, s2, s3 := xi[0], xi[1], xi[2], xi[3]
-		for k, u := range vals {
-			q := 4 * idx[k]
-			xk := x[q : q+4 : q+4]
-			s0 -= u * xk[0]
-			s1 -= u * xk[1]
-			s2 -= u * xk[2]
-			s3 -= u * xk[3]
-		}
-		d := c.diag[i]
-		xi[0], xi[1], xi[2], xi[3] = s0/d, s1/d, s2/d, s3/d
 	}
 }

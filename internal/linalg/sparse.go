@@ -90,7 +90,7 @@ func (s *Sparse) MulVec(x, y []float64) {
 // column gets MulVec's bits. A dense product over the same matrix gets
 // them too when X is finite: its skipped 0*x terms are ±0, and adding
 // ±0 leaves a sum that started at +0 unchanged, since such a sum is
-// never -0. Blocks of two to four columns keep their sums in registers.
+// never -0.
 //
 //lint:hot
 func (s *Sparse) MulCols(y, x []float64, k int) {
@@ -101,82 +101,17 @@ func (s *Sparse) MulCols(y, x []float64, k int) {
 	if k < 1 || len(x) != s.cols*k || len(y) != s.N*k {
 		panic(fmt.Sprintf("linalg: sparse product of %d columns: lengths x=%d y=%d, want %d and %d", k, len(x), len(y), s.cols*k, s.N*k))
 	}
-	switch k {
-	case 2:
-		s.mul2(y, x)
-	case 3:
-		s.mul3(y, x)
-	case 4:
-		s.mul4(y, x)
-	default:
-		for r := 0; r < s.N; r++ {
-			yr := y[r*k : r*k+k]
-			for j := range yr {
-				yr[j] = 0
+	for r := 0; r < s.N; r++ {
+		vals := s.values[s.rowPtr[r]:s.rowPtr[r+1]]
+		cols := s.colIdx[s.rowPtr[r]:s.rowPtr[r+1]]
+		cols = cols[:len(vals)]
+		for j := 0; j < k; j++ {
+			sum := 0.0
+			for i, v := range vals {
+				sum += v * x[cols[i]*k+j]
 			}
-			for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
-				v := s.values[i]
-				xc := x[s.colIdx[i]*k:]
-				xc = xc[:len(yr)]
-				for j := range yr {
-					yr[j] += v * xc[j]
-				}
-			}
+			y[r*k+j] = sum
 		}
-	}
-}
-
-// mul2 is MulCols on two columns.
-//
-//lint:hot
-func (s *Sparse) mul2(y, x []float64) {
-	for r := 0; r < s.N; r++ {
-		s0, s1 := 0.0, 0.0
-		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
-			v, q := s.values[i], 2*s.colIdx[i]
-			xc := x[q : q+2 : q+2]
-			s0 += v * xc[0]
-			s1 += v * xc[1]
-		}
-		yr := y[2*r : 2*r+2 : 2*r+2]
-		yr[0], yr[1] = s0, s1
-	}
-}
-
-// mul3 is MulCols on three columns.
-//
-//lint:hot
-func (s *Sparse) mul3(y, x []float64) {
-	for r := 0; r < s.N; r++ {
-		s0, s1, s2 := 0.0, 0.0, 0.0
-		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
-			v, q := s.values[i], 3*s.colIdx[i]
-			xc := x[q : q+3 : q+3]
-			s0 += v * xc[0]
-			s1 += v * xc[1]
-			s2 += v * xc[2]
-		}
-		yr := y[3*r : 3*r+3 : 3*r+3]
-		yr[0], yr[1], yr[2] = s0, s1, s2
-	}
-}
-
-// mul4 is MulCols on four columns.
-//
-//lint:hot
-func (s *Sparse) mul4(y, x []float64) {
-	for r := 0; r < s.N; r++ {
-		s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
-		for i := s.rowPtr[r]; i < s.rowPtr[r+1]; i++ {
-			v, q := s.values[i], 4*s.colIdx[i]
-			xc := x[q : q+4 : q+4]
-			s0 += v * xc[0]
-			s1 += v * xc[1]
-			s2 += v * xc[2]
-			s3 += v * xc[3]
-		}
-		yr := y[4*r : 4*r+4 : 4*r+4]
-		yr[0], yr[1], yr[2], yr[3] = s0, s1, s2, s3
 	}
 }
 

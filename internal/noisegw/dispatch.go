@@ -165,8 +165,10 @@ func (r *run[U, R, S]) runShard(replica string, units []U, attempt int) {
 // failure (struck) or an exhausted shed budget (saturated). A shard the
 // replica refuses as too large (413) is a size signal, not a failure:
 // its halves go to the same replica as new shards, with no strike and
-// no reshard hop spent, and a single unit still refused fails with the
-// replica's message.
+// no reshard hop spent. A single unit still refused may fit another
+// replica's limits, so it reshards elsewhere, again with no strike; it
+// fails with the replica's message once no other healthy replica is
+// left or its hops are spent.
 func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (leftover []U, avoid bool) {
 	body, err := r.unit.body(units)
 	if err != nil {
@@ -194,11 +196,14 @@ func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (left
 			r.g.set.strike(replica)
 			return units, true
 		case streamTooLarge:
-			if len(units) > 1 {
+			switch {
+			case len(units) > 1:
 				r.g.reg.Counter(mGwShardSplit).Inc()
 				r.spawn(replica, units[:len(units)/2], attempt)
 				r.spawn(replica, units[len(units)/2:], attempt)
-			} else {
+			case attempt < r.g.cfg.MaxReshards && len(r.g.set.healthyExcept(replica)) > 0:
+				return units, true
+			default:
 				r.refuse(units[0], refusal)
 			}
 			return nil, false

@@ -762,6 +762,60 @@ func TestGatewayRefusedUnitFails(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusedUnitMovesReplica: replicas may differ in their
+// limits. A net one replica refuses even alone reshards to another that
+// takes it, with no strike and no ejection; a net every replica refuses
+// fails with a replica's message once its reshard hops are spent.
+func TestGatewayRefusedUnitMovesReplica(t *testing.T) {
+	refuseAll := func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
+		http.Error(w, "noised: request too large", http.StatusRequestEntityTooLarge)
+		return true
+	}
+	t.Run("another replica takes it", func(t *testing.T) {
+		small, big := newFakeReplica(t), newFakeReplica(t)
+		small.behave = refuseAll
+		g, ts := newTestGateway(t, nil, small, big)
+		cases := testCases(6)
+		recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
+		requireExactlyOnce(t, recs, cases)
+		if sum == nil || sum.OK != len(cases) {
+			t.Fatalf("summary = %+v, want every net answered", sum)
+		}
+		if small.callCount() == 0 || len(big.netsAsked()) != len(cases) {
+			t.Fatalf("refusing replica called %d times, the other asked %d of %d nets",
+				small.callCount(), len(big.netsAsked()), len(cases))
+		}
+		snap := g.Metrics().Snapshot()
+		if snap.Counters[mGwReshards] < 1 || snap.Counters[mGwReplicaEjections] != 0 {
+			t.Fatalf("reshards %d, ejections %d; want a reshard and no ejection",
+				snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
+		}
+		for _, h := range g.set.health() {
+			if h.Strikes != 0 {
+				t.Fatalf("replica health %+v, want no strike", h)
+			}
+		}
+	})
+	t.Run("every replica refuses", func(t *testing.T) {
+		a, b := newFakeReplica(t), newFakeReplica(t)
+		a.behave, b.behave = refuseAll, refuseAll
+		g, ts := newTestGateway(t, func(cfg *Config) { cfg.MaxReshards = 2 }, a, b)
+		cases := testCases(1)
+		recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
+		requireExactlyOnce(t, recs, cases)
+		if sum == nil || sum.Failed != 1 || recs[0].Class != "invalid-case" || !strings.Contains(recs[0].Error, "noised: request too large") {
+			t.Fatalf("summary %+v, records %+v: want an invalid-case failure with the replica's message", sum, recs)
+		}
+		if calls := a.callCount() + b.callCount(); calls != 3 {
+			t.Fatalf("replicas called %d times, want the first try and its two hops", calls)
+		}
+		if snap := g.Metrics().Snapshot(); snap.Counters[mGwReshards] != 2 || snap.Counters[mGwReplicaEjections] != 0 {
+			t.Fatalf("reshards %d, ejections %d; want 2 and 0",
+				snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
+		}
+	})
+}
+
 // TestGatewayValidation: requests every replica would reject fail fast
 // at the gateway with 400/413.
 func TestGatewayValidation(t *testing.T) {

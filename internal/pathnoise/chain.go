@@ -17,7 +17,8 @@ import (
 // noiseless receiver output; the noisy chain carries the noisy receiver
 // output, the receiver run of delaynoise.Result.NoisyRecvIn. That is
 // the run whose crossing the analysis reports; the analysis stops it at
-// its settled tail, so the scheduler simulates it whole.
+// its settled tail, so clarinet.Tool.AnalyzeStage simulates it whole
+// within the stage's analysis.
 // At the boundary the downstream victim's input ramp is *derived* from
 // the chain's waveform: its slew is measured from the 20-80% interval
 // of the handed-off edge (rescaled to the full-swing ramp the driver

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clarinet"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
+	"repro/internal/nlsim"
 	"repro/internal/pathnoise"
+	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
@@ -97,6 +101,39 @@ func TestGoldenHandoffReuse(t *testing.T) {
 		if s0.QuietOutT[i] != quiet.T[i] || s0.QuietOutV[i] != quiet.V[i] {
 			t.Fatalf("quiet handoff diverges at %d", i)
 		}
+	}
+}
+
+// TestStageSolvesRunUnderNetContext: every nonlinear solve of a path
+// run, the noisy handoff included, runs inside its stage's per-net
+// context, so it carries the net's name (the key of solver fault
+// injection and rescue) and the net's deadline.
+func TestStageSolvesRunUnderNetContext(t *testing.T) {
+	paths, lib := pathPopulation(t, 1, 2, 7)
+	var solves, stray atomic.Int64
+	restore := nlsim.SetCheckpointHook(func(ctx context.Context, _ float64) error {
+		solves.Add(1)
+		if _, ok := ctx.Deadline(); !ok || resilience.NetName(ctx) == "" {
+			stray.Add(1)
+		}
+		return nil
+	})
+	defer restore()
+	tool := clarinet.MustNew(lib, clarinet.Config{
+		Hold:       delaynoise.HoldTransient,
+		Align:      delaynoise.AlignReceiverInput,
+		Workers:    2,
+		Resilience: resilience.Policy{NetTimeout: time.Hour},
+	})
+	reports, err := pathnoise.Run(context.Background(), tool, paths, pathnoise.Options{MaxIterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Failed() {
+		t.Fatalf("reports %+v", reports)
+	}
+	if solves.Load() == 0 || stray.Load() != 0 {
+		t.Fatalf("%d of %d solver checkpoints ran outside a stage's net context", stray.Load(), solves.Load())
 	}
 }
 

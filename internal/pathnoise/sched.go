@@ -3,7 +3,6 @@ package pathnoise
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -307,16 +306,9 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	if ps.iter > 0 {
 		win = stageWindow(nc, noisyArrIn-quietArrIn)
 	}
-	nrep := r.tool.AnalyzeNetWindow(ps.ctx, st.Net, nc, win)
+	nrep, noisyOut := r.tool.AnalyzeStage(ps.ctx, st.Net, nc, win)
 	if nrep.Err != nil {
 		return StageRecord{}, nrep.Err
-	}
-	// The noisy handoff is the receiver output of the analysis's noisy
-	// report run, simulated whole here: the analysis reads only its
-	// crossing.
-	noisyOut, err := nc.Objective(ps.ctx, m).Output(nrep.Res.NoisyRecvIn)
-	if err != nil {
-		return StageRecord{}, noiseerr.WithNet(st.Net, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("pathnoise: noisy handoff: %w", err)))
 	}
 	m.Observe(mStageAnalyze, time.Since(start))
 	m.Counter(mStagesRun).Inc()
