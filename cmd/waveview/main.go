@@ -7,7 +7,10 @@
 // fabric instead: the receiver-output waveform of every stage of the
 // path, quiet chain and noisy chain overlaid per stage, all shifted
 // into the path-absolute time frame so the panels line up on one axis
-// and the accumulating arrival skew is visible directly.
+// and the accumulating arrival skew is visible directly. A stage's
+// series end where the settled-tail certificate stopped its receiver
+// run, with the output within 2% of Vdd of its final value; each curve
+// holds flat after that point.
 //
 // Usage:
 //

@@ -25,10 +25,11 @@ type Objective struct {
 	// cell's polarity.
 	VictimRising bool
 	// Sims, when non-nil, is incremented once per nonlinear receiver
-	// simulation, by Output and by OutputCross (every exhaustive-search
-	// grid point and delay evaluation funnels through OutputCross).
+	// simulation, by Output and by OutputSettled (every exhaustive-search
+	// grid point and delay evaluation funnels through it by way of
+	// OutputCross).
 	Sims *metrics.Counter
-	// Settled, when non-nil, is incremented once per OutputCross
+	// Settled, when non-nil, is incremented once per OutputSettled
 	// simulation that the settled-tail certificate ended before its
 	// horizon (see gatesim.ReceiveSettled).
 	Settled *metrics.Counter
@@ -52,19 +53,33 @@ func (o Objective) Output(in *waveform.PWL) (*waveform.PWL, error) {
 	return gatesim.Receive(o.Receiver, in, o.Load, gatesim.Options{Ctx: o.Ctx})
 }
 
-// OutputCross simulates the receiver with input waveform in and returns
-// the time of the final 50% crossing of the output transition. It reads
-// only that crossing, so the simulation stops at a certified settled
-// tail (gatesim.ReceiveSettled); the crossing, or the error when there
-// is none, is the full run's.
-func (o Objective) OutputCross(in *waveform.PWL) (float64, error) {
+// OutputSettled simulates the receiver with input waveform in and
+// returns the receiver output waveform up to a certified settled tail
+// (gatesim.ReceiveSettled): the full run's first rows, holding every
+// crossing of Vdd/2 and the first crossings of the 20% and 80% levels
+// the full run has. A caller that reads only those crossings (the
+// output's last 50% crossing, a path handoff's arrival and 20-80% slew)
+// gets the full run's bits, or its error.
+func (o Objective) OutputSettled(in *waveform.PWL) (*waveform.PWL, error) {
 	o.Sims.Inc()
 	out, stopped, err := gatesim.ReceiveSettled(o.Receiver, in, o.Load, gatesim.Options{Ctx: o.Ctx})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if stopped {
 		o.Settled.Inc()
+	}
+	return out, nil
+}
+
+// OutputCross simulates the receiver with input waveform in and returns
+// the time of the final 50% crossing of the output transition: the
+// Cross of OutputSettled's run, which is the full run's crossing, or
+// the full run's error when there is none.
+func (o Objective) OutputCross(in *waveform.PWL) (float64, error) {
+	out, err := o.OutputSettled(in)
+	if err != nil {
+		return 0, err
 	}
 	return o.Cross(out)
 }

@@ -3,7 +3,6 @@ package clarinet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/funcnoise"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
-	"repro/internal/waveform"
 )
 
 // analyze and analyzeFunc are seams for tests that need to observe or
@@ -43,48 +41,25 @@ var (
 // killed. In a batch, a copy that reuses another name's report counts
 // as analyzed too (see reuse).
 func (t *Tool) AnalyzeNet(ctx context.Context, name string, c *delaynoise.Case) NetReport {
-	return t.analyzeNet(ctx, name, c, nil, analyze)
+	return t.analyzeNet(ctx, name, c, nil)
 }
 
 // AnalyzeStage runs one stage of a path: AnalyzeNet with a
 // switching-window constraint on the aggressor alignment (when win is
 // non-nil the composite pulse peak is clamped to it,
-// delaynoise.Options.Window), plus the stage's noisy handoff. That is
-// the whole receiver output of the analysis's noisy report run
-// (delaynoise.Result.NoisyRecvIn), which the analysis stops at its
-// crossing. The handoff run is part of the attempt: it runs under the
-// net's deadline and the solver aids of the rescue rung that produced
-// the report, counts in the report stage's timer, and a convergence
-// failure in it climbs the ladder like any other. Path-level analysis
-// uses this to thread the sta-style window/noise fixpoint through the
-// pool. The handoff is nil when the report carries an error.
-func (t *Tool) AnalyzeStage(ctx context.Context, name string, c *delaynoise.Case, win *delaynoise.Window) (NetReport, *waveform.PWL) {
-	var noisyOut *waveform.PWL
-	rep := t.analyzeNet(ctx, name, c, win, func(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
-		res, err := analyze(ctx, c, opt)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		out, err := c.Objective(ctx, opt.Metrics).Output(res.NoisyRecvIn)
-		opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(start))
-		if err != nil {
-			return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("clarinet: noisy handoff: %w", err))
-		}
-		noisyOut = out
-		return res, nil
-	})
-	return rep, noisyOut
+// delaynoise.Options.Window). The stage's noisy handoff is the report's
+// Res.NoisyRecvOut, the analysis's own noisy report run, so it comes
+// from the attempt that produced the report: under the net's deadline
+// and the solver aids of its rescue rung. Path-level analysis uses this
+// to thread the sta-style window/noise fixpoint through the pool.
+func (t *Tool) AnalyzeStage(ctx context.Context, name string, c *delaynoise.Case, win *delaynoise.Window) NetReport {
+	return t.analyzeNet(ctx, name, c, win)
 }
 
-// attemptFunc is one attempt at a net: the analyze seam, or the seam
-// plus AnalyzeStage's handoff run.
-type attemptFunc func(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error)
-
-// analyzeNet runs AnalyzeNet's per-net flow with run as each attempt:
-// the first under the net's context, and each rescue rung's under that
-// context with the rung's aids armed.
-func (t *Tool) analyzeNet(ctx context.Context, name string, c *delaynoise.Case, win *delaynoise.Window, run attemptFunc) NetReport {
+// analyzeNet runs AnalyzeNet's per-net flow: the first attempt under
+// the net's context, and each rescue rung's under that context with the
+// rung's aids armed.
+func (t *Tool) analyzeNet(ctx context.Context, name string, c *delaynoise.Case, win *delaynoise.Window) NetReport {
 	m := t.session.Metrics()
 	if err := ctx.Err(); err != nil {
 		m.Counter(mNetsCanceled).Inc()
@@ -115,10 +90,10 @@ func (t *Tool) analyzeNet(ctx context.Context, name string, c *delaynoise.Case, 
 		}
 	}
 	if err == nil {
-		res, err = run(netCtx, c, opt)
+		res, err = analyze(netCtx, c, opt)
 	}
 	if err != nil && noiseerr.Class(err) == noiseerr.ErrConvergence && netCtx.Err() == nil {
-		res, quality, err = t.rescue(netCtx, c, opt, pol, err, run)
+		res, quality, err = t.rescue(netCtx, c, opt, pol, err)
 	}
 	m.Observe(mNetAnalyze, time.Since(start))
 
@@ -191,11 +166,11 @@ func (t *Tool) AnalyzeQuietNet(ctx context.Context, name string, c *delaynoise.C
 }
 
 // rescue climbs the policy's ladder after a convergence failure. Each
-// solver rung re-runs the attempt with the rung's nlsim aids armed on
+// solver rung re-runs the analysis with the rung's nlsim aids armed on
 // the context; the prechar rung retries with table-driven alignment.
 // Climbing stops on the first success, on any non-convergence error,
 // or when the context dies (the caller maps the context's own error).
-func (t *Tool) rescue(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options, pol resilience.Policy, first error, run attemptFunc) (*delaynoise.Result, resilience.Quality, error) {
+func (t *Tool) rescue(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options, pol resilience.Policy, first error) (*delaynoise.Result, resilience.Quality, error) {
 	err := first
 	rungs := pol.Ladder()
 	if len(rungs) == 0 {
@@ -223,11 +198,11 @@ func (t *Tool) rescue(ctx context.Context, c *delaynoise.Case, opt delaynoise.Op
 			fopt.Table = tab
 			m.Counter(mRescueAttempts).Inc()
 			m.Counter(mRescuePrefix + rung.Name).Inc()
-			res, rerr = run(ctx, c, fopt)
+			res, rerr = analyze(ctx, c, fopt)
 		} else {
 			m.Counter(mRescueAttempts).Inc()
 			m.Counter(mRescuePrefix + rung.Name).Inc()
-			res, rerr = run(resilience.WithSolverRescue(ctx, rung.Solver), c, opt)
+			res, rerr = analyze(resilience.WithSolverRescue(ctx, rung.Solver), c, opt)
 		}
 		if rerr == nil {
 			return res, rung.Quality(), nil

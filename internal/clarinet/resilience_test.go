@@ -513,19 +513,16 @@ func TestSolverRescueEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStageHandoffClimbsLadder: a path stage's noisy handoff run is part
-// of the stage's attempt. The analysis itself runs outside the net's
-// name here, so the injected solver faults hit only the handoff run,
-// which must run under the net's context and deadline. Without a ladder
-// the stage fails to converge in the report stage; with one, the
-// homotopy rung heals it, the report is rescued, and the handoff is the
-// rung's whole noisy receiver output, crossing where the analysis
-// reported.
+// TestStageHandoffClimbsLadder: a path stage's noisy handoff is the
+// analysis's own noisy report run (Res.NoisyRecvOut), so it comes from
+// the attempt that produced the report. Solver faults injected under
+// the net's name fail every unaided attempt: without a ladder the stage
+// fails to converge and hands nothing off; with one, the homotopy rung
+// heals it, the report is rescued, and the handoff is that rung's
+// settled noisy run, bit for bit: the first rows of the rung's full run
+// of the same input, crossing where the analysis reported.
 func TestStageHandoffClimbsLadder(t *testing.T) {
 	names, cases, lib := population(t, 1)
-	stubAnalyze(t, func(_ context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
-		return delaynoise.AnalyzeContext(context.Background(), c, opt)
-	})
 	plan := faultinject.New(13, faultinject.Config{})
 	plan.Assign(names[0], faultinject.KindSolverConvergence)
 	inject := plan.SolverCheckpoint()
@@ -547,16 +544,15 @@ func TestStageHandoffClimbsLadder(t *testing.T) {
 		Workers:    1,
 		Resilience: resilience.Policy{NetTimeout: time.Hour},
 	}
-	r, out := MustNew(lib, base).AnalyzeStage(context.Background(), names[0], cases[0], nil)
-	var se *noiseerr.StageError
-	if !errors.Is(r.Err, noiseerr.ErrConvergence) || !errors.As(r.Err, &se) || se.Stage != noiseerr.StageReport || out != nil {
-		t.Fatalf("unrescued stage: err = %v, handoff returned %t; want a report-stage convergence failure and no handoff", r.Err, out != nil)
+	r := MustNew(lib, base).AnalyzeStage(context.Background(), names[0], cases[0], nil)
+	if !errors.Is(r.Err, noiseerr.ErrConvergence) || r.Res != nil {
+		t.Fatalf("unrescued stage: err = %v, result returned %t; want a convergence failure and no handoff", r.Err, r.Res != nil)
 	}
 
 	rescued := base
 	rescued.Resilience.DCHomotopy = true
 	tool := MustNew(lib, rescued)
-	r, out = tool.AnalyzeStage(context.Background(), names[0], cases[0], nil)
+	r = tool.AnalyzeStage(context.Background(), names[0], cases[0], nil)
 	if r.Err != nil {
 		t.Fatalf("rescued stage failed: %v", r.Err)
 	}
@@ -565,19 +561,25 @@ func TestStageHandoffClimbsLadder(t *testing.T) {
 			r.Quality, tool.Metrics().Counter("rescue.homotopy").Value())
 	}
 	if n := named.Load(); n == 0 || deadlined.Load() != n {
-		t.Fatalf("%d of %d handoff checkpoints carried the net's deadline", deadlined.Load(), n)
+		t.Fatalf("%d of %d checkpoints of the stage carried the net's deadline", deadlined.Load(), n)
 	}
 	rung := resilience.WithSolverRescue(resilience.WithNet(context.Background(), names[0]), rescued.Resilience.Ladder()[0].Solver)
 	obj := cases[0].Objective(rung, nil)
-	want, err := obj.Output(r.Res.NoisyRecvIn)
+	want, err := obj.OutputSettled(r.Res.NoisyRecvIn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil || len(out.T) != len(want.T) {
-		t.Fatalf("handoff returned %t, want the rung's %d-point noisy output", out != nil, len(want.T))
+	full, err := obj.Output(r.Res.NoisyRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := r.Res.NoisyRecvOut
+	if out == nil || len(out.T) != len(want.T) || len(out.T) > len(full.T) {
+		t.Fatalf("handoff returned %t, want the rung's %d-point settled noisy output (full run %d points)",
+			out != nil, len(want.T), len(full.T))
 	}
 	for i := range want.T {
-		if out.T[i] != want.T[i] || out.V[i] != want.V[i] {
+		if out.T[i] != want.T[i] || out.V[i] != want.V[i] || out.T[i] != full.T[i] || out.V[i] != full.V[i] {
 			t.Fatalf("handoff diverges from the rung's noisy output at %d", i)
 		}
 	}

@@ -147,12 +147,16 @@ type Result struct {
 	TPeak float64 // chosen composite peak time (absolute)
 
 	// QuietRecvOut is the noiseless receiver output waveform; only
-	// AnalyzeQuiet simulates it whole. NoisyRecvIn is the superposed
-	// receiver input (noiseless + composite shifted to TPeak) of the
-	// noisy report run: path-level analysis simulates it to hand the
-	// stage's noisy output to the next stage.
+	// AnalyzeQuiet keeps it. NoisyRecvIn is the superposed receiver input
+	// (noiseless + composite shifted to TPeak) of the noisy report run,
+	// and NoisyRecvOut that run's output. Both outputs end where the
+	// settled-tail certificate stopped their runs
+	// (align.Objective.OutputSettled), so they hold the full runs'
+	// crossings but not their tails: path-level analysis hands them to
+	// the next stage, which reads only the crossings.
 	QuietRecvOut *waveform.PWL
 	NoisyRecvIn  *waveform.PWL
+	NoisyRecvOut *waveform.PWL
 	// OutputRising is the receiver output transition direction.
 	OutputRising bool
 	// Absolute crossing times backing the delay figures below:
@@ -276,11 +280,9 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	res.TPeak = tPeak
 
 	// Final delay evaluation with nonlinear receiver simulations. Only
-	// the two output crossings are read, so both runs stop at their
-	// settled tails (align.Objective.OutputCross) with the full runs'
-	// crossings; a caller that needs the noisy output waveform (path
-	// analysis hands it to the next stage) simulates it from
-	// NoisyRecvIn.
+	// crossings are read, so both runs stop at their settled tails with
+	// the full runs' crossings; the noisy run's rows are kept as the
+	// path handoff (NoisyRecvOut).
 	reportStart := time.Now()
 	defer func() { opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(reportStart)) }()
 	noisyIn := align.NoisyInput(noiselessIn, composite, tPeak)
@@ -288,7 +290,11 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noiseless receiver: %w", err))
 	}
-	noisyOut, err := obj.OutputCross(noisyIn)
+	noisyOutW, err := obj.OutputSettled(noisyIn)
+	if err != nil {
+		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noisy receiver: %w", err))
+	}
+	noisyOut, err := obj.Cross(noisyOutW)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noisy receiver: %w", err))
 	}
@@ -297,6 +303,7 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		return nil, noiseerr.InStage(noiseerr.StageReport, noiseerr.Numericalf("delaynoise: victim driver output: %w", err))
 	}
 	res.NoisyRecvIn = noisyIn
+	res.NoisyRecvOut = noisyOutW
 	res.OutputRising = obj.OutputRising()
 	res.VictimDrv50 = drv50
 	res.QuietOutCross = quietOut
@@ -330,11 +337,12 @@ func (c *Case) Objective(ctx context.Context, m *metrics.Registry) align.Objecti
 
 // AnalyzeQuiet runs only the quiet half of the flow: driver
 // characterization, the noiseless victim simulation (aggressor drivers
-// held), and one nonlinear receiver simulation. No aggressor noise
-// pulses are simulated and no alignment search runs, so it costs a
-// small fraction of AnalyzeContext. Path-level analysis uses it for the
-// noiseless reference chain; the populated fields are the driver
-// models, NoiselessRecvIn, QuietRecvOut, and the quiet delay figures.
+// held), and one nonlinear receiver simulation, stopped at its settled
+// tail. No aggressor noise pulses are simulated and no alignment search
+// runs, so it costs a small fraction of AnalyzeContext. Path-level
+// analysis uses it for the noiseless reference chain; the populated
+// fields are the driver models, NoiselessRecvIn, QuietRecvOut, and the
+// quiet delay figures.
 func AnalyzeQuiet(c *Case, opt Options) (*Result, error) {
 	return AnalyzeQuietContext(context.Background(), c, opt)
 }
@@ -363,7 +371,7 @@ func AnalyzeQuietContext(ctx context.Context, c *Case, opt Options) (*Result, er
 	obj := c.Objective(ctx, opt.Metrics)
 	reportStart := time.Now()
 	defer func() { opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(reportStart)) }()
-	quietOutW, err := obj.Output(noiselessIn)
+	quietOutW, err := obj.OutputSettled(noiselessIn)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noiseless receiver: %w", err))
 	}

@@ -94,10 +94,42 @@ func (sc settleCase) lastCross(out *waveform.PWL) (float64, error) {
 	return out.LastCrossFalling(half)
 }
 
+// firstCross is the output's first Vdd/2 crossing in its transition
+// direction.
+func (sc settleCase) firstCross(out *waveform.PWL) (float64, error) {
+	half := sc.cell.Tech.Vdd / 2
+	if sc.cell.OutputRisingFor(sc.rising) {
+		return out.CrossRising(half)
+	}
+	return out.CrossFalling(half)
+}
+
+// outSlew is what a path handoff measures of a receiver output: the
+// 20-80% interval of its transition, on first crossings
+// (pathnoise.derivedSlew).
+func (sc settleCase) outSlew(out *waveform.PWL) (float64, error) {
+	v0, v1 := 0.0, sc.cell.Tech.Vdd
+	if !sc.cell.OutputRisingFor(sc.rising) {
+		v0, v1 = v1, v0
+	}
+	return out.Slew(v0, v1, 0.2, 0.8)
+}
+
+// sameRead reports whether two reads of a waveform agree: both fail, or
+// both give the same bits.
+func sameRead(a float64, aErr error, b float64, bErr error) bool {
+	if aErr != nil || bErr != nil {
+		return aErr != nil && bErr != nil
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
 // FuzzSettledStop compares stopped runs with full runs bit for bit. A
-// ReceiveSettled run must hold the full Receive's first rows and give
-// the same last crossing, or the same absence of one, and the same
-// error or no-error outcome; a DriveSettled search must end with the
+// ReceiveSettled run must hold the full Receive's first rows, give the
+// same error or no-error outcome, and give what each reader of it
+// takes, or the same absence of it: the last Vdd/2 crossing (the
+// alignment objective), and the first Vdd/2 crossing and 20-80% slew
+// (a path handoff); a DriveSettled search must end with the
 // full DriveWithHorizon search's Horizon and Settled, its rows must be
 // the final full attempt's first rows, and the Thevenin Model fitted to
 // it must be the full fit's.
@@ -114,10 +146,15 @@ func FuzzSettledStop(f *testing.F) {
 			if !isPrefix(got, full) {
 				t.Fatalf("%+v: settled receiver rows are not the full run's first rows", sc)
 			}
-			wc, wErr := sc.lastCross(full)
-			gc, gErr := sc.lastCross(got)
-			if (wErr != nil) != (gErr != nil) || wErr == nil && math.Float64bits(wc) != math.Float64bits(gc) {
-				t.Fatalf("%+v: last crossing (%v, %v) settled, (%v, %v) full", sc, gc, gErr, wc, wErr)
+			for _, read := range []struct {
+				name string
+				f    func(*waveform.PWL) (float64, error)
+			}{{"last crossing", sc.lastCross}, {"first crossing", sc.firstCross}, {"20-80% slew", sc.outSlew}} {
+				wv, wErr := read.f(full)
+				gv, gErr := read.f(got)
+				if !sameRead(gv, gErr, wv, wErr) {
+					t.Fatalf("%+v: %s (%v, %v) settled, (%v, %v) full", sc, read.name, gv, gErr, wv, wErr)
+				}
 			}
 		}
 
@@ -161,15 +198,16 @@ func isPrefix(a, b *waveform.PWL) bool {
 // TestSettledStopCorpusCoversRegimes holds the committed seed corpus to
 // the cases the certificates must get right: a glitch that carries the
 // receiver output back across Vdd/2 (so the last crossing is a
-// re-crossing), a pulse landing after the input transition, BUFX4
-// (whose internal node drives the output stage), an ff or ss corner,
-// and a run the certificate never stops.
+// re-crossing) in a run the certificate stops, a pulse landing after
+// the input transition, BUFX4 (whose internal node drives the output
+// stage), an ff or ss corner, a run the certificate never stops, and
+// an output without a 20-80% transition for a handoff to measure.
 func TestSettledStopCorpusCoversRegimes(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSettledStop", "*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no committed corpus for FuzzSettledStop (err %v)", err)
 	}
-	var recross, late, bufx4, corner, unstopped int
+	var recross, late, bufx4, corner, unstopped, noSlew int
 	for _, file := range files {
 		sc := decodeSettleCase(readSettleCorpus(t, file))
 		in := sc.input()
@@ -177,8 +215,8 @@ func TestSettledStopCorpusCoversRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		if crossings(out, sc.cell.Tech.Vdd/2) >= 3 {
-			recross++
+		if _, err := sc.outSlew(out); err != nil {
+			noSlew++
 		}
 		if sc.height != 0 && sc.tPeak-sc.width > gatesim.InputStart+sc.slew {
 			late++
@@ -197,10 +235,13 @@ func TestSettledStopCorpusCoversRegimes(t *testing.T) {
 		if !stopped || d.Out.End() > 0.9*d.Horizon {
 			unstopped++
 		}
+		if stopped && crossings(out, sc.cell.Tech.Vdd/2) >= 3 {
+			recross++
+		}
 	}
-	if recross == 0 || late == 0 || bufx4 == 0 || corner == 0 || unstopped == 0 {
-		t.Fatalf("corpus misses a regime: re-crossing %d, late pulse %d, BUFX4 %d, ff/ss corner %d, never stopped %d",
-			recross, late, bufx4, corner, unstopped)
+	if recross == 0 || late == 0 || bufx4 == 0 || corner == 0 || unstopped == 0 || noSlew == 0 {
+		t.Fatalf("corpus misses a regime: stopped re-crossing %d, late pulse %d, BUFX4 %d, ff/ss corner %d, never stopped %d, no 20-80%% slew %d",
+			recross, late, bufx4, corner, unstopped, noSlew)
 	}
 }
 

@@ -14,18 +14,24 @@ import (
 //	absolute(t) = t + Shift
 //
 // Two chains cross each stage boundary. The quiet chain carries the
-// noiseless receiver output; the noisy chain carries the noisy receiver
-// output, the receiver run of delaynoise.Result.NoisyRecvIn. That is
-// the run whose crossing the analysis reports; the analysis stops it at
-// its settled tail, so clarinet.Tool.AnalyzeStage simulates it whole
-// within the stage's analysis.
+// noiseless receiver output (delaynoise.Result.QuietRecvOut of the
+// stage's quiet analysis); the noisy chain carries the noisy receiver
+// output, delaynoise.Result.NoisyRecvOut: the analysis's own noisy
+// report run, whose crossing it reports. The quiet chain never reads a
+// window, so from pass 2 on a stage takes its quiet result from the
+// path's pass-1 record of the same stage instead of analyzing it again.
 // At the boundary the downstream victim's input ramp is *derived* from
 // the chain's waveform: its slew is measured from the 20-80% interval
 // of the handed-off edge (rescaled to the full-swing ramp the driver
 // model takes), and its path-absolute 50% point is the chain's arrival.
 // Collapsing the waveform to a ramp at the gate input is the
-// Nazarian/Pedram-style bounding step; the waveform itself is retained
-// in the stage record for inspection and for the golden reuse test.
+// Nazarian/Pedram-style bounding step. It reads only the first 20% and
+// 80% crossings and the final 50% crossing, and the settled-tail
+// certificate keeps all of them in a stopped run, so both handoffs end
+// where their receiver runs stopped (align.Objective.OutputSettled)
+// rather than at the horizon. The waveform is retained in the stage
+// record, up to that stop, for resume, inspection and the golden reuse
+// test.
 
 // Handoff is one chain's state at a stage boundary: the receiver-output
 // waveform of the upstream stage (local frame), its direction, its

@@ -3,6 +3,8 @@ package pathnoise_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/nlsim"
 	"repro/internal/pathnoise"
 	"repro/internal/resilience"
+	"repro/internal/waveform"
 	"repro/internal/workload"
 )
 
@@ -37,71 +40,262 @@ func pathTool(t testing.TB, lib *device.Library, workers int) *clarinet.Tool {
 	})
 }
 
-// TestGoldenHandoffReuse is the handoff guarantee the whole subsystem
-// rests on: the noisy waveform a stage hands to its successor is the
-// receiver output of the noisy input whose crossing delaynoise reported
-// — the same samples, bit for bit — and the quiet one is the receiver
-// output of the noiseless input. Stage 0 runs on the workload's nominal
-// case, so the receiver runs of an independent per-net analysis of that
-// exact case must reproduce the journaled stage-0 series exactly, and
-// the noisy run's crossing must be the reported one.
-func TestGoldenHandoffReuse(t *testing.T) {
-	paths, lib := pathPopulation(t, 1, 2, 7)
-	tool := pathTool(t, lib, 2)
+// stageRuns are one stage execution's receiver runs, rebuilt from the
+// journaled records: each chain's case, and the full run of each
+// chain's receiver input to its horizon.
+type stageRuns struct {
+	quietCase, noisyCase *delaynoise.Case
+	quietFull, noisyFull *waveform.PWL
+}
 
-	var recs []pathnoise.StageRecord
+// rebuildStage rebuilds pass iter's execution of stage s of p from the
+// upstream record's handoffs, as the scheduler derives it: the quiet
+// chain's input is a fresh quiet analysis's noiseless input, the noisy
+// chain's the noisy report input of a stage analysis under the pass's
+// window. It fails the test when the rebuilt inputs, alignment or quiet
+// stage delay differ from the record's.
+func rebuildStage(t *testing.T, tool *clarinet.Tool, p *pathnoise.Path, recs map[pathnoise.StageKey]pathnoise.StageRecord, iter, s int) stageRuns {
+	t.Helper()
+	ctx := context.Background()
+	st := p.Stages[s]
+	rec, ok := recs[pathnoise.StageKey{Path: p.Name, Stage: s, Iter: iter}]
+	if !ok || rec.Result == nil {
+		t.Fatalf("pass %d stage %d: no successful record", iter+1, s)
+	}
+	res := rec.Result
+	qc, nc := st.Case, st.Case
+	var qshift, nshift float64
+	if s > 0 {
+		up := recs[pathnoise.StageKey{Path: p.Name, Stage: s - 1, Iter: iter}]
+		rising := p.StageRising(s - 1)
+		qh := pathnoise.Handoff{Wave: waveform.New(up.QuietOutT, up.QuietOutV), Rising: rising, Cross: up.Result.QuietCross, Shift: up.Result.QuietShift}
+		nh := pathnoise.Handoff{Wave: waveform.New(up.NoisyOutT, up.NoisyOutV), Rising: rising, Cross: up.Result.NoisyCross, Shift: up.Result.NoisyShift}
+		var err error
+		if qc, qshift, err = pathnoise.StageInput(st.Case, qh); err != nil {
+			t.Fatal(err)
+		}
+		if nc, nshift, err = pathnoise.StageInput(st.Case, nh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if qc.Victim.InputSlew != res.InSlewQuiet || qshift != res.QuietShift ||
+		nc.Victim.InputSlew != res.InSlewNoisy || nshift != res.NoisyShift {
+		t.Fatalf("pass %d stage %d: rebuilt inputs differ from the record's", iter+1, s)
+	}
+
+	qrep := tool.AnalyzeQuietNet(ctx, st.Net, qc)
+	if qrep.Err != nil {
+		t.Fatal(qrep.Err)
+	}
+	if qrep.Res.QuietCombinedDelay != res.StageQuiet {
+		t.Fatalf("pass %d stage %d: stage delay %g, a fresh quiet analysis %g", iter+1, s, res.StageQuiet, qrep.Res.QuietCombinedDelay)
+	}
+	var win *delaynoise.Window
+	if iter > 0 {
+		win = pathnoise.StageWindow(nc, pathnoise.InputArrival(nc, nshift)-pathnoise.InputArrival(qc, qshift))
+	}
+	nrep := tool.AnalyzeStage(ctx, st.Net, nc, win)
+	if nrep.Err != nil {
+		t.Fatal(nrep.Err)
+	}
+	if nrep.Res.TPeak != res.TPeak {
+		t.Fatalf("pass %d stage %d: aligned at %g, the record at %g", iter+1, s, nrep.Res.TPeak, res.TPeak)
+	}
+	quietFull, err := qc.Objective(ctx, nil).Output(qrep.Res.NoiselessRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisyFull, err := nc.Objective(ctx, nil).Output(nrep.Res.NoisyRecvIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stageRuns{quietCase: qc, noisyCase: nc, quietFull: quietFull, noisyFull: noisyFull}
+}
+
+// TestGoldenHandoffReuse is the handoff guarantee the whole subsystem
+// rests on. At every stage of both fixpoint passes, each chain's
+// journaled series is the first rows of the full receiver run of the
+// stage's receiver input: the noiseless input of a quiet analysis and
+// the noisy report input of a windowed stage analysis, on the case
+// rebuilt from the upstream record's handoff. A series ends where the
+// settled-tail certificate stopped its run, which keeps all a chain
+// reads: the derived slew and the final crossing are the full run's,
+// bit for bit, and the crossing is the one the record reports. Pass 2
+// takes its quiet chain from pass 1's records, so its quiet series must
+// also be a fresh quiet analysis's.
+func TestGoldenHandoffReuse(t *testing.T) {
+	paths, lib := pathPopulation(t, 1, 3, 7)
+	tool := pathTool(t, lib, 2)
+	p := paths[0]
+
+	recs := map[pathnoise.StageKey]pathnoise.StageRecord{}
 	_, err := pathnoise.Run(context.Background(), tool, paths, pathnoise.Options{
-		MaxIterations: 1,
-		Emit:          func(rec pathnoise.StageRecord) { recs = append(recs, rec) },
+		MaxIterations: 2,
+		Emit:          func(rec pathnoise.StageRecord) { recs[rec.Key()] = rec },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d stage records, want 2", len(recs))
+
+	// check holds one chain's series to the full run of its input.
+	stopped := 0
+	check := func(label string, c *delaynoise.Case, full *waveform.PWL, rising bool, outT, outV []float64, cross float64) {
+		t.Helper()
+		if len(outT) < 2 || len(outT) > len(full.T) || len(outV) != len(outT) {
+			t.Fatalf("%s: series has %d points, the full run %d", label, len(outT), len(full.T))
+		}
+		for i := range outT {
+			if outT[i] != full.T[i] || outV[i] != full.V[i] {
+				t.Fatalf("%s: series diverges from the full run at %d: (%g,%g) vs (%g,%g)",
+					label, i, outT[i], outV[i], full.T[i], full.V[i])
+			}
+		}
+		if len(outT) < len(full.T) {
+			stopped++
+		}
+		got := waveform.New(outT, outV)
+		vdd, nominal := c.Victim.Cell.Tech.Vdd, c.Victim.InputSlew
+		gs := pathnoise.DerivedSlew(pathnoise.Handoff{Wave: got, Rising: rising}, vdd, nominal)
+		ws := pathnoise.DerivedSlew(pathnoise.Handoff{Wave: full, Rising: rising}, vdd, nominal)
+		if math.Float64bits(gs) != math.Float64bits(ws) {
+			t.Fatalf("%s: derived slew %g, the full run's %g", label, gs, ws)
+		}
+		obj := c.Objective(context.Background(), nil)
+		gc, gErr := obj.Cross(got)
+		wc, wErr := obj.Cross(full)
+		if gErr != nil || wErr != nil || math.Float64bits(gc) != math.Float64bits(wc) || gc != cross {
+			t.Fatalf("%s: crosses at %g (%v), the full run at %g (%v), the record at %g", label, gc, gErr, wc, wErr, cross)
+		}
 	}
-	s0 := recs[0]
-	if s0.Stage != 0 || s0.Result == nil {
-		t.Fatalf("stage 0 record malformed: %+v", s0)
+	for iter := 0; iter < 2; iter++ {
+		for s := range p.Stages {
+			runs := rebuildStage(t, tool, p, recs, iter, s)
+			rec := recs[pathnoise.StageKey{Path: p.Name, Stage: s, Iter: iter}]
+			label := fmt.Sprintf("pass %d stage %d", iter+1, s)
+			rising := p.StageRising(s)
+			check(label+" quiet", runs.quietCase, runs.quietFull, rising, rec.QuietOutT, rec.QuietOutV, rec.Result.QuietCross)
+			check(label+" noisy", runs.noisyCase, runs.noisyFull, rising, rec.NoisyOutT, rec.NoisyOutV, rec.Result.NoisyCross)
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no handoff series ended at a settled stop")
+	}
+}
+
+// TestResumeAcrossPassBoundary resumes a two-pass run from journals cut
+// after pass 1 and in the middle of pass 2, each with a torn frame at
+// the cut. Pass 2 takes its quiet chain from pass 1's records, adopted
+// ones included, so neither resume analyzes a quiet stage of pass 2:
+// both must reproduce the uninterrupted run's report and its pass-2
+// stage records byte for byte, quiet fields and series included. A
+// pass-1 journal whose series run to the receiver horizon, as journals
+// written before the settled handoff do, must resume to the same report.
+func TestResumeAcrossPassBoundary(t *testing.T) {
+	paths, lib := pathPopulation(t, 1, 3, 17)
+	p := paths[0]
+	ctx := context.Background()
+	opt := pathnoise.Options{MaxIterations: 2, Workers: 1}
+
+	// Reference: an uninterrupted run, journaled, with the journal's
+	// length after each record (one worker, so records land in order).
+	var journal bytes.Buffer
+	ends := map[pathnoise.StageKey]int{}
+	ref := map[pathnoise.StageKey]pathnoise.StageRecord{}
+	tool := pathTool(t, lib, 1)
+	full := opt
+	full.Journal = pathnoise.NewPathJournal(&journal, nil)
+	full.Emit = func(rec pathnoise.StageRecord) {
+		ends[rec.Key()] = journal.Len()
+		ref[rec.Key()] = rec
+	}
+	refReports, err := pathnoise.Run(ctx, tool, paths, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, err := pathnoise.MarshalReport(refReports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tool.Metrics().Timer("net.quiet").Count(); n != int64(len(p.Stages)) {
+		t.Fatalf("uninterrupted run analyzed %d quiet stages, want pass 1's %d", n, len(p.Stages))
 	}
 
-	// Independent per-net analysis of the same case.
-	rep := tool.AnalyzeNet(context.Background(), "golden", paths[0].Stages[0].Case)
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
+	// encode renders a record as binary journal bytes.
+	encode := func(rec pathnoise.StageRecord) []byte {
+		var buf bytes.Buffer
+		if err := pathnoise.NewPathJournal(&buf, pathnoise.BinaryStages).Record(rec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	obj := paths[0].Stages[0].Case.Objective(context.Background(), nil)
-	want, err := obj.Output(rep.Res.NoisyRecvIn)
+	resume := func(label string, prior map[pathnoise.StageKey]pathnoise.StageRecord) (map[pathnoise.StageKey]pathnoise.StageRecord, *clarinet.Tool) {
+		t.Helper()
+		got := map[pathnoise.StageKey]pathnoise.StageRecord{}
+		tool := pathTool(t, lib, 1)
+		resumed := opt
+		resumed.Prior = prior
+		resumed.Emit = func(rec pathnoise.StageRecord) { got[rec.Key()] = rec }
+		reports, err := pathnoise.Run(ctx, tool, paths, resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := pathnoise.MarshalReport(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, refJSON) {
+			t.Fatalf("%s: resumed report differs:\n--- resumed\n%s\n--- reference\n%s", label, gotJSON, refJSON)
+		}
+		return got, tool
+	}
+
+	for _, cut := range []struct {
+		label string
+		after pathnoise.StageKey
+	}{
+		{"after pass 1", pathnoise.StageKey{Path: p.Name, Stage: len(p.Stages) - 1, Iter: 0}},
+		{"mid pass 2", pathnoise.StageKey{Path: p.Name, Stage: 0, Iter: 1}},
+	} {
+		prior, err := pathnoise.ReadPathJournal(bytes.NewReader(journal.Bytes()[:ends[cut.after]+7]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prior) != len(p.Stages)*cut.after.Iter+cut.after.Stage+1 {
+			t.Fatalf("%s: the cut journal holds %d records", cut.label, len(prior))
+		}
+		got, tool := resume(cut.label, prior)
+		for s := range p.Stages {
+			key := pathnoise.StageKey{Path: p.Name, Stage: s, Iter: 1}
+			if !bytes.Equal(encode(got[key]), encode(ref[key])) {
+				t.Errorf("%s: pass-2 stage %d differs from the uninterrupted run's", cut.label, s)
+			}
+		}
+		if n := tool.Metrics().Timer("net.quiet").Count(); n != 0 {
+			t.Errorf("%s: the resumed run analyzed %d quiet stages, want none", cut.label, n)
+		}
+	}
+
+	// Pass 1 journaled with full-horizon series.
+	var old bytes.Buffer
+	oldJ := pathnoise.NewPathJournal(&old, nil)
+	for s := range p.Stages {
+		key := pathnoise.StageKey{Path: p.Name, Stage: s, Iter: 0}
+		runs := rebuildStage(t, tool, p, ref, 0, s)
+		rec := ref[key]
+		if len(rec.QuietOutT) == len(runs.quietFull.T) && len(rec.NoisyOutT) == len(runs.noisyFull.T) {
+			t.Fatalf("stage %d: neither series ended at a settled stop", s)
+		}
+		rec.QuietOutT, rec.QuietOutV = runs.quietFull.T, runs.quietFull.V
+		rec.NoisyOutT, rec.NoisyOutV = runs.noisyFull.T, runs.noisyFull.V
+		if err := oldJ.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prior, err := pathnoise.ReadPathJournal(bytes.NewReader(old.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cross, err := obj.Cross(want); err != nil || cross != rep.Res.NoisyOutCross {
-		t.Fatalf("full noisy run crosses at %g (%v), the analysis reported %g", cross, err, rep.Res.NoisyOutCross)
-	}
-	if len(s0.NoisyOutT) != len(want.T) {
-		t.Fatalf("stage-0 noisy series has %d points, per-net analysis %d", len(s0.NoisyOutT), len(want.T))
-	}
-	for i := range want.T {
-		if s0.NoisyOutT[i] != want.T[i] || s0.NoisyOutV[i] != want.V[i] {
-			t.Fatalf("noisy handoff diverges from the alignment objective at %d: (%g,%g) vs (%g,%g)",
-				i, s0.NoisyOutT[i], s0.NoisyOutV[i], want.T[i], want.V[i])
-		}
-	}
-	if s0.Result.NoisyCross != rep.Res.NoisyOutCross {
-		t.Fatalf("noisy crossing %g != alignment objective's %g", s0.Result.NoisyCross, rep.Res.NoisyOutCross)
-	}
-	quiet, err := obj.Output(rep.Res.NoiselessRecvIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s0.QuietOutT) != len(quiet.T) {
-		t.Fatalf("stage-0 quiet series has %d points, per-net analysis %d", len(s0.QuietOutT), len(quiet.T))
-	}
-	for i := range quiet.T {
-		if s0.QuietOutT[i] != quiet.T[i] || s0.QuietOutV[i] != quiet.V[i] {
-			t.Fatalf("quiet handoff diverges at %d", i)
-		}
-	}
+	resume("full-horizon pass 1", prior)
 }
 
 // TestStageSolvesRunUnderNetContext: every nonlinear solve of a path

@@ -22,8 +22,9 @@
 // to the switching window implied by that pass's own upstream arrivals,
 // and iteration stops when the end-to-end arrival is stable. Because
 // each pass derives its windows from its own chains, the first pass
-// feeds only that stability test, and a third pass would repeat the
-// second exactly.
+// feeds only that stability test and the quiet chain, which reads no
+// window and so is reused from pass 1 by every later pass, and a third
+// pass would repeat the second exactly.
 //
 // The stage-graph vocabulary itself — Path, Stage, the chaining
 // invariants, and the topology hash — lives in internal/pathgraph, a

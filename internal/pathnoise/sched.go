@@ -23,7 +23,9 @@ import (
 // arrivals. No pass reads an earlier pass's arrivals: pass 1 is
 // unconstrained and feeds only the Tol test, and pass 3 receives
 // exactly pass 2's inputs, so it repeats pass 2 bit for bit and stops
-// the path. Within a path the graph is a line, so the scheduler keeps
+// the path. The quiet chain reads no window, so it is the same in every
+// pass: from pass 2 on, node (p, s, i) takes its quiet result from
+// (p, s, 0), which the pass order has already run. Within a path the graph is a line, so the scheduler keeps
 // exactly one ready node per unfinished path and runs ready nodes on a
 // bounded worker pool: independent paths overlap freely, dependent
 // stages never reorder, and a path that fails or converges early frees
@@ -104,6 +106,9 @@ type pathState struct {
 	prevFinalArr float64 // previous pass's end-to-end noisy arrival
 	hasPrev      bool
 
+	// records holds the path's stage records in execution order,
+	// adopted ones included, so records[s] is pass 1's record of stage
+	// s once pass 1 is complete.
 	records  []StageRecord
 	quality  resilience.Quality
 	err      error
@@ -294,9 +299,9 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	noisyArrIn := inputArrival(nc, nshift)
 
 	// Quiet chain: noiseless reference, no alignment, no rescue ladder.
-	qrep := r.tool.AnalyzeQuietNet(ps.ctx, st.Net, qc)
-	if qrep.Err != nil {
-		return StageRecord{}, qrep.Err
+	quiet, err := r.quietStage(ps, qc)
+	if err != nil {
+		return StageRecord{}, err
 	}
 
 	// Noisy chain: the full per-net flow; passes >=2 clamp the
@@ -306,23 +311,24 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	if ps.iter > 0 {
 		win = stageWindow(nc, noisyArrIn-quietArrIn)
 	}
-	nrep, noisyOut := r.tool.AnalyzeStage(ps.ctx, st.Net, nc, win)
+	nrep := r.tool.AnalyzeStage(ps.ctx, st.Net, nc, win)
 	if nrep.Err != nil {
 		return StageRecord{}, nrep.Err
 	}
 	m.Observe(mStageAnalyze, time.Since(start))
 	m.Counter(mStagesRun).Inc()
+	noisyOut := nrep.Res.NoisyRecvOut
 
 	res := &StageResult{
 		InSlewQuiet: qc.Victim.InputSlew,
 		InSlewNoisy: nc.Victim.InputSlew,
 		QuietShift:  qshift,
 		NoisyShift:  nshift,
-		QuietCross:  qrep.Res.QuietOutCross,
+		QuietCross:  quiet.cross,
 		NoisyCross:  nrep.Res.NoisyOutCross,
-		QuietArr:    qrep.Res.QuietOutCross + qshift,
+		QuietArr:    quiet.cross + qshift,
 		NoisyArr:    nrep.Res.NoisyOutCross + nshift,
-		StageQuiet:  qrep.Res.QuietCombinedDelay,
+		StageQuiet:  quiet.stageDelay,
 		StageNoise:  nrep.Res.DelayNoise,
 		TPeak:       nrep.Res.TPeak,
 		Iterations:  nrep.Res.Iterations,
@@ -331,16 +337,18 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	res.Incremental = res.Cumulative - (noisyArrIn - quietArrIn)
 
 	rec := StageRecord{
-		Path:    ps.path.Name,
-		Stage:   ps.stage,
-		Iter:    ps.iter,
-		Net:     st.Net,
-		Final:   ps.stage == len(ps.path.Stages)-1,
-		Quality: worseQuality(qrep.Quality, nrep.Quality).String(),
+		Path:  ps.path.Name,
+		Stage: ps.stage,
+		Iter:  ps.iter,
+		Net:   st.Net,
+		Final: ps.stage == len(ps.path.Stages)-1,
+		// The quiet chain is always exact, so the stage's quality is
+		// the noisy analysis's rung.
+		Quality: nrep.Quality.String(),
 		Result:  res,
 
-		QuietOutT: qrep.Res.QuietRecvOut.T,
-		QuietOutV: qrep.Res.QuietRecvOut.V,
+		QuietOutT: quiet.out.T,
+		QuietOutV: quiet.out.V,
 		NoisyOutT: noisyOut.T,
 		NoisyOutV: noisyOut.V,
 	}
@@ -351,7 +359,7 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 
 	ps.quality = worseQuality(ps.quality, nrep.Quality)
 	rising := ps.path.StageRising(ps.stage)
-	ps.quiet = Handoff{Wave: qrep.Res.QuietRecvOut, Rising: rising, Cross: qrep.Res.QuietOutCross, Shift: qshift}
+	ps.quiet = Handoff{Wave: quiet.out, Rising: rising, Cross: quiet.cross, Shift: qshift}
 	ps.noisy = Handoff{Wave: noisyOut, Rising: rising, Cross: nrep.Res.NoisyOutCross, Shift: nshift}
 
 	if err := r.opt.Journal.Record(rec); err != nil {
@@ -360,6 +368,36 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 	ps.records = append(ps.records, rec)
 	r.emitRecord(rec)
 	return rec, nil
+}
+
+// quietResult is one stage's quiet-chain outcome: the receiver output
+// (ending at its settled stop), its final 50% crossing, and the stage's
+// quiet combined delay.
+type quietResult struct {
+	out               *waveform.PWL
+	cross, stageDelay float64
+}
+
+// quietStage runs the quiet chain of the path's ready stage on its
+// derived case qc. The quiet chain never reads a window, so every pass
+// after the first repeats pass 1's quiet analyses exactly: from pass 2
+// on, the stage takes its quiet result from the path's pass-1 record of
+// the same stage instead of analyzing it again. An adopted pass-1
+// record serves the same way, series included.
+func (r *runner) quietStage(ps *pathState, qc *delaynoise.Case) (quietResult, error) {
+	if ps.iter > 0 {
+		rec := ps.records[ps.stage]
+		return quietResult{
+			out:        waveform.New(rec.QuietOutT, rec.QuietOutV),
+			cross:      rec.Result.QuietCross,
+			stageDelay: rec.Result.StageQuiet,
+		}, nil
+	}
+	qrep := r.tool.AnalyzeQuietNet(ps.ctx, ps.path.Stages[ps.stage].Net, qc)
+	if qrep.Err != nil {
+		return quietResult{}, qrep.Err
+	}
+	return quietResult{out: qrep.Res.QuietRecvOut, cross: qrep.Res.QuietOutCross, stageDelay: qrep.Res.QuietCombinedDelay}, nil
 }
 
 // advance moves the path's ready node past a successful record,

@@ -134,6 +134,8 @@ func FitWaveform(out *waveform.PWL, vdd, ceff float64, outRising bool) (Model, e
 	}
 	ratio := b / a
 	// Bisection on the increasing branch of shapeRatio for rho = tau/dt.
+	// It stops at 80 iterations or at the first one that moves neither
+	// bound: every later iteration would repeat it, so rho is the 80th's.
 	var rho float64
 	switch {
 	case ratio <= shapeRatioMin:
@@ -145,8 +147,14 @@ func FitWaveform(out *waveform.PWL, vdd, ceff float64, outRising bool) (Model, e
 		for i := 0; i < 80; i++ {
 			mid := math.Sqrt(lo * hi)
 			if shapeRatio(mid) < ratio {
+				if mid == lo {
+					break
+				}
 				lo = mid
 			} else {
+				if mid == hi {
+					break
+				}
 				hi = mid
 			}
 		}

@@ -3,8 +3,11 @@
 # clarinet -path to a golden end-to-end report, then re-runs with a
 # stage journal, SIGKILLs the run mid-path, resumes from the journal,
 # and requires the resumed report to be byte-identical to the golden
-# one — the stage-granular checkpoint/resume guarantee, end to end.
-# Also sanity-decodes the stage journal with noiseblob.
+# one — the stage-granular checkpoint/resume guarantee, end to end. It
+# does this twice: once killed after the first stage record (pass 1),
+# and once after more than 5 records, so the kill lands in pass 2,
+# whose stages take their quiet chain from pass 1's records. Also
+# sanity-decodes the stage journal with noiseblob.
 #
 # RACE=1 builds clarinet with the race detector (CI does).
 set -euo pipefail
@@ -34,43 +37,55 @@ echo "== golden run"
   -path-report "$workdir/golden.json" >/dev/null 2>&1
 [ -s "$workdir/golden.json" ] || { echo "golden report missing" >&2; exit 1; }
 
-echo "== journaled run, SIGKILL mid-path"
-"$workdir/clarinet" -path -i "$workdir/paths.json" \
-  -journal "$workdir/run.journal" \
-  -path-report "$workdir/killed.json" >/dev/null 2>&1 &
-run_pid=$!
-# Wait until at least one complete stage frame is decodable from the
-# journal (size alone could be a half-written frame), then kill hard.
-for _ in $(seq 1 400); do
-  n=$("$workdir/noiseblob" dump "$workdir/run.journal" 2>/dev/null | wc -l || echo 0)
-  [ "$n" -ge 1 ] && break
-  kill -0 "$run_pid" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -0 "$run_pid" 2>/dev/null; then
-  kill -KILL "$run_pid"
-  wait "$run_pid" 2>/dev/null || true
-  run_pid=""
-  [ ! -s "$workdir/killed.json" ] ||
-    { echo "SIGKILLed run still wrote its report" >&2; exit 1; }
-else
-  # The run won the race and finished; its journal still drives resume.
-  wait "$run_pid" 2>/dev/null || true
-  run_pid=""
-fi
-[ -s "$workdir/run.journal" ] ||
-  { echo "no stage record reached the journal" >&2; exit 1; }
+# killed_run NAME MIN runs a journaled path run into NAME.journal,
+# SIGKILLs it once its journal decodes to at least MIN whole stage
+# records (size alone could be a half-written frame), resumes from the
+# journal, and requires the resumed report to equal the golden one.
+killed_run() {
+  local name=$1 min=$2
+  echo "== journaled run, SIGKILL after $min stage record(s)"
+  "$workdir/clarinet" -path -i "$workdir/paths.json" \
+    -journal "$workdir/$name.journal" \
+    -path-report "$workdir/$name-killed.json" >/dev/null 2>&1 &
+  run_pid=$!
+  for _ in $(seq 1 1200); do
+    n=$("$workdir/noiseblob" dump "$workdir/$name.journal" 2>/dev/null | wc -l) || n=0
+    [ "$n" -ge "$min" ] && break
+    kill -0 "$run_pid" 2>/dev/null || break
+    sleep 0.05
+  done
+  if kill -0 "$run_pid" 2>/dev/null; then
+    kill -KILL "$run_pid"
+    wait "$run_pid" 2>/dev/null || true
+    run_pid=""
+    [ ! -s "$workdir/$name-killed.json" ] ||
+      { echo "SIGKILLed run still wrote its report" >&2; exit 1; }
+    n=$("$workdir/noiseblob" dump "$workdir/$name.journal" 2>/dev/null | wc -l) || n=0
+    echo "   killed with $n whole stage record(s) journaled"
+  else
+    # The run won the race and finished; its journal still drives resume.
+    wait "$run_pid" 2>/dev/null || true
+    run_pid=""
+    echo "   the run finished before the kill"
+  fi
+  [ -s "$workdir/$name.journal" ] ||
+    { echo "no stage record reached the journal" >&2; exit 1; }
 
-echo "== resume from the stage journal"
-"$workdir/clarinet" -path -i "$workdir/paths.json" \
-  -resume "$workdir/run.journal" \
-  -path-report "$workdir/resumed.json" >/dev/null 2>"$workdir/resume.log"
-grep -q "resuming:" "$workdir/resume.log" ||
-  { echo "resume adopted no stage records" >&2; cat "$workdir/resume.log" >&2; exit 1; }
+  echo "== resume from the stage journal"
+  "$workdir/clarinet" -path -i "$workdir/paths.json" \
+    -resume "$workdir/$name.journal" \
+    -path-report "$workdir/$name-resumed.json" >/dev/null 2>"$workdir/$name-resume.log"
+  grep -q "resuming:" "$workdir/$name-resume.log" ||
+    { echo "resume adopted no stage records" >&2; cat "$workdir/$name-resume.log" >&2; exit 1; }
 
-echo "== byte-identity: resumed report == golden report"
-cmp "$workdir/golden.json" "$workdir/resumed.json" ||
-  { echo "resumed path report differs from the golden run" >&2; exit 1; }
+  echo "== byte-identity: resumed report == golden report"
+  cmp "$workdir/golden.json" "$workdir/$name-resumed.json" ||
+    { echo "resumed path report differs from the golden run" >&2; exit 1; }
+}
+
+# The path has 5 stages, so a journal past 5 records is in pass 2.
+killed_run run 1
+killed_run pass2 6
 
 echo "== noiseblob decodes the stage journal"
 n=$("$workdir/noiseblob" dump "$workdir/run.journal" | wc -l)
