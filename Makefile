@@ -42,9 +42,12 @@ lint: noiselint
 # twins, stage-name drift, error-taxonomy wrapping, cache-key purity,
 # numeric-kernel float hygiene, recover scoping, goroutine lifecycles
 # (goleak), flow-sensitive mutex discipline (lockflow), hot-path
-# allocation freedom (//lint:hot + hotalloc), and metric-name constants
-# (metricflow). Dependency-free: the checker is part of this module;
-# `-list` enumerates the analyzers, `-json` emits findings for tooling.
+# allocation freedom (//lint:hot + hotalloc), metric-name constants
+# (metricflow), and exported internal/ API that only tests use
+# (testonly, which reads the uses of the whole module tree, the nested
+# cmd/noisebench module included). Dependency-free: the checker is part
+# of this module; `-list` enumerates the analyzers, `-json` emits
+# findings for tooling.
 noiselint:
 	$(GO) run ./cmd/noiselint ./...
 
@@ -82,7 +85,7 @@ vuln:
 # under each package's testdata/fuzz seeds every run. FUZZTIME bounds
 # each target's budget.
 FUZZTIME ?= 30s
-COLBLOB_FUZZ = FuzzReadFloats FuzzFrameReader FuzzDecodeBlob FuzzFloatValues
+COLBLOB_FUZZ = FuzzReadFloats FuzzFrameReader FuzzFloatValues
 
 fuzz:
 	@for t in $(COLBLOB_FUZZ); do \

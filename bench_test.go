@@ -604,7 +604,7 @@ func BenchmarkWarmStart(b *testing.B) {
 			}
 		}
 		for _, cellName := range []string{"INVX2", "NAND2X1"} {
-			cell, err := s.Cell(cellName)
+			cell, err := s.Lib().Cell(cellName)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -90,6 +90,7 @@ func main() {
 	if *rescue {
 		policy = resilience.DefaultPolicy()
 	}
+	policy.NetTimeout = *netTimeout
 	if *journalDir != "" {
 		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
 			log.Fatal(err)
@@ -101,7 +102,6 @@ func main() {
 		Align:             alignMethod,
 		UseConfigAlign:    true,
 		Resilience:        policy,
-		NetTimeout:        *netTimeout,
 		Workers:           *workers,
 		PrecharGrid:       *precharGrid,
 		CharCacheRes:      *charRes,

@@ -1,6 +1,9 @@
 // Command noiselint is the repository's domain-specific static
 // analyzer: a multichecker running every analyzer in
-// internal/lint/rules over the given package patterns.
+// internal/lint/rules over the given package patterns. Module
+// analyzers (testonly) read the uses of the whole module tree, the
+// nested cmd/noisebench module included, whatever the patterns, and
+// report only in the matched packages.
 //
 // Usage:
 //

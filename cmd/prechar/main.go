@@ -1,10 +1,11 @@
-// Command prechar writes the library's characterization tables as JSON
-// under the output directory: for each requested receiver cell, the
-// paper's 8-point worst-case alignment-voltage table (both victim
-// directions), and for each driver cell a slew x load Thevenin grid.
-// The files are for inspection, plotting and outside tools. The
-// analysis flow reads none of them back: it builds the tables it needs
-// in-session (engine.Session.Table) and keeps them in the warm store.
+// Command prechar writes the library's alignment tables as JSON under
+// the output directory: for each requested receiver cell, the paper's
+// 8-point worst-case alignment-voltage table, for both victim
+// directions. The files are for inspection, plotting and outside
+// tools. The analysis flow reads none of them back: it builds the
+// tables it needs in-session (engine.Session.Table) and keeps them in
+// the warm store. Thevenin driver models are fitted per net in-session
+// and never tabulated.
 //
 // Usage:
 //
@@ -22,7 +23,6 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/cliutil"
-	"repro/internal/thevenin"
 )
 
 func main() {
@@ -64,28 +64,6 @@ func main() {
 				log.Fatal(err)
 			}
 			log.Printf("wrote %s (8 points)", path)
-		}
-		// Thevenin characterization: slew x load grids for both output
-		// directions.
-		slews := []float64{60e-12, 120e-12, 200e-12, 350e-12, 600e-12}
-		loads := []float64{5e-15, 15e-15, 40e-15, 90e-15, 150e-15}
-		for _, rising := range []bool{true, false} {
-			tab, err := thevenin.Characterize(cell, rising, slews, loads)
-			if err != nil {
-				log.Fatalf("%s rising=%v: %v", cell.Name, rising, err)
-			}
-			path := filepath.Join(*outDir, fmt.Sprintf("%s.thevenin.%v.json", cell.Name, rising))
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := tab.Write(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", path)
 		}
 	}
 }

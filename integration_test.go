@@ -64,7 +64,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	})
 	reports := tool.AnalyzeAll(names2, cases2)
 	var rb bytes.Buffer
-	clarinet.WriteReport(&rb, reports)
+	clarinet.WriteReportOpts(&rb, reports, clarinet.ReportOptions{})
 	for i, r := range reports {
 		if r.Err != nil {
 			t.Fatalf("net %s failed: %v", r.Name, r.Err)

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -315,4 +316,18 @@ func TestCompositeErrors(t *testing.T) {
 	if _, err := CompositeAt([]*waveform.PWL{waveform.Constant(0)}, []float64{0, 1}); err == nil {
 		t.Fatal("expected error for offset count mismatch")
 	}
+}
+
+// DelayNoise evaluates the extra combined delay caused by the noise pulse
+// at a given alignment: output crossing with noise minus without.
+func (o Objective) DelayNoise(noiseless, noise *waveform.PWL, tPeak float64) (float64, error) {
+	quiet, err := o.OutputCross(noiseless)
+	if err != nil {
+		return 0, fmt.Errorf("align: noiseless receiver sim: %w", err)
+	}
+	noisy, err := o.OutputCross(NoisyInput(noiseless, noise, tPeak))
+	if err != nil {
+		return 0, fmt.Errorf("align: noisy receiver sim: %w", err)
+	}
+	return noisy - quiet, nil
 }

@@ -281,17 +281,3 @@ func ReceiverInputAlignment(noiseless *waveform.PWL, height, vdd float64, rising
 	}
 	return noiseless.CrossFalling(target)
 }
-
-// DelayNoise evaluates the extra combined delay caused by the noise pulse
-// at a given alignment: output crossing with noise minus without.
-func (o Objective) DelayNoise(noiseless, noise *waveform.PWL, tPeak float64) (float64, error) {
-	quiet, err := o.OutputCross(noiseless)
-	if err != nil {
-		return 0, fmt.Errorf("align: noiseless receiver sim: %w", err)
-	}
-	noisy, err := o.OutputCross(NoisyInput(noiseless, noise, tPeak))
-	if err != nil {
-		return 0, fmt.Errorf("align: noisy receiver sim: %w", err)
-	}
-	return noisy - quiet, nil
-}

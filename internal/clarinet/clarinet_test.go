@@ -41,10 +41,10 @@ func TestConfigDefaults(t *testing.T) {
 	if tool.Metrics() == nil {
 		t.Fatal("tool must install a metrics registry")
 	}
-	if tool.Session().Chars() == nil {
+	if tool.Session().Bind(delaynoise.Options{}).Chars == nil {
 		t.Fatal("characterization cache must be on by default")
 	}
-	if tool.Session().ROMs() == nil {
+	if tool.Session().Bind(delaynoise.Options{}).ROMs == nil {
 		t.Fatal("ROM cache must be on by default")
 	}
 	if _, err := New(lib, Config{Workers: -1}); err == nil {
@@ -54,7 +54,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Session().Chars() != nil {
+	if off.Session().Bind(delaynoise.Options{}).Chars != nil {
 		t.Fatal("characterization cache opt-out ignored")
 	}
 }
@@ -88,7 +88,7 @@ func TestAnalyzeAllOrderAndReport(t *testing.T) {
 		t.Fatalf("nets.analyzed = %d", got)
 	}
 	var buf bytes.Buffer
-	WriteReport(&buf, reports)
+	WriteReportOpts(&buf, reports, ReportOptions{})
 	out := buf.String()
 	if !strings.Contains(out, "net") || !strings.Contains(out, "Rtr") {
 		t.Fatalf("report missing columns:\n%s", out)
@@ -141,7 +141,7 @@ func TestCancellationMidBatch(t *testing.T) {
 	defer cancel()
 	got := 0
 	canceled := 0
-	for r := range tool.Stream(ctx, names, cases) {
+	for r := range tool.StreamBatch(ctx, names, cases, nil, nil) {
 		got++
 		cancel() // fire after the first report lands
 		if errors.Is(r.Err, context.Canceled) {
@@ -194,7 +194,7 @@ func TestErrorInjectionDoesNotPoisonBatch(t *testing.T) {
 		t.Fatalf("nets.failed = %d", got)
 	}
 	var buf bytes.Buffer
-	WriteReport(&buf, reports)
+	WriteReportOpts(&buf, reports, ReportOptions{})
 	if !strings.Contains(buf.String(), "FAILED") {
 		t.Fatal("failure missing from report")
 	}
@@ -286,7 +286,7 @@ func TestWriteReportWithFailures(t *testing.T) {
 		{Name: "bad", Err: context.DeadlineExceeded},
 	}
 	var buf bytes.Buffer
-	WriteReport(&buf, reports)
+	WriteReportOpts(&buf, reports, ReportOptions{})
 	if !strings.Contains(buf.String(), "FAILED") {
 		t.Fatalf("failure not reported:\n%s", buf.String())
 	}

@@ -216,7 +216,7 @@ func TestDuplicateNetsResumePartial(t *testing.T) {
 			prior := map[string]NetReport{resumed: {Res: cannedResult("recorded"), Quality: resilience.QualityRescued}}
 			var journal bytes.Buffer
 			var got []NetReport
-			for r := range tool.StreamBatch(context.Background(), names, cases, prior, NewJournal(&journal)) {
+			for r := range tool.StreamBatch(context.Background(), names, cases, prior, NewJournalWith(&journal, JSONL)) {
 				got = append(got, r)
 			}
 			if len(got) != len(names) {

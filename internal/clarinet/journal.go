@@ -129,32 +129,18 @@ func (rec JournalRecord) Report() (NetReport, bool) {
 // which readers of either codec tolerate (torn JSONL line, torn binary
 // frame). A nil *Journal is a valid no-op sink.
 type Journal struct {
-	mu    sync.Mutex
-	rw    RecordWriter
-	codec JournalCodec
+	mu sync.Mutex
+	rw RecordWriter
 }
 
-// NewJournal wraps w as a JSONL journal sink — the historical default
-// for raw writers and the debug view. File-backed journals go through
-// OpenJournal, which defaults to the binary codec. Pass an *os.File
-// opened with O_APPEND to make each record durable as it lands.
-func NewJournal(w io.Writer) *Journal { return NewJournalWith(w, JSONL) }
-
 // NewJournalWith wraps w as a journal sink using the given codec (nil
-// means the binary default).
+// means the binary default). File-backed journals go through
+// OpenJournal, which keeps an existing file's codec.
 func NewJournalWith(w io.Writer, codec JournalCodec) *Journal {
 	if codec == nil {
 		codec = Binary
 	}
-	return &Journal{rw: codec.NewWriter(w), codec: codec}
-}
-
-// Codec reports the journal's encoding.
-func (j *Journal) Codec() JournalCodec {
-	if j == nil {
-		return nil
-	}
-	return j.codec
+	return &Journal{rw: codec.NewWriter(w)}
 }
 
 // Record appends one report. Cancellation-class reports are skipped —

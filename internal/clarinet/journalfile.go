@@ -121,7 +121,7 @@ func OpenJournal(path string, codec JournalCodec) (j *Journal, close func() erro
 		// Appended binary records chain on the file's existing tail:
 		// resume the encoder from the replayed compression state.
 		rw := &binaryWriter{w: f, enc: BinaryRecordEncoder{st: st}}
-		return &Journal{rw: rw, codec: codec}, f.Close, nil
+		return &Journal{rw: rw}, f.Close, nil
 	}
 	return NewJournalWith(f, codec), f.Close, nil
 }

@@ -403,25 +403,18 @@ func (t *Tool) reuse(r NetReport, name string) NetReport {
 	return r
 }
 
-// Stream runs every net and delivers reports in completion order on the
-// returned channel, which is closed once the batch finishes. Use this
-// for progress display or incremental consumers; use AnalyzeAllContext
-// when input-ordered results matter. Cancellation drains the remaining
-// nets as error reports, so exactly len(cases) reports are always
-// delivered. Worker panics are contained as in AnalyzeBatch.
-func (t *Tool) Stream(ctx context.Context, names []string, cases []*delaynoise.Case) <-chan NetReport {
-	return t.StreamBatch(ctx, names, cases, nil, nil)
-}
-
-// StreamBatch is Stream with the checkpoint/resume semantics of
-// AnalyzeBatch: nets found in prior are delivered first, as-is, without
-// re-analysis (counted in nets.resumed), then the remaining nets stream
-// in completion order; every freshly completed report is appended to j
-// as it lands (nil disables journaling), and names whose cases have the
-// same content are analyzed once, as in AnalyzeBatch. The noised
-// serving layer is built on this: one request's NDJSON stream is
-// exactly this channel, and a resumed request replays its journal
-// before analyzing the rest.
+// StreamBatch runs every net and delivers reports on the returned
+// channel, which is closed once the batch finishes, with the
+// checkpoint/resume semantics of AnalyzeBatch: nets found in prior are
+// delivered first, as-is, without re-analysis (counted in
+// nets.resumed), then the remaining nets stream in completion order;
+// every freshly completed report is appended to j as it lands (nil
+// disables journaling), and names whose cases have the same content are
+// analyzed once, as in AnalyzeBatch. Cancellation drains the remaining
+// nets as error reports, and worker panics are contained as in
+// AnalyzeBatch. The noised serving layer is built on this: one
+// request's NDJSON stream is exactly this channel, and a resumed
+// request replays its journal before analyzing the rest.
 // Exactly len(cases) reports are always delivered; the caller must
 // drain the channel.
 func (t *Tool) StreamBatch(ctx context.Context, names []string, cases []*delaynoise.Case, prior map[string]NetReport, j *Journal) <-chan NetReport {

@@ -13,13 +13,8 @@ type ReportOptions struct {
 	Quality bool
 }
 
-// WriteReport renders the batch outcome as an aligned table, worst nets
-// first, followed by a failure list.
-func WriteReport(w io.Writer, reports []NetReport) {
-	WriteReportOpts(w, reports, ReportOptions{})
-}
-
-// WriteReportOpts is WriteReport with rendering options.
+// WriteReportOpts renders the batch outcome as an aligned table, worst
+// nets first, followed by a failure list.
 func WriteReportOpts(w io.Writer, reports []NetReport, o ReportOptions) {
 	ok := make([]NetReport, 0, len(reports))
 	var failed []NetReport

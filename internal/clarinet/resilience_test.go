@@ -79,7 +79,7 @@ func TestChaosDuplicateNets(t *testing.T) {
 			pol.NetTimeout = 50 * time.Millisecond // only the stalled net ever hits it
 			tool := MustNew(lib, Config{Workers: 4, Resilience: pol})
 			var journal bytes.Buffer
-			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&journal))
+			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournalWith(&journal, JSONL))
 
 			byName := map[string]NetReport{}
 			for i, r := range reports {
@@ -216,7 +216,7 @@ func TestChaosBatch(t *testing.T) {
 			}
 
 			var journal bytes.Buffer
-			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournal(&journal))
+			reports := tool.AnalyzeBatch(context.Background(), names, cases, nil, NewJournalWith(&journal, JSONL))
 
 			kindOf := map[string]faultinject.Kind{}
 			for k, nets := range exp {
@@ -343,7 +343,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	sink := &cancelAfter{n: 3, cancel: cancel}
 	stubAnalyze(t, faultinject.New(seed, cfg).WrapAnalyze(cannedAnalyze))
 	killed := MustNew(lib, toolCfg)
-	killed.AnalyzeBatch(ctx, names, cases, nil, NewJournal(sink))
+	killed.AnalyzeBatch(ctx, names, cases, nil, NewJournalWith(sink, JSONL))
 	if got := killed.Metrics().Counter("nets.canceled").Value(); got == 0 {
 		t.Fatal("interrupted run canceled no nets; the kill came too late to test resume")
 	}
@@ -465,7 +465,7 @@ func TestFanOutPanicContainment(t *testing.T) {
 
 	// Stream must survive the same poison without wedging.
 	got := 0
-	for range tool.Stream(context.Background(), names, cases) {
+	for range tool.StreamBatch(context.Background(), names, cases, nil, nil) {
 		got++
 	}
 	if got != len(names) {
@@ -593,7 +593,7 @@ func TestStageHandoffClimbsLadder(t *testing.T) {
 // garbage lines are tolerated, and the last record for a net wins.
 func TestJournalRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j := NewJournalWith(&buf, JSONL)
 	okRep := NetReport{Name: "good", Res: cannedResult("good"), Quality: resilience.QualityRescued}
 	if err := j.Record(okRep); err != nil {
 		t.Fatal(err)
@@ -654,7 +654,7 @@ func TestQualityColumn(t *testing.T) {
 		t.Fatalf("quality column missing:\n%s", out)
 	}
 	buf.Reset()
-	WriteReport(&buf, reports)
+	WriteReportOpts(&buf, reports, ReportOptions{})
 	if strings.Contains(buf.String(), "quality") {
 		t.Fatal("quality column must be opt-in")
 	}

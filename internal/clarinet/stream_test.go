@@ -27,7 +27,7 @@ func TestStreamBatchResume(t *testing.T) {
 		names[3]: {Err: &resumedError{msg: "net " + names[3] + ": recorded failure", class: noiseerr.ErrNumerical}},
 	}
 	var journal bytes.Buffer
-	ch := tool.StreamBatch(context.Background(), names, cases, prior, NewJournal(&journal))
+	ch := tool.StreamBatch(context.Background(), names, cases, prior, NewJournalWith(&journal, JSONL))
 
 	var got []NetReport
 	for r := range ch {

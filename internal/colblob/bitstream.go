@@ -96,7 +96,3 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	r.nbits -= n
 	return v, nil
 }
-
-// Consumed reports how many whole bytes of src the reader has touched
-// (the current partial byte counts).
-func (r *BitReader) Consumed() int { return r.pos }

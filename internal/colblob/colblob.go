@@ -1,10 +1,9 @@
-// Package colblob is the compact columnar binary encoding of the
-// result/persistence spine: net-report series (per-net metrics as typed
-// columns, waveform time/value series as delta- and XOR-encoded float
-// columns) packed into a self-contained blob with an id-hash index for
-// O(1) record lookup, plus a length-prefixed, checksummed frame codec
-// for streaming uses (the binary batch journal and the negotiated
-// application/x-noise-colblob variant of the noised result stream).
+// Package colblob is the byte layer under the binary journals, the
+// application/x-noise-colblob variant of the noised result stream, and
+// the warm store: lossless float64 columns (delta- and XOR-encoded
+// IEEE-754 bit patterns), bit streams for sub-byte fields, and a
+// length-prefixed, checksummed frame codec, plus the varint and string
+// primitives the record codecs compose.
 //
 // Design constraints, in order:
 //
@@ -16,29 +15,18 @@
 //     frame; readers detect it (length + checksum) and stop cleanly,
 //     mirroring the JSONL journal's torn-line semantics.
 //  3. Dependency-free. The module vendors nothing; the hash is a
-//     seedless 64-bit FNV-1a (xxHash-style usage: content ids and
-//     index buckets, not cryptography).
+//     seedless 64-bit FNV-1a (content ids and frame checksums, not
+//     cryptography).
 //
-// Sizes: a delay-noise journal record is ~110 bytes here against ~550
-// bytes of JSONL (the 11 float64 fields dominate: 8 bytes each instead
-// of ~20 digits of decimal text), and uniformly sampled waveforms
-// compress to 1-3 bytes per sample under the delta-of-delta column
-// encoding, an order of magnitude under raw float64 columns.
+// Uniformly sampled waveform time axes collapse to about a byte per
+// sample under the delta-of-delta column encoding, a small fraction of
+// raw float64 columns.
 package colblob
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-)
-
-// Format identity. Version is bumped on any layout change; decoders
-// reject versions they do not know instead of guessing.
-const (
-	// blobMagic opens a columnar blob file.
-	blobMagic = "NCB1"
-	// BlobVersion is the current blob layout version.
-	BlobVersion = 1
 )
 
 // Errors shared by the decoders. ErrTorn specifically marks a truncated
@@ -60,10 +48,10 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// ID returns the 64-bit content id of a record name: seedless FNV-1a
-// over the raw bytes. Ids key the blob index; equal names always hash
-// equally across processes and versions, so an id computed today finds
-// a record written by any future encoder.
+// ID returns the 64-bit content id of a byte string: seedless FNV-1a
+// over the raw bytes. Ids name warm-store entries; equal inputs always
+// hash equally across processes and versions, so an id computed today
+// finds an entry written by any future build.
 func ID(name []byte) uint64 {
 	h := fnvOffset
 	for _, b := range name {
@@ -72,16 +60,7 @@ func ID(name []byte) uint64 {
 	return h
 }
 
-// IDString is ID for callers holding a string (no allocation).
-func IDString(name string) uint64 {
-	h := fnvOffset
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	return h
-}
-
-// checksum32 is the frame/blob integrity check: the low 32 bits of
+// checksum32 is the frame integrity check: the low 32 bits of
 // FNV-1a over the payload. Catches torn writes and bit rot, not
 // adversaries.
 func checksum32(data []byte) uint32 {
@@ -110,11 +89,6 @@ func ReadUvarint(src []byte) (uint64, []byte, error) {
 		return 0, src, errCorrupt
 	}
 	return v, src[n:], nil
-}
-
-// AppendU64 appends a fixed 8-byte little-endian word.
-func AppendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
 // ReadU64 consumes a fixed 8-byte little-endian word.

@@ -85,13 +85,6 @@ func chooseFloatEncoding(vals []float64) byte {
 // ReadFloats consumes one encoded column, returning the decoded values
 // and the unconsumed remainder.
 func ReadFloats(src []byte) ([]float64, []byte, error) {
-	return ReadFloatsInto(nil, src)
-}
-
-// ReadFloatsInto is ReadFloats appending into dst (reusing its capacity
-// when possible), for decoders that iterate many columns without
-// re-allocating.
-func ReadFloatsInto(dst []float64, src []byte) ([]float64, []byte, error) {
 	if len(src) < 1 {
 		return nil, src, corruptf("float column: missing header")
 	}
@@ -113,10 +106,10 @@ func ReadFloatsInto(dst []float64, src []byte) ([]float64, []byte, error) {
 	if min > uint64(len(rest)) {
 		return nil, src, corruptf("float column: %d values in %d bytes", n, len(rest))
 	}
-	if cap(dst) < int(n) {
+	var dst []float64 // nil for an empty column, as decoders expect
+	if n > 0 {
 		dst = make([]float64, 0, n)
 	}
-	dst = dst[:0]
 	var prevBits, prevDelta uint64
 	for i := uint64(0); i < n; i++ {
 		var bits uint64

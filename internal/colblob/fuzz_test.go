@@ -72,49 +72,6 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-func FuzzDecodeBlob(f *testing.F) {
-	golden, _ := buildTestBlob(f)
-	f.Add(golden)
-	f.Add(NewBuilder().Encode())
-	f.Add(golden[:len(golden)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		bl, err := Decode(data)
-		if err != nil {
-			return
-		}
-		// A decodable blob must be fully traversable and rebuildable.
-		b := NewBuilder(bl.MetricNames()...)
-		for i := 0; i < bl.Len(); i++ {
-			r := bl.At(i)
-			if err := b.Add(r); err != nil {
-				t.Fatalf("record %d does not re-add: %v", i, err)
-			}
-		}
-		re, err := Decode(b.Encode())
-		if err != nil {
-			t.Fatalf("re-encoded blob does not decode: %v", err)
-		}
-		if re.Len() != bl.Len() {
-			t.Fatalf("re-encode changed record count")
-		}
-		for i := 0; i < bl.Len(); i++ {
-			a, c := bl.At(i), re.At(i)
-			if a.Name != c.Name || a.Quality != c.Quality || a.Class != c.Class ||
-				a.Error != c.Error || a.Iters != c.Iters ||
-				!equalBits(a.Metrics, c.Metrics) || len(a.Waves) != len(c.Waves) {
-				t.Fatalf("record %d changed across re-encode", i)
-			}
-			for j := range a.Waves {
-				if a.Waves[j].Name != c.Waves[j].Name ||
-					!equalBits(a.Waves[j].T, c.Waves[j].T) ||
-					!equalBits(a.Waves[j].V, c.Waves[j].V) {
-					t.Fatalf("record %d wave %d changed across re-encode", i, j)
-				}
-			}
-		}
-	})
-}
-
 // FuzzFloatValues drives the encoder (not the decoder) with arbitrary
 // float bit patterns, checking bit-exact round trips including NaN
 // payloads, infinities, and denormals.

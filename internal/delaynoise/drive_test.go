@@ -97,7 +97,7 @@ func TestHoldResSharedNoiselessBitIdentical(t *testing.T) {
 				t.Errorf("%s: shared noiseless run changed the result (Rtr %v vs %v)", name, got.Rtr, want.Rtr)
 			}
 			key := driveKey{cell.Name, vc.inRising, math.Float64bits(vc.slew), math.Float64bits(vc.ceff)}
-			memo, ok := cc.drive.Get(key)
+			memo, ok := cc.drive.Snapshot()[key]
 			if !ok {
 				t.Fatalf("%s: noiseless run not memoized", name)
 			}

@@ -153,16 +153,6 @@ func GoldenAtShiftsContext(ctx context.Context, c *Case, shifts []float64) (*Gol
 	return &GoldenResult{QuietDelay: outQ - drvQ, DelayNoise: outN - outQ, Shift: shifts[0]}, nil
 }
 
-// GoldenAtShift evaluates the nonlinear delay noise with all aggressor
-// inputs offset by the same shift from their nominal start times.
-func GoldenAtShift(c *Case, shift float64) (*GoldenResult, error) {
-	shifts := make([]float64, len(c.Aggressors))
-	for k := range shifts {
-		shifts[k] = shift
-	}
-	return GoldenAtShifts(c, shifts)
-}
-
 // GoldenWorstCase exhaustively searches the common aggressor shift for
 // the maximum nonlinear delay noise (the Fig 14 x-axis reference). The
 // search spans [-span, +span] around the nominal alignment with nGrid
@@ -274,17 +264,6 @@ func GoldenWaveformsContext(ctx context.Context, c *Case, shifts []float64) (noi
 		return nil, nil, err
 	}
 	return noisy, quiet, nil
-}
-
-// GoldenNoiseWaveform returns the difference of the noisy and quiet
-// receiver-input waveforms — the true noise injected on the switching
-// victim (the nonlinear curve of the paper's Figure 2).
-func GoldenNoiseWaveform(c *Case, shifts []float64) (*waveform.PWL, error) {
-	noisy, quiet, err := GoldenWaveforms(c, shifts)
-	if err != nil {
-		return nil, err
-	}
-	return waveform.Sub(noisy, quiet), nil
 }
 
 // PeakShifts converts a chosen composite peak time into per-aggressor

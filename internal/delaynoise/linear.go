@@ -106,6 +106,8 @@ type DriverLoad struct {
 // to its lumped load (through opt.Chars), and each pass-2 net is the
 // loaded interconnect with every other driver held at its initial
 // output by its rough Thevenin resistance.
+//
+//lint:ignore noiselint/testonly cross-package test fixture: the ceff, thevenin and holdres bit pins and benchmarks rebuild the analysis's C-effective problems through it
 func DriverLoads(ctx context.Context, c *Case, opt Options) ([]DriverLoad, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -163,6 +165,8 @@ func (c *Case) driverLoads(ctx context.Context, opt Options, interconnect *netli
 // interconnect with every aggressor held by its Thevenin resistance,
 // and the transient options the analysis runs it with. It
 // characterizes the drivers first.
+//
+//lint:ignore noiselint/testonly cross-package test fixture: the lsim bit pins run the analysis's own victim superposition run through it
 func VictimRun(ctx context.Context, c *Case, opt Options) (*netlist.Circuit, lsim.Options, error) {
 	e, err := newEngine(ctx, c, opt)
 	if err != nil {

@@ -116,14 +116,6 @@ func (cc *CharCache) Res() float64 {
 	return cc.res
 }
 
-// Len reports the resident entry count across the cache's three maps.
-func (cc *CharCache) Len() int {
-	if cc == nil {
-		return 0
-	}
-	return cc.rough.Len() + cc.full.Len() + cc.hold.Len()
-}
-
 // ROMEntry is one persisted PRIMA reduction. The reduced system, basis,
 // and full system are stored whole; the full system may be omitted (nil)
 // when it aliases the reduced one (identity projection).
@@ -165,12 +157,4 @@ func (rc *ROMCache) Seed(entries []ROMEntry) {
 		}
 		rc.roms.Seed(romKey{e.System, e.Q}, rom)
 	}
-}
-
-// Len reports the resident reduction count.
-func (rc *ROMCache) Len() int {
-	if rc == nil {
-		return 0
-	}
-	return rc.roms.Len()
 }

@@ -39,9 +39,6 @@ type Cell struct {
 	NonInverting bool
 }
 
-// IsInverting reports whether the cell inverts its switching input.
-func (c *Cell) IsInverting() bool { return !c.NonInverting }
-
 // OutputRisingFor returns the output transition direction for a given
 // input direction.
 func (c *Cell) OutputRisingFor(inRising bool) bool {
@@ -80,27 +77,6 @@ func (c *Cell) OutputCap() float64 {
 		}
 	}
 	return s
-}
-
-// InternalNodes returns the sorted local node names that are neither pins
-// nor rails.
-func (c *Cell) InternalNodes() []string {
-	set := map[string]bool{}
-	for _, f := range c.FETs {
-		for _, n := range []string{f.D, f.G, f.S} {
-			switch n {
-			case PinIn, PinOut, PinVdd, PinGnd:
-			default:
-				set[n] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Inverter builds a CMOS inverter with the given NMOS and PMOS widths.

@@ -9,8 +9,6 @@ package device
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/noiseerr"
 )
 
 // MOSType distinguishes the two device polarities.
@@ -52,25 +50,6 @@ type MOSParams struct {
 	CdPerW float64
 }
 
-// Validate checks the parameter set for physical plausibility.
-func (p *MOSParams) Validate() error {
-	switch {
-	case p.Vth <= 0:
-		return noiseerr.Invalidf("device: Vth must be positive, got %g", p.Vth)
-	case p.Alpha < 1 || p.Alpha > 2:
-		return noiseerr.Invalidf("device: Alpha %g outside [1, 2]", p.Alpha)
-	case p.K <= 0:
-		return noiseerr.Invalidf("device: K must be positive, got %g", p.K)
-	case p.Kv <= 0:
-		return noiseerr.Invalidf("device: Kv must be positive, got %g", p.Kv)
-	case p.Vs <= 0:
-		return noiseerr.Invalidf("device: Vs must be positive, got %g", p.Vs)
-	case p.Sat <= 0:
-		return noiseerr.Invalidf("device: Sat must be positive, got %g", p.Sat)
-	}
-	return nil
-}
-
 // softplus is a smooth max(0, x) with width s; its derivative is the
 // logistic function.
 func softplus(x, s float64) (f, df float64) {
@@ -85,10 +64,11 @@ func softplus(x, s float64) (f, df float64) {
 	return s * math.Log1p(e), e / (1 + e)
 }
 
-// Ids returns the drain-source current of a device of width w (meters)
-// given terminal voltages vgs and vds (both taken positive in the
-// device's conducting sense: for PMOS callers pass vsg and vsd), together
-// with the partial derivatives dId/dVgs and dId/dVds.
+// Eval returns the drain-source current of a device of width w
+// (meters) given terminal voltages vgs and vds (both taken positive in
+// the device's conducting sense: for PMOS callers pass vsg and vsd),
+// together with the partial derivatives dId/dVgs and dId/dVds when
+// derivs is true.
 //
 // The model is a smoothed alpha-power law:
 //
@@ -102,15 +82,11 @@ func softplus(x, s float64) (f, df float64) {
 // K*w*Vgst^Alpha with near-zero output conductance. Negative vds is
 // handled symmetrically (current reverses sign), which keeps the model
 // continuous through zero crossing.
-func (p *MOSParams) Ids(w, vgs, vds float64) (id, gm, gds float64) {
-	return p.Eval(w, vgs, vds, true)
-}
-
-// Eval is the device evaluator behind Ids. With derivs true it returns
-// exactly what Ids does; with derivs false it returns the same id, bit
-// for bit, and leaves gm and gds zero, skipping the derivative work.
-// Callers that discard the conductances (residual-only Newton
-// iterations, committed-state currents) take the value-only path.
+//
+// With derivs false Eval returns the same id, bit for bit, and leaves
+// gm and gds zero, skipping the derivative work. Callers that discard
+// the conductances (residual-only Newton iterations, committed-state
+// currents) take the value-only path.
 //
 // Eval is Gate followed by Finish. Callers that see the same vgs
 // again with another vds keep the Gate and call Finish alone.
@@ -254,21 +230,11 @@ func (t *Technology) Corner(name string, kScale, vthShift float64) *Technology {
 }
 
 // Fast180 returns the fast (FF-like) corner of the default technology.
+//
+//lint:ignore noiselint/testonly a process corner that only BenchmarkAblationCorners (bench_test.go) and the nlsim memo fuzz test run
 func Fast180() *Technology { return Default180().Corner("generic-180nm-ff", 1.25, -0.05) }
 
 // Slow180 returns the slow (SS-like) corner of the default technology.
+//
+//lint:ignore noiselint/testonly a process corner that only BenchmarkAblationCorners (bench_test.go) and the nlsim memo fuzz test run
 func Slow180() *Technology { return Default180().Corner("generic-180nm-ss", 0.8, +0.05) }
-
-// Validate checks both polarities and the supply.
-func (t *Technology) Validate() error {
-	if t.Vdd <= 0 {
-		return noiseerr.Invalidf("device: Vdd must be positive, got %g", t.Vdd)
-	}
-	if err := t.N.Validate(); err != nil {
-		return fmt.Errorf("nmos: %w", err)
-	}
-	if err := t.P.Validate(); err != nil {
-		return fmt.Errorf("pmos: %w", err)
-	}
-	return nil
-}

@@ -14,7 +14,7 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	s := engine.New(engine.Config{})
-	if s.Tech() == nil || s.Tech().Name != device.Default180().Name {
+	if s.Lib().Tech == nil || s.Lib().Tech.Name != device.Default180().Name {
 		t.Fatal("zero config must select the default technology")
 	}
 	if s.Lib() == nil || s.Metrics() == nil {
@@ -23,7 +23,7 @@ func TestConfigDefaults(t *testing.T) {
 	if s.Chars() == nil || s.ROMs() == nil {
 		t.Fatal("caches must be on by default")
 	}
-	if _, err := s.Cell("INVX2"); err != nil {
+	if _, err := s.Lib().Cell("INVX2"); err != nil {
 		t.Fatalf("cell lookup failed: %v", err)
 	}
 
@@ -35,7 +35,7 @@ func TestConfigDefaults(t *testing.T) {
 	lib := device.NewLibrary(device.Default180())
 	reg := metrics.NewRegistry()
 	explicit := engine.New(engine.Config{Lib: lib, Metrics: reg})
-	if explicit.Lib() != lib || explicit.Metrics() != reg || explicit.Tech() != lib.Tech {
+	if explicit.Lib() != lib || explicit.Metrics() != reg || explicit.Lib().Tech != lib.Tech {
 		t.Fatal("explicit library/registry not honored")
 	}
 }

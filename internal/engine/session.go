@@ -60,7 +60,6 @@ type tableKey struct {
 // instrumentation, and the single-flight caches. Build one with New and
 // hand it to as many front-end views as needed.
 type Session struct {
-	tech     *device.Technology
 	lib      *device.Library
 	metrics  *metrics.Registry
 	grid     int
@@ -94,7 +93,6 @@ func New(cfg Config) *Session {
 		reg = metrics.NewRegistry()
 	}
 	s := &Session{
-		tech:    lib.Tech,
 		lib:     lib,
 		metrics: reg,
 		grid:    cfg.PrecharGrid,
@@ -107,27 +105,11 @@ func New(cfg Config) *Session {
 	return s
 }
 
-// Tech returns the session's process technology.
-func (s *Session) Tech() *device.Technology { return s.tech }
-
 // Lib returns the session's cell library.
 func (s *Session) Lib() *device.Library { return s.lib }
 
 // Metrics returns the session's instrumentation registry.
 func (s *Session) Metrics() *metrics.Registry { return s.metrics }
-
-// Cell resolves a library cell by name.
-func (s *Session) Cell(name string) (*device.Cell, error) {
-	return s.lib.Cell(name)
-}
-
-// Chars returns the shared driver-characterization cache (nil when
-// disabled by Config.CharCacheRes < 0).
-func (s *Session) Chars() *delaynoise.CharCache { return s.chars }
-
-// ROMs returns the shared reduced-order-model cache, consulted only
-// when delaynoise.Options.PRIMAOrder is positive.
-func (s *Session) ROMs() *delaynoise.ROMCache { return s.roms }
 
 // Bind wires the session's caches and registry into per-run analysis
 // options, leaving every other knob untouched.

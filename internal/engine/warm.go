@@ -43,7 +43,7 @@ type Identity struct {
 // characterizations, and reductions.
 func (s *Session) WarmIdentity() Identity {
 	return Identity{
-		Tech:     s.tech.Name,
+		Tech:     s.lib.Tech.Name,
 		Library:  fingerprintLibrary(s.lib),
 		Grid:     s.grid,
 		CharRes:  math.Float64bits(s.chars.Res()),

@@ -20,7 +20,7 @@ func TestWarmSessionRoundTrip(t *testing.T) {
 	}
 
 	cold := engine.New(engine.Config{PrecharGrid: 5, Metrics: metrics.NewRegistry()})
-	cell, err := cold.Cell("INVX2")
+	cell, err := cold.Lib().Cell("INVX2")
 	if err != nil {
 		t.Fatal(err)
 	}

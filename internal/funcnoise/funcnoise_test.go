@@ -220,3 +220,31 @@ func TestImmunityLoadEffect(t *testing.T) {
 			heavy.Points[0].Height, light.Points[0].Height)
 	}
 }
+
+// Check classifies a measured pulse against the curve.
+func (c *ImmunityCurve) Check(p align.Pulse) bool {
+	return math.Abs(p.Height) >= c.CriticalHeight(p.Width)
+}
+
+// CriticalHeight interpolates the rejection boundary at a pulse width
+// (clamped to the characterized range).
+func (c *ImmunityCurve) CriticalHeight(width float64) float64 {
+	n := len(c.Points)
+	if n == 0 {
+		return math.Inf(1)
+	}
+	if width <= c.Points[0].Width {
+		return c.Points[0].Height
+	}
+	if width >= c.Points[n-1].Width {
+		return c.Points[n-1].Height
+	}
+	for i := 1; i < n; i++ {
+		if width <= c.Points[i].Width {
+			a, b := c.Points[i-1], c.Points[i]
+			u := (width - a.Width) / (b.Width - a.Width)
+			return a.Height + u*(b.Height-a.Height)
+		}
+	}
+	return c.Points[n-1].Height
+}

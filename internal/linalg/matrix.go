@@ -29,24 +29,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a matrix from a slice of rows. All rows must have
-// equal length.
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -85,26 +67,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// AddMatrix returns m + o as a new matrix.
-func (m *Matrix) AddMatrix(o *Matrix) *Matrix {
-	m.checkSameShape(o)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += o.Data[i]
-	}
-	return out
-}
-
-// SubMatrix returns m - o as a new matrix.
-func (m *Matrix) SubMatrix(o *Matrix) *Matrix {
-	m.checkSameShape(o)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= o.Data[i]
-	}
-	return out
 }
 
 // AXPY performs m += s*o in place.
@@ -197,17 +159,6 @@ func (m *Matrix) SetCol(c int, v []float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -239,15 +190,4 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute element of v.
-func NormInf(v []float64) float64 {
-	max := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > max {
-			max = a
-		}
-	}
-	return max
 }

@@ -1,17 +1,13 @@
 package linalg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Sparse is a compressed-sparse-row matrix, built through a coordinate
-// accumulator or from a dense matrix. The linear simulator applies its
+// Sparse is a compressed-sparse-row matrix, built from a dense matrix
+// by FromDense, square or rectangular. The linear simulator applies its
 // explicit trapezoidal matrix and its input matrix in this form every
 // step, and Factor reorders and bands large systems through it (the
 // paper's motivation: a single victim cluster can carry thousands of RC
-// elements). N is the number of rows; only FromDense builds a
-// rectangular one.
+// elements). N is the number of rows.
 type Sparse struct {
 	N      int
 	cols   int
@@ -19,56 +15,6 @@ type Sparse struct {
 	colIdx []int
 	values []float64
 }
-
-// SparseBuilder accumulates coordinate triplets; duplicates sum.
-type SparseBuilder struct {
-	n    int
-	rows [][]coo
-}
-
-type coo struct {
-	col int
-	val float64
-}
-
-// NewSparseBuilder prepares an n x n accumulation.
-func NewSparseBuilder(n int) *SparseBuilder {
-	return &SparseBuilder{n: n, rows: make([][]coo, n)}
-}
-
-// Add accumulates v at (r, c).
-func (b *SparseBuilder) Add(r, c int, v float64) {
-	if r < 0 || r >= b.n || c < 0 || c >= b.n {
-		panic(fmt.Sprintf("linalg: sparse add (%d, %d) outside %d", r, c, b.n))
-	}
-	b.rows[r] = append(b.rows[r], coo{col: c, val: v})
-}
-
-// Build compacts the accumulator into CSR form.
-func (b *SparseBuilder) Build() *Sparse {
-	s := &Sparse{N: b.n, cols: b.n, rowPtr: make([]int, b.n+1)}
-	for r := range b.rows {
-		row := b.rows[r]
-		sort.Slice(row, func(i, j int) bool { return row[i].col < row[j].col })
-		for i := 0; i < len(row); {
-			c := row[i].col
-			v := 0.0
-			for ; i < len(row) && row[i].col == c; i++ {
-				v += row[i].val
-			}
-			if v == 0 && c != r {
-				continue
-			}
-			s.colIdx = append(s.colIdx, c)
-			s.values = append(s.values, v)
-		}
-		s.rowPtr[r+1] = len(s.values)
-	}
-	return s
-}
-
-// NNZ returns the number of stored entries.
-func (s *Sparse) NNZ() int { return len(s.values) }
 
 // MulVec computes y = A*x.
 func (s *Sparse) MulVec(x, y []float64) {

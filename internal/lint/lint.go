@@ -16,6 +16,12 @@
 // The repository deliberately has no third-party dependencies, and the
 // lint layer keeps it that way.
 //
+// Most analyzers see one package at a time. A module analyzer (one with
+// RunModule) runs once after every package is loaded and sees the whole
+// module tree: the root module and the modules nested in it, whatever
+// patterns selected the targets. It is how a check sees uses across
+// package and module boundaries.
+//
 // Suppression: a finding can be silenced with a staticcheck-style
 // directive on the flagged line or the line above it:
 //
@@ -33,16 +39,20 @@ import (
 	"go/types"
 )
 
-// An Analyzer is one named invariant check over a type-checked package.
+// An Analyzer is one named invariant check over type-checked packages.
+// It sets one of Run and RunModule.
 type Analyzer struct {
 	// Name is the short analyzer name; diagnostics and suppression
 	// directives qualify it as "noiselint/<name>".
 	Name string
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string
-	// Run reports the analyzer's findings on one package via
+	// Run reports the analyzer's findings on one target package via
 	// pass.Reportf.
 	Run func(pass *Pass) error
+	// RunModule runs once over every loaded package and reports the
+	// analyzer's findings in the target packages via pass.Reportf.
+	RunModule func(pass *ModulePass) error
 }
 
 // A Pass carries one analyzer run over one package.
@@ -69,6 +79,28 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
+// A ModulePass carries one module analyzer's run over every loaded
+// package.
+type ModulePass struct {
+	Analyzer *Analyzer
+	// Packages holds every loaded package, targets and the rest of the
+	// module tree alike.
+	Packages []*Package
+
+	report func(*Package, Diagnostic)
+}
+
+// Reportf records a finding at pos in pkg. Findings outside the target
+// packages are dropped, so a run over some packages reports exactly
+// their share of a ./... run.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
+	p.report(pkg, Diagnostic{
+		Analyzer: p.Analyzer.Name,
+		Pos:      pkg.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }

@@ -35,7 +35,7 @@ func load(t *testing.T, src string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Package{Path: "repro/internal/linttestpkg", Fset: fset, Files: []*ast.File{f}}
+	return &Package{Path: "repro/internal/linttestpkg", Fset: fset, Files: []*ast.File{f}, Target: true}
 }
 
 func run(t *testing.T, src string) []Diagnostic {

@@ -1,9 +1,9 @@
 // Package linttest is the analysistest equivalent of the noiselint
-// framework: it runs one analyzer over a testdata package and checks the
-// findings against `// want "regexp"` comments placed on the offending
-// lines. A want comment may carry several quoted patterns when a line
-// triggers several findings. Lines without a want comment must stay
-// clean.
+// framework: it runs one analyzer over a testdata package (or, for a
+// module analyzer, a small module of them) and checks the findings
+// against `// want "regexp"` comments placed on the offending lines. A
+// want comment may carry several quoted patterns when a line triggers
+// several findings. Lines without a want comment must stay clean.
 package linttest
 
 import (
@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -96,59 +97,38 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 // name order, so a dep may import an earlier-named sibling.
 func TestAnalyzer(t *testing.T, a *lint.Analyzer, srcDir, importPath string) {
 	t.Helper()
-	_, exports, err := moduleExports()
-	if err != nil {
-		t.Fatal(err)
+	pkgs, wants := loadFixture(t, srcDir, importPath)
+	pkgs[len(pkgs)-1].Target = true
+	check(t, a, pkgs, wants)
+}
+
+// TestModuleAnalyzer is TestAnalyzer for a module analyzer: every
+// package of the fixture is a target, so `// want` comments may sit in
+// any of them. A fixture package's _test.go files are not type-checked;
+// their imports become the package's TestImports, as `go list` reports
+// them for a real package.
+func TestModuleAnalyzer(t *testing.T, a *lint.Analyzer, srcDir, importPath string) {
+	t.Helper()
+	pkgs, wants := loadFixture(t, srcDir, importPath)
+	for _, p := range pkgs {
+		p.Target = true
 	}
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	imp := &fixtureImporter{base: exports.Importer(fset), deps: map[string]*types.Package{}}
-	var files []*ast.File
-	var wants []*want
-	for _, e := range entries {
-		if e.IsDir() {
-			depPath := importPath + "/" + e.Name()
-			depFiles := parseDir(t, fset, filepath.Join(srcDir, e.Name()))
-			depPkg, _, err := lint.Check(depPath, fset, depFiles, imp)
-			if err != nil {
-				t.Fatalf("type-checking fixture dependency %s: %v", depPath, err)
-			}
-			imp.deps[depPath] = depPkg
-			continue
-		}
-		if filepath.Ext(e.Name()) != ".go" {
-			continue
-		}
-		path := filepath.Join(srcDir, e.Name())
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-		wants = append(wants, parseWants(t, f, fset)...)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no Go files in %s", srcDir)
-	}
-	pkg, info, err := lint.Check(importPath, fset, files, imp)
-	if err != nil {
-		t.Fatalf("type-checking %s: %v", srcDir, err)
-	}
-	diags, err := lint.Run([]*lint.Package{{
-		Path:  importPath,
-		Dir:   srcDir,
-		Fset:  fset,
-		Files: files,
-		Pkg:   pkg,
-		Info:  info,
-	}}, []*lint.Analyzer{a})
+	check(t, a, pkgs, wants)
+}
+
+// LoadFixture type-checks the fixture in srcDir as TestModuleAnalyzer
+// does and returns its packages, the root package last, none of them
+// marked as a target.
+func LoadFixture(t *testing.T, srcDir, importPath string) []*lint.Package {
+	t.Helper()
+	pkgs, _ := loadFixture(t, srcDir, importPath)
+	return pkgs
+}
+
+// check runs a over pkgs and matches the diagnostics against wants.
+func check(t *testing.T, a *lint.Analyzer, pkgs []*lint.Package, wants []*want) {
+	t.Helper()
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,28 +144,84 @@ func TestAnalyzer(t *testing.T, a *lint.Analyzer, srcDir, importPath string) {
 	}
 }
 
-// parseDir parses every .go file of one fixture-dependency directory.
-func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+// loadFixture parses and type-checks the fixture in srcDir: each
+// subdirectory (in name order) as importPath/<subdir>, then srcDir
+// itself as importPath. It returns the packages in that order and the
+// `// want` expectations of all their files.
+func loadFixture(t *testing.T, srcDir, importPath string) ([]*lint.Package, []*want) {
+	t.Helper()
+	_, exports, err := moduleExports()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	imp := &fixtureImporter{base: exports.Importer(fset), deps: map[string]*types.Package{}}
+	var pkgs []*lint.Package
+	var wants []*want
+	load := func(dir, path string) {
+		files, testImports := parseDir(t, fset, dir)
+		pkg, info, err := lint.Check(path, fset, files, imp)
+		if err != nil {
+			t.Fatalf("type-checking fixture package %s: %v", path, err)
+		}
+		imp.deps[path] = pkg
+		for _, f := range files {
+			wants = append(wants, parseWants(t, f, fset)...)
+		}
+		pkgs = append(pkgs, &lint.Package{
+			Path: path, Dir: dir, Fset: fset, Files: files, Pkg: pkg, Info: info,
+			TestImports: testImports,
+		})
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			load(filepath.Join(srcDir, e.Name()), importPath+"/"+e.Name())
+		}
+	}
+	load(srcDir, importPath)
+	return pkgs, wants
+}
+
+// parseDir parses the non-test .go files of one fixture directory and
+// returns them with the imports of its _test.go files.
+func parseDir(t *testing.T, fset *token.FileSet, dir string) ([]*ast.File, []string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var files []*ast.File
+	var testImports []string
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		path := filepath.Join(dir, e.Name())
+		if strings.HasSuffix(e.Name(), "_test.go") {
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range f.Imports {
+				p, _ := strconv.Unquote(spec.Path.Value)
+				testImports = append(testImports, p)
+			}
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		t.Fatalf("no Go files in fixture dependency %s", dir)
+		t.Fatalf("no Go files in %s", dir)
 	}
-	return files
+	return files, testImports
 }
 
 // parseWants extracts the expectations of one file. Every quoted string

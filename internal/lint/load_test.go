@@ -5,34 +5,23 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// moduleRoot walks up from the test's working directory to the go.mod.
-func moduleRoot(t *testing.T) string {
+// testRoot returns the module root above the test's working directory.
+func testRoot(t *testing.T) string {
 	t.Helper()
-	dir, err := os.Getwd()
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above the test directory")
-		}
-		dir = parent
-	}
+	return root
 }
 
 func TestListReturnsModuleTargetsAndExports(t *testing.T) {
-	root := moduleRoot(t)
+	root := testRoot(t)
 	targets, exports, err := List(root, "./internal/lint")
 	if err != nil {
 		t.Fatal(err)
@@ -50,21 +39,33 @@ func TestListReturnsModuleTargetsAndExports(t *testing.T) {
 }
 
 func TestLoadTypeChecksAgainstExportData(t *testing.T) {
-	root := moduleRoot(t)
-	// -deps loading returns the target plus its module-internal
-	// dependency closure (colblob, metrics), all type-checked.
+	root := testRoot(t)
+	// Loading one package type-checks the whole module tree, the
+	// nested cmd/noisebench module included, and marks only the
+	// pattern's package as a target.
 	pkgs, err := Load(root, "./internal/warmstore")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p *Package
+	byPath := map[string]*Package{}
 	for _, q := range pkgs {
-		if q.Path == "repro/internal/warmstore" {
-			p = q
-		}
+		byPath[q.Path] = q
 	}
+	p := byPath["repro/internal/warmstore"]
 	if p == nil {
 		t.Fatalf("repro/internal/warmstore not among loaded packages (got %d)", len(pkgs))
+	}
+	for path, target := range map[string]bool{
+		"repro/internal/warmstore": true,
+		"repro/internal/colblob":   false,
+		"repro/cmd/clarinet":       false,
+		"repro/cmd/noisebench":     false,
+	} {
+		if q := byPath[path]; q == nil || q.Info == nil {
+			t.Errorf("%s not loaded and type-checked", path)
+		} else if q.Target != target {
+			t.Errorf("%s: Target = %v, want %v", path, q.Target, target)
+		}
 	}
 	// Cross-package resolution: the Store type's methods reference
 	// repro/internal/colblob and repro/internal/metrics, both imported
@@ -153,7 +154,7 @@ func pick[T any](v T) T { return v }
 // instantiates the generic memo.Cache imported from export data, and
 // asserts the instantiation is visible with concrete type arguments.
 func TestLoadGenericInstantiationAcrossPackages(t *testing.T) {
-	root := moduleRoot(t)
+	root := testRoot(t)
 	pkgs, err := Load(root, "./internal/engine")
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		CtxVariant, StageName, ErrWrap, CacheKey, FloatSafe, RecoverScope,
-		GoLeak, LockFlow, HotAlloc, MetricFlow,
+		GoLeak, LockFlow, HotAlloc, MetricFlow, TestOnly,
 	}
 }
 

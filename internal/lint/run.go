@@ -60,9 +60,10 @@ func directives(fset *token.FileSet, files []*ast.File) []directive {
 	return out
 }
 
-// Run applies every analyzer to every package, filters findings through
-// the //lint:ignore directives, and reports malformed directives. The
-// returned diagnostics are sorted by position.
+// Run applies every analyzer to the target packages (module analyzers
+// once, over all of pkgs), filters findings through the //lint:ignore
+// directives, and reports malformed directives. The returned
+// diagnostics are sorted by position.
 //
 //lint:ignore noiselint/ctxvariant analyzer passes are in-memory AST walks with no cancellation points
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -72,12 +73,36 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		known[a.Name] = true
 		ran[a.Name] = true
 	}
+	moduleRaw := map[*Package][]Diagnostic{}
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		pass := &ModulePass{
+			Analyzer: a,
+			Packages: pkgs,
+			report: func(pkg *Package, d Diagnostic) {
+				if pkg.Target {
+					moduleRaw[pkg] = append(moduleRaw[pkg], d)
+				}
+			},
+		}
+		if err := a.RunModule(pass); err != nil {
+			return nil, err
+		}
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
+		if !pkg.Target {
+			continue
+		}
 		dirs := directives(pkg.Fset, pkg.Files)
-		var raw []Diagnostic
+		raw := moduleRaw[pkg]
 		cfgs := map[ast.Node]*CFG{}
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Path:     pkg.Path,

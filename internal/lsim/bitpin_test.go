@@ -34,7 +34,7 @@ func denseReference(sys *mna.System, opt lsim.Options) ([]float64, *linalg.Matri
 	case opt.X0 != nil:
 		copy(x, opt.X0)
 	case opt.InitDC:
-		dc, err := sys.DC(opt.TStart)
+		dc, err := dcPoint(sys, opt.TStart)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -53,15 +53,14 @@ func denseReference(sys *mna.System, opt lsim.Options) ([]float64, *linalg.Matri
 	uPrev := make([]float64, sys.NumInputs())
 	uNow := make([]float64, sys.NumInputs())
 	uMid := make([]float64, sys.NumInputs())
-	hint := make([]int, sys.NumInputs())
 	times := make([]float64, steps+1)
 	states := linalg.NewMatrix(steps+1, n)
 	times[0] = opt.TStart
 	copy(states.Data[:n], x)
-	sys.InputAtTo(uPrev, opt.TStart, hint)
+	inputsAt(sys, uPrev, opt.TStart)
 	for k := 1; k <= steps; k++ {
 		t := opt.TStart + float64(k)*h
-		sys.InputAtTo(uNow, t, hint)
+		inputsAt(sys, uNow, t)
 		for i := range uMid {
 			uMid[i] = 0.5 * (uPrev[i] + uNow[i])
 		}
@@ -307,8 +306,9 @@ func TestRunToCrossingMatchesRun(t *testing.T) {
 	}
 }
 
-// solvePins are FNV-64a digests of the Float64bits of mna.System.DC(0)
-// and of mor.Reduce(sys, 8)'s reduced G, C and B and its basis V, for
+// solvePins are FNV-64a digests of the Float64bits of the DC operating
+// point at t = 0 and of mor.Reduce(sys, 8)'s reduced G, C and B and its
+// basis V, for
 // the victim runs of the first net of each workload profile (12-18
 // states, the dense factor) and for the coupled bus (123 states, the
 // banded factor). They were recorded while DC, the Krylov recurrence
@@ -366,7 +366,7 @@ func TestSolveBitPins(t *testing.T) {
 	systems["bus-3x40"] = bus
 	for _, pin := range solvePins {
 		sys := systems[pin.name]
-		dc, err := sys.DC(0)
+		dc, err := dcPoint(sys, 0)
 		if err != nil {
 			t.Fatalf("%s: DC: %v", pin.name, err)
 		}
@@ -389,5 +389,23 @@ func TestSolveBitPins(t *testing.T) {
 				t.Errorf("%s (%d states): %s digest %#016x, want %#016x", pin.name, sys.NumStates(), d.what, d.got, d.want)
 			}
 		}
+	}
+}
+
+// dcPoint solves the DC operating point G x = B u(t0).
+func dcPoint(sys *mna.System, t0 float64) ([]float64, error) {
+	x := make([]float64, sys.NumStates())
+	u := make([]float64, sys.NumInputs())
+	inputsAt(sys, u, t0)
+	if err := sys.DCCols(x, u, 1); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// inputsAt evaluates the input vector u(t) into dst.
+func inputsAt(sys *mna.System, dst []float64, t float64) {
+	for i, w := range sys.Inputs {
+		dst[i] = w.At(t)
 	}
 }

@@ -434,12 +434,3 @@ func (r *Result) StateWaveform(i int) (*waveform.PWL, error) {
 	}
 	return waveform.New(append([]float64(nil), r.Times...), v), nil
 }
-
-// Final returns the last row of recorded states.
-func (r *Result) Final() []float64 {
-	n := r.States.Cols
-	k := len(r.Times) - 1
-	out := make([]float64, n)
-	copy(out, r.States.Data[k*n:(k+1)*n])
-	return out
-}

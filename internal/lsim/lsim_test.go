@@ -189,7 +189,8 @@ func TestFinalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin := res.Final()
+	n := res.States.Cols
+	fin := res.States.Data[(len(res.Times)-1)*n:]
 	if len(fin) != 1 || math.Abs(fin[0]-1) > 1e-6 {
 		t.Fatalf("final = %v, want [1]", fin)
 	}

@@ -61,29 +61,6 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (v V, hit bool, err error)
 	return e.val, false, e.err
 }
 
-// Get returns the cached value for key if a completed, successful
-// computation exists. It does not wait for in-flight computations.
-func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
-	if c == nil {
-		return v, false
-	}
-	c.mu.Lock()
-	e, exists := c.m[key]
-	c.mu.Unlock()
-	if !exists {
-		return v, false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return v, false
-		}
-		return e.val, true
-	default:
-		return v, false
-	}
-}
-
 // Snapshot copies out every completed, successful entry — the state
 // worth persisting to a warm-start store. In-flight and failed entries
 // are skipped. The returned map is the caller's; values are shared (the

@@ -115,3 +115,26 @@ func TestNilCache(t *testing.T) {
 		t.Fatal("nil Get")
 	}
 }
+
+// Get returns the cached value for key if a completed, successful
+// computation exists. It does not wait for in-flight computations.
+func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
+	if c == nil {
+		return v, false
+	}
+	c.mu.Lock()
+	e, exists := c.m[key]
+	c.mu.Unlock()
+	if !exists {
+		return v, false
+	}
+	select {
+	case <-e.done:
+		if e.err != nil {
+			return v, false
+		}
+		return e.val, true
+	default:
+		return v, false
+	}
+}

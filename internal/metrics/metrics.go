@@ -14,9 +14,7 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,17 +94,6 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 	t.n.Add(1)
 	t.ns.Add(int64(d))
-}
-
-// Time runs fn and records its wall time. Safe on a nil Timer.
-func (t *Timer) Time(fn func()) {
-	if t == nil {
-		fn()
-		return
-	}
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
 }
 
 // Count returns the number of observations. Safe on a nil Timer.
@@ -299,12 +286,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Add is shorthand for Counter(name).Add(delta).
-func (r *Registry) Add(name string, delta int64) { r.Counter(name).Add(delta) }
-
-// Set is shorthand for Gauge(name).Set(v).
-func (r *Registry) Set(name string, v int64) { r.Gauge(name).Set(v) }
-
 // Observe is shorthand for Timer(name).Observe(d).
 func (r *Registry) Observe(name string, d time.Duration) { r.Timer(name).Observe(d) }
 
@@ -381,49 +362,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteText renders the snapshot as an aligned, name-sorted summary.
-func (s Snapshot) WriteText(w io.Writer) {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%-32s %d\n", name, s.Counters[name])
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%-32s %d (gauge)\n", name, s.Gauges[name])
-	}
-	names = names[:0]
-	for name := range s.Timers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := s.Timers[name]
-		fmt.Fprintf(w, "%-32s %d calls, %v total, %v mean\n",
-			name, t.Count, time.Duration(t.TotalNs).Round(time.Microsecond),
-			time.Duration(t.MeanNs).Round(time.Microsecond))
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		fmt.Fprintf(w, "%-32s %d obs, p50 %v, p95 %v, p99 %v\n",
-			name, h.Count, time.Duration(h.P50Ns).Round(time.Microsecond),
-			time.Duration(h.P95Ns).Round(time.Microsecond),
-			time.Duration(h.P99Ns).Round(time.Microsecond))
-	}
 }
 
 // CacheRatio returns the hit count, miss count, and hit ratio of a cache

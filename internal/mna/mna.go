@@ -147,39 +147,6 @@ func (s *System) NumStates() int { return len(s.Nodes) }
 // NumInputs returns the number of input waveforms.
 func (s *System) NumInputs() int { return len(s.Inputs) }
 
-// InputAt evaluates the input vector u(t).
-func (s *System) InputAt(t float64) []float64 {
-	u := make([]float64, len(s.Inputs))
-	s.InputAtTo(u, t, make([]int, len(s.Inputs)))
-	return u
-}
-
-// InputAtTo evaluates the input vector u(t) into dst without
-// allocating. hints holds one waveform.PWL.AtHint segment hint per
-// input (start them at 0) and is updated in place, so a stepper whose
-// times advance walks each input forward instead of binary searching
-// it; the values are bit-identical to At's either way.
-//
-//lint:hot
-func (s *System) InputAtTo(dst []float64, t float64, hints []int) {
-	if len(dst) != len(s.Inputs) || len(hints) != len(s.Inputs) {
-		panic(fmt.Sprintf("mna: input vector/hint lengths %d/%d, want %d", len(dst), len(hints), len(s.Inputs)))
-	}
-	for i, w := range s.Inputs {
-		dst[i] = w.AtHint(t, &hints[i])
-	}
-}
-
-// DC solves the DC operating point G x = B u(t0), factoring G by
-// linalg.Factor's rule.
-func (s *System) DC(t0 float64) ([]float64, error) {
-	x := make([]float64, s.NumStates())
-	if err := s.DCCols(x, s.InputAt(t0), 1); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // DCCols solves the DC operating points G x_j = B u_j of r input
 // vectors over one factor of G: u holds entry c of u_j at c*r+j, and x
 // receives entry i of x_j at i*r+j. B applies in CSR, which keeps the

@@ -1,6 +1,7 @@
 package mna
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -174,5 +175,36 @@ func TestBuildErrors(t *testing.T) {
 	c2.AddDriver("d", "GND", waveform.Constant(0), 1)
 	if _, err := Build(c2); err == nil {
 		t.Error("expected error for grounded driver")
+	}
+}
+
+// DC solves the DC operating point G x = B u(t0), factoring G by
+// linalg.Factor's rule.
+func (s *System) DC(t0 float64) ([]float64, error) {
+	x := make([]float64, s.NumStates())
+	if err := s.DCCols(x, s.InputAt(t0), 1); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// InputAt evaluates the input vector u(t).
+func (s *System) InputAt(t float64) []float64 {
+	u := make([]float64, len(s.Inputs))
+	s.InputAtTo(u, t, make([]int, len(s.Inputs)))
+	return u
+}
+
+// InputAtTo evaluates the input vector u(t) into dst without
+// allocating. hints holds one waveform.PWL.AtHint segment hint per
+// input (start them at 0) and is updated in place, so a stepper whose
+// times advance walks each input forward instead of binary searching
+// it; the values are bit-identical to At's either way.
+func (s *System) InputAtTo(dst []float64, t float64, hints []int) {
+	if len(dst) != len(s.Inputs) || len(hints) != len(s.Inputs) {
+		panic(fmt.Sprintf("mna: input vector/hint lengths %d/%d, want %d", len(dst), len(hints), len(s.Inputs)))
+	}
+	for i, w := range s.Inputs {
+		dst[i] = w.AtHint(t, &hints[i])
 	}
 }

@@ -193,9 +193,6 @@ func (c *Circuit) ImportLinear(nl *netlist.Circuit) {
 	}
 }
 
-// NumNodes returns the total number of declared nodes (fixed + unknown).
-func (c *Circuit) NumNodes() int { return len(c.nodes) }
-
 // seal freezes the topology and assigns state indices to unknown nodes.
 func (c *Circuit) seal() {
 	if c.sealed {
@@ -210,13 +207,6 @@ func (c *Circuit) seal() {
 		}
 	}
 	c.numStates = idx
-}
-
-// NumStates returns the number of unknown node voltages. It seals the
-// circuit.
-func (c *Circuit) NumStates() int {
-	c.seal()
-	return c.numStates
 }
 
 // StateOf extracts the voltage of an unknown node from a state vector
@@ -249,17 +239,4 @@ func (c *Circuit) StateIndex(r Ref) int {
 		return -1
 	}
 	return c.nodes[r].state
-}
-
-// StateNames returns the node names of the unknown states in state order.
-// It seals the circuit.
-func (c *Circuit) StateNames() []string {
-	c.seal()
-	out := make([]string, c.numStates)
-	for _, n := range c.nodes {
-		if n.fixed == nil {
-			out[n.state] = n.name
-		}
-	}
-	return out
 }

@@ -675,6 +675,8 @@ var checkpointHook func(ctx context.Context, t float64) error
 // returns a function restoring the previous hook. Install before
 // launching any solve and restore after every solve has finished; the
 // hook itself may be called from many goroutines.
+//
+//lint:ignore noiselint/testonly fault-injection seam: the chaos tests of nlsim, clarinet and pathnoise install faultinject.SolverCheckpoint through it
 func SetCheckpointHook(fn func(ctx context.Context, t float64) error) (restore func()) {
 	prev := checkpointHook
 	checkpointHook = fn
@@ -715,13 +717,4 @@ func (r *Result) Voltage(name string) (*waveform.PWL, error) {
 		}
 	}
 	return waveform.New(append([]float64(nil), r.Times...), v), nil
-}
-
-// Final returns the final state vector.
-func (r *Result) Final() []float64 {
-	n := r.States.Cols
-	k := len(r.Times) - 1
-	out := make([]float64, n)
-	copy(out, r.States.Data[k*n:(k+1)*n])
-	return out
 }

@@ -136,13 +136,12 @@ func (x *netExchange) Summary(context.Context, func(clarinet.JournalRecord) erro
 	return &x.sum, nil
 }
 
-// tool builds one request's clarinet view over the warm session. A
-// positive per-request net timeout overrides the policy's.
+// tool builds one request's clarinet view over the warm session. The
+// request's net timeout (the server default unless the request set
+// one) bounds every net, whether or not the request asked for rescue.
 func (s *Server) tool(opt Options) (*clarinet.Tool, error) {
 	pol := s.requestPolicy(opt)
-	if opt.NetTimeout > 0 {
-		pol.NetTimeout = opt.NetTimeout
-	}
+	pol.NetTimeout = opt.NetTimeout
 	return clarinet.New(nil, clarinet.Config{
 		Session:    s.session,
 		Hold:       opt.Hold,

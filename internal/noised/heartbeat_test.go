@@ -138,31 +138,31 @@ func TestHeartbeatColblob(t *testing.T) {
 func TestInstanceIdentity(t *testing.T) {
 	s1, ts1 := newTestServer(t, Config{})
 	s2, _ := newTestServer(t, Config{})
-	if s1.Instance() == "" || s1.Instance() == s2.Instance() {
-		t.Fatalf("instances %q vs %q: want distinct non-empty", s1.Instance(), s2.Instance())
+	if s1.instance == "" || s1.instance == s2.instance {
+		t.Fatalf("instances %q vs %q: want distinct non-empty", s1.instance, s2.instance)
 	}
 	resp, err := http.Get(ts1.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get(InstanceHeader); got != s1.Instance() {
-		t.Fatalf("%s header = %q, want %q", InstanceHeader, got, s1.Instance())
+	if got := resp.Header.Get(InstanceHeader); got != s1.instance {
+		t.Fatalf("%s header = %q, want %q", InstanceHeader, got, s1.instance)
 	}
 	var h Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Instance != s1.Instance() {
-		t.Fatalf("healthz instance = %q, want %q", h.Instance, s1.Instance())
+	if h.Instance != s1.instance {
+		t.Fatalf("healthz instance = %q, want %q", h.Instance, s1.instance)
 	}
 	rdy, err := http.Get(ts1.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rdy.Body.Close()
-	if got := rdy.Header.Get(InstanceHeader); got != s1.Instance() {
-		t.Fatalf("readyz %s header = %q, want %q", InstanceHeader, got, s1.Instance())
+	if got := rdy.Header.Get(InstanceHeader); got != s1.instance {
+		t.Fatalf("readyz %s header = %q, want %q", InstanceHeader, got, s1.instance)
 	}
 }
 

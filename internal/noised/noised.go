@@ -72,10 +72,11 @@ type Config struct {
 	// (AlignExhaustive); without it the zero Config picks prechar.
 	UseConfigAlign bool
 	// Resilience configures the convergence rescue ladder applied to
-	// every request (see resilience.DefaultPolicy).
+	// every request that asks for rescue (see resilience.DefaultPolicy).
+	// Its NetTimeout is the default per-net deadline (0 = none), which
+	// bounds every request, rescued or not, unless the request's
+	// "net_timeout" overrides it.
 	Resilience resilience.Policy
-	// NetTimeout bounds each net's analysis wall clock (0 = none).
-	NetTimeout time.Duration
 	// Workers bounds each request's analysis parallelism (0 = one per
 	// core, as in clarinet).
 	Workers int
@@ -265,7 +266,7 @@ func New(cfg Config) (*Server, error) {
 			Hold:       cfg.Hold,
 			Align:      cfg.Align,
 			Rescue:     cfg.Resilience.Enabled(),
-			NetTimeout: cfg.NetTimeout,
+			NetTimeout: cfg.Resilience.NetTimeout,
 			Iterations: pathnoise.DefaultMaxIterations,
 		},
 		Counters: Counters{
@@ -301,12 +302,6 @@ func (s *Server) SaveWarm() error {
 	return s.session.SaveWarm(s.store)
 }
 
-// Instance returns the server's random per-process identity.
-func (s *Server) Instance() string { return s.instance }
-
-// Session returns the server's warm engine session.
-func (s *Server) Session() *engine.Session { return s.session }
-
 // Metrics returns the server's instrumentation registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
@@ -316,8 +311,3 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Draining reports whether the server has begun its graceful drain.
 func (s *Server) Draining() bool { return s.front.Gate.Draining() }
-
-// Drain flips the server into drain mode: /readyz answers 503 and new
-// analysis requests are refused while in-flight streams run to
-// completion. Drain is idempotent.
-func (s *Server) Drain() { s.front.Gate.Drain() }

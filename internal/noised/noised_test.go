@@ -18,6 +18,7 @@ import (
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/resilience"
 	"repro/internal/workload"
 )
 
@@ -436,7 +437,7 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("first request never reached the pool")
 	}
 
-	s.Drain()
+	s.front.Gate.Drain()
 	if !s.Draining() {
 		t.Fatal("Draining() = false after Drain")
 	}
@@ -489,7 +490,7 @@ func TestHealthz(t *testing.T) {
 	if h.Build.Version == "" {
 		t.Fatal("health must carry the build version")
 	}
-	s.Drain()
+	s.front.Gate.Drain()
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -643,7 +644,7 @@ func TestWarmStoreAcrossServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := sess1.Cell("INVX1")
+	cell, err := sess1.Lib().Cell("INVX1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,5 +676,46 @@ func TestWarmStoreAcrossServers(t *testing.T) {
 	}
 	if misses := sess3.Metrics().Counter("store.misses").Value(); misses != 1 {
 		t.Fatalf("store.misses = %d, want 1", misses)
+	}
+}
+
+// TestNetTimeoutDefaultAndOverride pins the per-net deadline a request
+// runs under: the configured default bounds every request, with rescue
+// on or off and whether or not the policy has a rescue rung, and a
+// request's net_timeout replaces it.
+func TestNetTimeoutDefaultAndOverride(t *testing.T) {
+	ladder := resilience.DefaultPolicy()
+	ladder.NetTimeout = 30 * time.Second
+	for name, pol := range map[string]resilience.Policy{
+		"deadline-only": {NetTimeout: 30 * time.Second},
+		"ladder":        ladder,
+	} {
+		s, err := New(Config{Resilience: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			query string
+			want  time.Duration
+		}{
+			{"", 30 * time.Second},
+			{"rescue=true", 30 * time.Second},
+			{"rescue=false", 30 * time.Second},
+			{"net_timeout=5s", 5 * time.Second},
+			{"rescue=false&net_timeout=5s", 5 * time.Second},
+		} {
+			r := httptest.NewRequest(http.MethodPost, Analyze.Path+"?"+c.query, nil)
+			opt, err := s.front.parseOptions(r, false)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, c.query, err)
+			}
+			tool, err := s.tool(opt)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, c.query, err)
+			}
+			if got := tool.Cfg.Resilience.NetTimeout; got != c.want {
+				t.Errorf("%s %q: per-net deadline %v, want %v", name, c.query, got, c.want)
+			}
+		}
 	}
 }

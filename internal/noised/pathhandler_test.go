@@ -118,7 +118,7 @@ func TestAnalyzePathMatchesCLI(t *testing.T) {
 	// The CLI reference: pathnoise.Run on a tool over the server's own
 	// session (identical engine config), rendered by MarshalReport.
 	tool, err := clarinet.New(nil, clarinet.Config{
-		Session: s.Session(),
+		Session: s.session,
 		Hold:    s.cfg.Hold,
 		Align:   s.cfg.Align,
 		Workers: 1,

@@ -87,13 +87,6 @@ func Internalf(format string, args ...any) error {
 	return As(ErrInternal, fmt.Errorf(format, args...))
 }
 
-// Deadline tags err as a per-net deadline failure. The batch engine uses
-// this for nets whose own time budget expired while the run continued;
-// it outranks the ErrCanceled classification the solver checkpoints
-// attach on the way out, so the net is reported as a deadline failure
-// rather than a caller abort.
-func Deadline(err error) error { return As(ErrDeadline, err) }
-
 // Reclass tags err with a sentinel class like As, but hoists the tag
 // beneath any outermost StageError so net/stage attribution stays the
 // first match of errors.As. Nil-safe.
@@ -252,6 +245,8 @@ func (s Stage) TimerName() string { return stageTimerPrefix + string(s) }
 // It returns false for names outside the "stage.*" namespace and for
 // "stage.*" names that do not correspond to a declared stage — the
 // latter is exactly the drift the metrics naming tests guard against.
+//
+//lint:ignore noiselint/testonly the runtime half of the stagename invariant: TestStageTimersMatchSharedConstants maps every stage.* timer back through it
 func StageForTimer(name string) (Stage, bool) {
 	if len(name) <= len(stageTimerPrefix) || name[:len(stageTimerPrefix)] != stageTimerPrefix {
 		return "", false

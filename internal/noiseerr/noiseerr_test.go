@@ -17,7 +17,7 @@ func TestClassSentinels(t *testing.T) {
 		{Convergencef("newton stalled"), ErrConvergence, "convergence"},
 		{Numericalf("singular"), ErrNumerical, "numerical"},
 		{Canceled(context.Canceled), ErrCanceled, "canceled"},
-		{Deadline(context.DeadlineExceeded), ErrDeadline, "deadline"},
+		{As(ErrDeadline, context.DeadlineExceeded), ErrDeadline, "deadline"},
 		{Internalf("broken invariant"), ErrInternal, "internal"},
 		{&PanicError{Value: "boom"}, ErrInternal, "internal"},
 	}
@@ -68,7 +68,7 @@ func TestDeadlineOutranksCancellation(t *testing.T) {
 	// way out; the explicit deadline tag must still win so the net is
 	// reported as a per-net failure, not a caller abort.
 	solver := Canceled(fmt.Errorf("nlsim: canceled at t=1e-9: %w", context.DeadlineExceeded))
-	err := Deadline(solver)
+	err := As(ErrDeadline, solver)
 	if Class(err) != ErrDeadline {
 		t.Errorf("Class = %v, want ErrDeadline", Class(err))
 	}

@@ -154,7 +154,7 @@ func TestGatewaySplitsOversizedShards(t *testing.T) {
 			t.Fatalf("%d nets: merged records diverge from the single-replica run:\n got %s\nwant %s", n, got, want)
 		}
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwShardSplit] < 1 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
 		t.Fatalf("splits %d, reshards %d, ejections %d; want splits and no reshard or ejection",
 			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])

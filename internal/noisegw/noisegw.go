@@ -35,7 +35,6 @@
 package noisegw
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -267,23 +266,9 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Metrics returns the gateway's instrumentation registry.
-func (g *Gateway) Metrics() *metrics.Registry { return g.reg }
-
 // Handler returns the gateway's HTTP handler, for mounting under
 // httptest or a custom http.Server.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// Instance returns the gateway's random per-process identity.
-func (g *Gateway) Instance() string { return g.instance }
-
 // Draining reports whether the gateway has begun its graceful drain.
 func (g *Gateway) Draining() bool { return g.front.Gate.Draining() }
-
-// Drain flips the gateway into drain mode: /readyz answers 503 and new
-// requests are refused while in-flight merges run to completion.
-func (g *Gateway) Drain() { g.front.Gate.Drain() }
-
-// ProbeReplicas runs one health-probe round outside the Serve loop —
-// embedders and tests advance the replica state machine with it.
-func (g *Gateway) ProbeReplicas(ctx context.Context) { g.set.probeOnce(ctx) }

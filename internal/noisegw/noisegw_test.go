@@ -316,7 +316,7 @@ func TestGatewayReplicaDeathReshard(t *testing.T) {
 	if sum == nil || sum.OK != 40 || sum.Failed != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwReshards] < 1 {
 		t.Fatalf("reshards = %d, want >= 1", snap.Counters[mGwReshards])
 	}
@@ -353,7 +353,7 @@ func TestGatewayShedBackoff(t *testing.T) {
 	if sum.OK != 12 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwShardShed] != 2 {
 		t.Fatalf("sheds = %d, want 2", snap.Counters[mGwShardShed])
 	}
@@ -387,7 +387,7 @@ func TestGatewayShedExhaustedMovesOn(t *testing.T) {
 	if sum.OK != 24 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if a.callCount() > 0 && snap.Counters[mGwReshards] < 1 {
 		t.Fatalf("reshards = %d, want >= 1 after shed exhaustion", snap.Counters[mGwReshards])
 	}
@@ -419,7 +419,7 @@ func TestGatewayExactlyOnceDuplicates(t *testing.T) {
 	if sum.OK != 10 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if dup := g.Metrics().Snapshot().Counters[mGwNetsDuplicate]; dup != 10 {
+	if dup := g.reg.Snapshot().Counters[mGwNetsDuplicate]; dup != 10 {
 		t.Fatalf("duplicates dropped = %d, want 10", dup)
 	}
 }
@@ -454,7 +454,7 @@ func TestGatewayCanceledNeverFinalizes(t *testing.T) {
 	if sum.OK != 12 || sum.Canceled != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwReshards]; n < 1 {
+	if n := g.reg.Snapshot().Counters[mGwReshards]; n < 1 {
 		t.Fatalf("reshards = %d, want >= 1", n)
 	}
 }
@@ -483,7 +483,7 @@ func TestGatewayStallDetection(t *testing.T) {
 	if sum.OK != 20 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if a.callCount() > 0 && snap.Counters[mGwShardStalled] < 1 {
 		t.Fatalf("stalls = %d, want >= 1", snap.Counters[mGwShardStalled])
 	}
@@ -519,7 +519,7 @@ func TestGatewayWatchdogHonorsAdvertisedHeartbeat(t *testing.T) {
 	if sum.OK != 6 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwShardStalled]; n != 0 {
+	if n := g.reg.Snapshot().Counters[mGwShardStalled]; n != 0 {
 		t.Fatalf("stalls = %d, want 0: a replica keeping its advertised heartbeat was cut", n)
 	}
 	if a.callCount() != 1 {
@@ -556,7 +556,7 @@ func TestGatewayWatchdogCutsSilentReplica(t *testing.T) {
 	if d := <-cut; d < 2900*time.Millisecond || d > 6*time.Second {
 		t.Fatalf("silent stream cut after %v, want about 3s (3 x the advertised 1s)", d)
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwShardStalled]; n != 1 {
+	if n := g.reg.Snapshot().Counters[mGwShardStalled]; n != 1 {
 		t.Fatalf("stalls = %d, want 1", n)
 	}
 }
@@ -592,7 +592,7 @@ func TestGatewayHedge(t *testing.T) {
 	if sum.OK != 24 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwHedges]; n < 1 {
+	if n := g.reg.Snapshot().Counters[mGwHedges]; n < 1 {
 		t.Fatalf("hedges = %d, want >= 1", n)
 	}
 }
@@ -712,7 +712,7 @@ func TestGatewayNoHealthyReplicas(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("no Retry-After hint on the shed")
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwRejectedNoReplicas]; n != 1 {
+	if n := g.reg.Snapshot().Counters[mGwRejectedNoReplicas]; n != 1 {
 		t.Fatalf("rejected.no_replicas = %d, want 1", n)
 	}
 
@@ -752,7 +752,7 @@ func TestGatewayRefusedUnitFails(t *testing.T) {
 	if a.callCount() != 3 {
 		t.Fatalf("replica called %d times, want the shard and its two halves", a.callCount())
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwShardSplit] != 1 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
 		t.Fatalf("splits %d, reshards %d, ejections %d; want 1, 0, 0",
 			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
@@ -785,7 +785,7 @@ func TestGatewayRefusedUnitMovesReplica(t *testing.T) {
 			t.Fatalf("refusing replica called %d times, the other asked %d of %d nets",
 				small.callCount(), len(big.netsAsked()), len(cases))
 		}
-		snap := g.Metrics().Snapshot()
+		snap := g.reg.Snapshot()
 		if snap.Counters[mGwReshards] < 1 || snap.Counters[mGwReplicaEjections] != 0 {
 			t.Fatalf("reshards %d, ejections %d; want a reshard and no ejection",
 				snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
@@ -809,7 +809,7 @@ func TestGatewayRefusedUnitMovesReplica(t *testing.T) {
 		if calls := a.callCount() + b.callCount(); calls != 3 {
 			t.Fatalf("replicas called %d times, want the first try and its two hops", calls)
 		}
-		if snap := g.Metrics().Snapshot(); snap.Counters[mGwReshards] != 2 || snap.Counters[mGwReplicaEjections] != 0 {
+		if snap := g.reg.Snapshot(); snap.Counters[mGwReshards] != 2 || snap.Counters[mGwReplicaEjections] != 0 {
 			t.Fatalf("reshards %d, ejections %d; want 2 and 0",
 				snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
 		}
@@ -880,8 +880,8 @@ func TestGatewayHealthz(t *testing.T) {
 	if h.Status != "ok" || h.ReplicasHealthy != 2 || len(h.Replicas) != 2 {
 		t.Fatalf("health = %+v", h)
 	}
-	if h.Instance == "" || h.Instance != g.Instance() {
-		t.Fatalf("instance = %q, want %q", h.Instance, g.Instance())
+	if h.Instance == "" || h.Instance != g.instance {
+		t.Fatalf("instance = %q, want %q", h.Instance, g.instance)
 	}
 	for i := 0; i < DefaultMaxStrikes; i++ {
 		g.set.strike(a.ts.URL)
@@ -889,7 +889,7 @@ func TestGatewayHealthz(t *testing.T) {
 	if h := get(); h.Status != "degraded" || h.ReplicasHealthy != 1 {
 		t.Fatalf("after ejection health = %+v", h)
 	}
-	g.Drain()
+	g.front.Gate.Drain()
 	if h := get(); h.Status != "draining" || !h.Draining {
 		t.Fatalf("draining health = %+v", h)
 	}
@@ -923,18 +923,18 @@ func TestProbeEjectRejoinRestart(t *testing.T) {
 	}
 	ctx := t.Context()
 
-	g.ProbeReplicas(ctx) // healthy: learns the instance
+	g.set.probeOnce(ctx) // healthy: learns the instance
 	if rows := g.set.health(); !rows[0].Healthy || rows[0].Instance != "first-boot" {
 		t.Fatalf("initial health = %+v", rows[0])
 	}
 
 	healthy.Store("up", false)
-	g.ProbeReplicas(ctx)
-	g.ProbeReplicas(ctx)
+	g.set.probeOnce(ctx)
+	g.set.probeOnce(ctx)
 	if rows := g.set.health(); rows[0].Healthy {
 		t.Fatalf("still healthy after %d failed probes", 2)
 	}
-	if n := g.Metrics().Snapshot().Counters[mGwReplicaEjections]; n != 1 {
+	if n := g.reg.Snapshot().Counters[mGwReplicaEjections]; n != 1 {
 		t.Fatalf("ejections = %d, want 1", n)
 	}
 
@@ -943,12 +943,12 @@ func TestProbeEjectRejoinRestart(t *testing.T) {
 	healthy.Store("up", true)
 	instance.Store("id", "second-boot")
 	time.Sleep(10 * time.Millisecond)
-	g.ProbeReplicas(ctx)
+	g.set.probeOnce(ctx)
 	rows := g.set.health()
 	if !rows[0].Healthy || rows[0].Instance != "second-boot" {
 		t.Fatalf("after rejoin health = %+v", rows[0])
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwReplicaRejoins] != 1 || snap.Counters[mGwReplicaRestarts] != 1 {
 		t.Fatalf("rejoins = %d restarts = %d, want 1 and 1",
 			snap.Counters[mGwReplicaRejoins], snap.Counters[mGwReplicaRestarts])
@@ -960,7 +960,7 @@ func TestProbeEjectRejoinRestart(t *testing.T) {
 func TestGatewayDraining(t *testing.T) {
 	a := newFakeReplica(t)
 	g, ts := newTestGateway(t, nil, a)
-	g.Drain()
+	g.front.Gate.Drain()
 	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
 		bytes.NewReader(casesBody(t, testCases(4))))
 	if err != nil {

@@ -296,7 +296,7 @@ func TestGatewayPathSplitsOversizedShards(t *testing.T) {
 	if rep := sum.Reports[2]; rep.Class != "invalid-case" || !strings.Contains(rep.Error, "per-request net limit") {
 		t.Fatalf("refused path report %+v: want an invalid-case failure with the replica's message", rep)
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if snap.Counters[mGwShardSplit] != 3 || snap.Counters[mGwReshards] != 0 || snap.Counters[mGwReplicaEjections] != 0 {
 		t.Fatalf("splits %d, reshards %d, ejections %d; want 3, 0, 0",
 			snap.Counters[mGwShardSplit], snap.Counters[mGwReshards], snap.Counters[mGwReplicaEjections])
@@ -450,7 +450,7 @@ func TestGatewayPathValidation(t *testing.T) {
 	if f.callCount() != 0 {
 		t.Fatal("invalid requests reached a replica")
 	}
-	snap := g.Metrics().Snapshot()
+	snap := g.reg.Snapshot()
 	if n := snap.Counters[mGwRejectedValidation]; n != int64(len(cases)) {
 		t.Fatalf("rejected.validation = %d, want %d", n, len(cases))
 	}

@@ -403,9 +403,8 @@ func (br *binaryStageReader) Next() (StageRecord, error) {
 // killed run loses at most the record being written. A nil *PathJournal
 // is a valid no-op sink.
 type PathJournal struct {
-	mu    sync.Mutex
-	sw    StageWriter
-	codec StageCodec
+	mu sync.Mutex
+	sw StageWriter
 }
 
 // NewPathJournal wraps w as a journal sink using codec (nil selects the
@@ -414,15 +413,7 @@ func NewPathJournal(w io.Writer, codec StageCodec) *PathJournal {
 	if codec == nil {
 		codec = BinaryStages
 	}
-	return &PathJournal{sw: codec.NewWriter(w), codec: codec}
-}
-
-// Codec reports the journal's encoding.
-func (j *PathJournal) Codec() StageCodec {
-	if j == nil {
-		return nil
-	}
-	return j.codec
+	return &PathJournal{sw: codec.NewWriter(w)}
 }
 
 // Record appends one stage record.

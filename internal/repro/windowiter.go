@@ -19,6 +19,8 @@ type WindowIterationResult struct {
 
 // WindowIteration builds a three-stage block (one window-constrained
 // aggressor) and runs the fixpoint.
+//
+//lint:ignore noiselint/testonly paper entry point (refs [8][9] window/noise iteration) that only BenchmarkSTAWindowIteration in bench_test.go drives
 func WindowIteration(ctx *Context) (*WindowIterationResult, error) {
 	mk := func(prefix, victim, agg, recv string) (*delaynoise.Case, error) {
 		vic, err := ctx.Lib.Cell(victim)
@@ -81,6 +83,8 @@ func WindowIteration(ctx *Context) (*WindowIterationResult, error) {
 }
 
 // Print renders the block outcome.
+//
+//lint:ignore noiselint/testonly renders WindowIteration, which only bench_test.go drives
 func (r *WindowIterationResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "# Refs [8][9] flow: timing-window / delay-noise fixpoint")
 	fmt.Fprintf(w, "converged=%v after %d iterations\n", r.Converged, r.Iterations)

@@ -50,6 +50,8 @@ type Result struct {
 }
 
 // Parse reads a mini-SPEF stream.
+//
+//lint:ignore noiselint/testonly the reader half of netgen's SPEF output, which integration_test reads back; no tool takes SPEF input yet
 func Parse(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -277,19 +277,3 @@ func speedupCase(c *delaynoise.Case) *delaynoise.Case {
 	}
 	return &out
 }
-
-// WorstSlack returns the smallest slack across constrained nets (and
-// whether any net carries a requirement).
-func (r *Result) WorstSlack() (float64, bool) {
-	worst, have := math.Inf(1), false
-	for _, n := range r.Nets {
-		if math.IsNaN(n.Slack) {
-			continue
-		}
-		have = true
-		if n.Slack < worst {
-			worst = n.Slack
-		}
-	}
-	return worst, have
-}

@@ -1,75 +1,19 @@
 // Package stats provides the error metrics the experiment harness
 // reports: mean/worst absolute and relative errors between a model series
-// and a reference series, plus simple distribution summaries.
+// and a reference series.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Mean returns the arithmetic mean (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Max returns the maximum (negative infinity for an empty slice).
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum (positive infinity for an empty slice).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by linear
-// interpolation of the sorted data.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
 
 // FloorRelErr is the floor-guarded relative error
 // |model - ref| / max(|ref|, floor): the relative error while the
 // reference is at least floor in magnitude, and the absolute error in
 // units of floor below it, so a near-zero reference cannot inflate it.
+//
+//lint:ignore noiselint/testonly the paper benches in bench_test.go report their model errors through it
 func FloorRelErr(model, ref, floor float64) float64 {
 	return math.Abs(model-ref) / math.Max(math.Abs(ref), floor)
 }

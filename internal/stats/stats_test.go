@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-func TestMeanMaxMin(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if Mean(xs) != 2.4 {
-		t.Fatalf("mean = %v", Mean(xs))
-	}
-	if Max(xs) != 5 || Min(xs) != -1 {
-		t.Fatalf("max/min = %v/%v", Max(xs), Min(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Fatal("empty max/min should be infinities")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("empty percentile should be NaN")
-	}
-	// Percentile must not reorder the caller's slice.
-	ys := []float64{5, 1, 3}
-	Percentile(ys, 50)
-	if ys[0] != 5 {
-		t.Fatal("input slice was mutated")
-	}
-}
-
 func TestCompare(t *testing.T) {
 	model := []float64{90e-12, 210e-12, 150e-12}
 	ref := []float64{100e-12, 200e-12, 150e-12}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/delaynoise"
 	"repro/internal/noiseerr"
@@ -194,31 +193,4 @@ func orDash(s string) string {
 		return "ratio"
 	}
 	return s
-}
-
-// Monotone reports whether the rtr delay noise is monotone
-// non-decreasing across the sweep (within tol), the expected behaviour
-// for coupling-ratio sweeps.
-func (r *Result) Monotone(tol float64) bool {
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].DelayNoise < r.Points[i-1].DelayNoise-tol {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsRelError returns the largest |model - golden|/golden across the
-// sweep for the given extractor (requires Golden runs).
-func (r *Result) MaxAbsRelError(model func(Point) float64) float64 {
-	worst := 0.0
-	for _, p := range r.Points {
-		if p.Golden == 0 {
-			continue
-		}
-		if e := math.Abs(model(p)-p.Golden) / math.Abs(p.Golden); e > worst {
-			worst = e
-		}
-	}
-	return worst
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestCouplingSweepMonotone(t *testing.T) {
 		t.Fatalf("got %d points", len(res.Points))
 	}
 	// More coupling, more delay noise.
-	if !res.Monotone(1e-12) {
+	if !monotone(res, 1e-12) {
 		t.Fatalf("delay noise not monotone in coupling: %+v", res.Points)
 	}
 	// The reference case was not mutated.
@@ -79,8 +80,8 @@ func TestGoldenSweepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtrErr := res.MaxAbsRelError(func(p Point) float64 { return p.DelayNoise })
-	thevErr := res.MaxAbsRelError(func(p Point) float64 { return p.Thevenin })
+	rtrErr := maxAbsRelError(res, func(p Point) float64 { return p.DelayNoise })
+	thevErr := maxAbsRelError(res, func(p Point) float64 { return p.Thevenin })
 	if rtrErr <= 0 || thevErr <= 0 {
 		t.Fatal("golden runs missing")
 	}
@@ -103,4 +104,31 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(ref, Param(99), []float64{1}, Options{}); err == nil {
 		t.Error("expected error for unknown parameter")
 	}
+}
+
+// monotone reports whether the rtr delay noise is monotone
+// non-decreasing across the sweep (within tol), the expected behaviour
+// for coupling-ratio sweeps.
+func monotone(r *Result, tol float64) bool {
+	for i := 1; i < len(r.Points); i++ {
+		if r.Points[i].DelayNoise < r.Points[i-1].DelayNoise-tol {
+			return false
+		}
+	}
+	return true
+}
+
+// maxAbsRelError returns the largest |model - golden|/golden across the
+// sweep for the given extractor (requires Golden runs).
+func maxAbsRelError(r *Result, model func(Point) float64) float64 {
+	worst := 0.0
+	for _, p := range r.Points {
+		if p.Golden == 0 {
+			continue
+		}
+		if e := math.Abs(model(p)-p.Golden) / math.Abs(p.Golden); e > worst {
+			worst = e
+		}
+	}
+	return worst
 }

@@ -409,41 +409,6 @@ func (w *PWL) Resample(t0, t1 float64, n int) *PWL {
 	return New(t, v)
 }
 
-// Derivative returns the piecewise-constant derivative of w represented
-// as a PWL sampled at segment midpoints. The result has one point per
-// segment; callers that need dv/dt at arbitrary times should use SlopeAt.
-func (w *PWL) Derivative() *PWL {
-	n := len(w.T)
-	if n < 2 {
-		return Constant(0)
-	}
-	t := make([]float64, n-1)
-	v := make([]float64, n-1)
-	for i := 1; i < n; i++ {
-		t[i-1] = 0.5 * (w.T[i] + w.T[i-1])
-		v[i-1] = (w.V[i] - w.V[i-1]) / (w.T[i] - w.T[i-1])
-	}
-	return New(t, v)
-}
-
-// SlopeAt returns dv/dt at time t (0 outside the breakpoint span; at a
-// breakpoint, the slope of the following segment).
-func (w *PWL) SlopeAt(t float64) float64 {
-	n := len(w.T)
-	if n < 2 || t < w.T[0] || t >= w.T[n-1] {
-		return 0
-	}
-	i := sort.SearchFloat64s(w.T, t)
-	//lint:ignore noiselint/floatsafe exact breakpoint hit after binary search; off-breakpoint times use the segment branch below
-	if i < n && w.T[i] == t {
-		if i == n-1 {
-			return 0
-		}
-		return (w.V[i+1] - w.V[i]) / (w.T[i+1] - w.T[i])
-	}
-	return (w.V[i] - w.V[i-1]) / (w.T[i] - w.T[i-1])
-}
-
 // Slew returns the transition time between the lo and hi fractional
 // thresholds of a full swing from v0 to v1 (e.g. 0.1, 0.9 for the 10-90%
 // slew of a rising edge). v1 may be less than v0 for a falling edge.

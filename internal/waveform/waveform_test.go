@@ -195,23 +195,6 @@ func TestResample(t *testing.T) {
 	}
 }
 
-func TestDerivativeSlope(t *testing.T) {
-	w := New([]float64{0, 1, 3}, []float64{0, 2, 0})
-	d := w.Derivative()
-	if !approx(d.At(0.5), 2, 1e-14) || !approx(d.At(2), -1, 1e-14) {
-		t.Fatalf("derivative wrong: %v %v", d.At(0.5), d.At(2))
-	}
-	if !approx(w.SlopeAt(0.5), 2, 1e-14) {
-		t.Fatal("SlopeAt interior wrong")
-	}
-	if !approx(w.SlopeAt(1), -1, 1e-14) {
-		t.Fatal("SlopeAt breakpoint should use following segment")
-	}
-	if w.SlopeAt(-1) != 0 || w.SlopeAt(10) != 0 {
-		t.Fatal("SlopeAt outside span should be 0")
-	}
-}
-
 func TestSlew(t *testing.T) {
 	w := Ramp(0, 1, 0, 1.8)
 	s, err := w.Slew(0, 1.8, 0.1, 0.9)
@@ -309,65 +292,5 @@ func TestWriteCSVValidation(t *testing.T) {
 	}
 	if err := WriteCSV(&buf, 1, 0, 10, nil); err == nil {
 		t.Error("expected error for inverted span")
-	}
-}
-
-func TestSimplifyBoundsDeviation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Smooth-ish random waveform on a dense grid.
-		n := 200 + rng.Intn(400)
-		ts := make([]float64, n)
-		vs := make([]float64, n)
-		v := 0.0
-		for i := range ts {
-			ts[i] = float64(i) * 1e-12
-			v += 0.02 * rng.NormFloat64()
-			vs[i] = v
-		}
-		w := New(ts, vs)
-		tol := 0.01 + 0.05*rng.Float64()
-		s := w.Simplify(tol)
-		if s.Len() > w.Len() {
-			return false
-		}
-		// Deviation bound at every original breakpoint.
-		for i := range ts {
-			if math.Abs(s.At(ts[i])-vs[i]) > tol*1.0000001 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSimplifyCompresses(t *testing.T) {
-	// A 4000-point sampled ramp-RC trace collapses to a handful of points.
-	dense := Ramp(0, 1e-9, 0, 1.8).Resample(0, 2e-9, 4000)
-	s := dense.Simplify(1e-3)
-	if s.Len() > 40 {
-		t.Fatalf("simplified to %d points, expected <= 40", s.Len())
-	}
-	if s.Len() < 2 {
-		t.Fatal("lost the endpoints")
-	}
-	// Crossing preserved within tolerance.
-	t1, _ := dense.CrossRising(0.9)
-	t2, _ := s.CrossRising(0.9)
-	if math.Abs(t1-t2) > 2e-12 {
-		t.Fatalf("crossing moved: %v vs %v", t1, t2)
-	}
-}
-
-func TestSimplifyDegenerate(t *testing.T) {
-	w := Ramp(0, 1, 0, 1)
-	if got := w.Simplify(0.1); got.Len() != 2 {
-		t.Fatalf("2-point input should pass through, got %d", got.Len())
-	}
-	if got := w.Simplify(0); got.Len() != w.Len() {
-		t.Fatal("zero tolerance should return a copy")
 	}
 }

@@ -205,6 +205,8 @@ func BusProfile() Profile {
 // LongRouteProfile returns a population of long resistive routes: large
 // line resistance with strong resistive shielding, the regime where the
 // C-effective iteration matters most.
+//
+//lint:ignore noiselint/testonly the long-route population that the lsim, ceff, align and thevenin bit pins draw their nets from
 func LongRouteProfile() Profile {
 	p := DefaultProfile()
 	p.SegmentsMin, p.SegmentsMax = 8, 12
