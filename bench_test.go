@@ -343,10 +343,11 @@ func BenchmarkLinearTransient(b *testing.B) {
 
 // BenchmarkClarinetBatch times the tool-level batch flow on a bus-style
 // workload (each generated net appears three times, as repeated
-// structures do on real buses). The "seed" sub-benchmark pins the original shipped
-// configuration — two workers, no shared caches — while "parallel" runs
-// the current defaults: one worker per core plus the single-flight
-// characterization and PRIMA caches. Comparing ns/op between the two
+// structures do on real buses). The "seed" sub-benchmark pins the
+// original shipped configuration — two workers, no shared caches —
+// while "parallel" runs the current defaults: one worker per core plus
+// the single-flight table and characterization caches. Comparing ns/op
+// between the two
 // gives the engine speedup. When REPRO_METRICS_OUT is set, the parallel
 // run writes its metrics snapshot (cache hits/misses, simulation
 // counts, stage timers) to that path as JSON.

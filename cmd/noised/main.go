@@ -1,8 +1,8 @@
 // Command noised is the resident noise-analysis service: a long-running
 // HTTP daemon that owns one warm engine session — alignment tables,
-// driver characterizations, holding resistances, PRIMA ROMs — and
-// amortizes it across every request, where the one-shot CLI tools
-// rebuild that state per invocation.
+// driver characterizations, and the noiseless driver runs behind
+// holding resistances — and amortizes it across every request, where
+// the one-shot CLI tools rebuild that state per invocation.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@
 // forces immediate exit.
 //
 // -warm-store points at a content-addressed store of session state
-// (alignment tables, driver characterizations, PRIMA models): at
+// (alignment tables and driver characterizations): at
 // startup the daemon loads the entry matching its exact configuration
 // (store.hits / store.misses appear under /metrics) and on drain it
 // saves the state it accumulated, so the next process starts warm. A

@@ -24,8 +24,8 @@ type Config struct {
 	// PrecharGrid is the exhaustive-search grid used when building
 	// alignment tables on demand (default 17).
 	PrecharGrid int
-	// Analysis carries the remaining knobs (step, iterations, PRIMA).
-	// Its Chars/ROMs/Metrics fields are managed by the session.
+	// Analysis carries the remaining knobs (step, iterations, PRIMA
+	// order). Its Chars/Metrics fields are managed by the session.
 	Analysis delaynoise.Options
 	// Workers bounds the analysis parallelism. Zero selects
 	// runtime.GOMAXPROCS(0) — every available core. Negative values are

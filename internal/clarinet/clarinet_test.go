@@ -44,9 +44,6 @@ func TestConfigDefaults(t *testing.T) {
 	if tool.Session().Bind(delaynoise.Options{}).Chars == nil {
 		t.Fatal("characterization cache must be on by default")
 	}
-	if tool.Session().Bind(delaynoise.Options{}).ROMs == nil {
-		t.Fatal("ROM cache must be on by default")
-	}
 	if _, err := New(lib, Config{Workers: -1}); err == nil {
 		t.Fatal("negative worker count must be rejected")
 	}
@@ -219,7 +216,7 @@ func TestCacheHitAccounting(t *testing.T) {
 		t.Fatalf("analysis failed: %v / %v", first.Err, second.Err)
 	}
 	s := tool.Metrics().Snapshot()
-	for _, cache := range []string{"cache.char.full", "cache.holdres"} {
+	for _, cache := range []string{"cache.char.full", "cache.drive"} {
 		if hits, _, _ := s.CacheRatio(cache); hits == 0 {
 			t.Errorf("%s: no hits on the repeated case (counters: %v)", cache, s.Counters)
 		}

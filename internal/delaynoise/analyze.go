@@ -100,14 +100,11 @@ type Options struct {
 	Minimize bool
 
 	// Chars, when non-nil, shares driver characterizations (rough
-	// Thevenin fits, C-effective iterations, transient holding
-	// resistances) across analyses with single-flight semantics. Batch
-	// engines set this; single-net callers can leave it nil.
+	// Thevenin fits, C-effective iterations, and the noiseless driver
+	// runs behind transient holding resistances) across analyses with
+	// single-flight semantics. Batch engines set this; single-net
+	// callers can leave it nil.
 	Chars *CharCache
-	// ROMs, when non-nil, shares PRIMA reduced-order models across
-	// analyses, keyed by a content hash of the assembled linear system.
-	// Only consulted when PRIMAOrder is positive.
-	ROMs *ROMCache
 	// Metrics, when non-nil, receives engine instrumentation: linear and
 	// nonlinear simulation counts, per-stage wall time, and cache
 	// hit/miss counters.

@@ -10,22 +10,23 @@ import (
 	"repro/internal/holdres"
 	"repro/internal/memo"
 	"repro/internal/metrics"
-	"repro/internal/mna"
-	"repro/internal/mor"
 	"repro/internal/netlist"
 	"repro/internal/thevenin"
 	"repro/internal/waveform"
 )
 
-// The shared caches below let a batch engine (internal/clarinet) fan the
-// per-net flow across cores without repeating work: nets that share a
-// driver cell at a similar operating point reuse the rough Thevenin fit,
-// duplicated net structures (bus bits, clock spines) reuse the full
-// C-effective characterization, the transient-holding-resistance
-// derivation, and the PRIMA reduction. All caches are single-flight
-// (internal/memo): concurrent nets needing the same entry compute it
-// once. Every method tolerates a nil receiver and simply computes
-// uncached, so the engine code calls them unconditionally.
+// The shared cache below lets a batch engine (internal/clarinet) fan
+// the per-net flow across cores without repeating work: nets that share
+// a driver cell at a similar operating point reuse the rough Thevenin
+// fit, duplicated held circuits reuse the full C-effective
+// characterization, and every holding-resistance derivation at one
+// victim operating point reuses its noiseless driver run. Its three
+// memos are single-flight (internal/memo): concurrent nets needing the
+// same entry compute it once. Every method tolerates a nil receiver and
+// simply computes uncached, so the engine code calls them
+// unconditionally. Results that do not recur across nets — the holding
+// resistance itself, derived from one net's own noise, and a PRIMA
+// reduction of one net's system — are computed per call.
 //
 // Each method takes the calling net's context: under single flight the
 // in-flight computation runs on the first caller's context, and a
@@ -49,14 +50,7 @@ type fullKey struct {
 	rising bool
 	slew   uint64 // exact float bits
 	node   string
-	ckt    uint64 // circuit content hash
-}
-
-type holdKey struct {
-	cell            string
-	rising          bool
-	slew, ceff, rth uint64
-	noise           uint64 // hash of the injected noise waveform
+	ckt    string // the held circuit's exact byte encoding (circuitKey)
 }
 
 type driveKey struct {
@@ -72,14 +66,15 @@ type driveKey struct {
 // points share one fit deterministically (the result never depends on
 // which net populated the bucket first). The bucketing perturbs only the
 // holding resistances used for pass-2 characterization, by at most the
-// bucket resolution. Full C-effective characterizations and transient
-// holding resistances are keyed exactly (including a content hash of the
-// held circuit or noise waveform), so cache hits are bit-identical to
-// uncached runs and occur for repeated net structures. The noiseless
-// driver run behind each holding resistance is keyed exactly by its
-// operating point alone and shared by every noise waveform there (the
-// Rtr iterations of one net, and nets with the same victim driver); it
-// stays in memory and is not part of a CharSnapshot.
+// bucket resolution. Full C-effective characterizations are keyed
+// exactly, by the held circuit's byte encoding itself rather than a
+// digest of it, so a hit is bit-identical to an uncached run and no
+// collision can hand one driver another circuit's result; hits occur
+// for repeated held circuits. The noiseless driver run behind each
+// holding resistance is keyed exactly by its operating point alone and
+// shared by every noise waveform there (the Rtr iterations of one net,
+// and nets with the same victim driver); it stays in memory and is not
+// part of a CharSnapshot.
 //
 // A CharCache must not be shared across cell libraries or technologies:
 // keys identify cells by name.
@@ -88,7 +83,6 @@ type CharCache struct {
 	metrics *metrics.Registry
 	rough   *memo.Cache[roughKey, thevenin.Model]
 	full    *memo.Cache[fullKey, ceff.Result]
-	hold    *memo.Cache[holdKey, *holdres.Result]
 	drive   *memo.Cache[driveKey, gatesim.DriveResult]
 }
 
@@ -104,7 +98,6 @@ func NewCharCache(res float64, m *metrics.Registry) *CharCache {
 		metrics: m,
 		rough:   memo.New[roughKey, thevenin.Model](),
 		full:    memo.New[fullKey, ceff.Result](),
-		hold:    memo.New[holdKey, *holdres.Result](),
 		drive:   memo.New[driveKey, gatesim.DriveResult](),
 	}
 }
@@ -149,14 +142,14 @@ func (cc *CharCache) RoughFit(ctx context.Context, cell *device.Cell, slew float
 }
 
 // Characterize returns the C-effective characterization of a driver
-// against the held interconnect. Keys are exact (slew bits plus a
-// content hash of the circuit), so a hit reproduces the uncached result
-// and occurs only for duplicated net structures.
+// against the held interconnect. Keys are exact (slew bits plus the
+// circuit's byte encoding), so a hit reproduces the uncached result and
+// occurs only for duplicated held circuits.
 func (cc *CharCache) Characterize(ctx context.Context, cell *device.Cell, slew float64, inRising bool, net *netlist.Circuit, node string) (ceff.Result, error) {
 	if cc == nil {
 		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node, ceff.Options{})
 	}
-	key := fullKey{cell.Name, inRising, math.Float64bits(slew), node, hashCircuit(net)}
+	key := fullKey{cell.Name, inRising, math.Float64bits(slew), node, circuitKey(net)}
 	res, hit, err := cc.full.Do(key, func() (ceff.Result, error) {
 		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node, ceff.Options{})
 	})
@@ -165,31 +158,22 @@ func (cc *CharCache) Characterize(ctx context.Context, cell *device.Cell, slew f
 }
 
 // HoldRes returns the transient holding resistance of a driver under the
-// injected noise vn, keyed exactly (including the noise waveform).
+// injected noise vn. The derivation itself is not memoized: its noise
+// comes from one net's own alignment, so it does not recur across nets.
+// Its noiseless driver run, which depends only on the operating point,
+// is shared through the drive memo.
 func (cc *CharCache) HoldRes(ctx context.Context, cell *device.Cell, slew float64, inRising bool, cEff, rth float64, vn *waveform.PWL) (*holdres.Result, error) {
 	if cc == nil {
 		return holdres.ComputeContext(ctx, cell, slew, inRising, cEff, rth, vn)
 	}
-	key := holdKey{
-		cell:   cell.Name,
-		rising: inRising,
-		slew:   math.Float64bits(slew),
-		ceff:   math.Float64bits(cEff),
-		rth:    math.Float64bits(rth),
-		noise:  hashPWL(vn),
+	if err := holdres.Check(cEff, rth, vn); err != nil {
+		return nil, err
 	}
-	res, hit, err := cc.hold.Do(key, func() (*holdres.Result, error) {
-		if err := holdres.Check(cEff, rth, vn); err != nil {
-			return nil, err
-		}
-		first, err := cc.noiseless(ctx, cell, slew, inRising, cEff)
-		if err != nil {
-			return nil, err
-		}
-		return holdres.FromNoiseless(ctx, cell, slew, inRising, cEff, rth, vn, first)
-	})
-	cc.count(mCacheHoldres, hit)
-	return res, err
+	first, err := cc.noiseless(ctx, cell, slew, inRising, cEff)
+	if err != nil {
+		return nil, err
+	}
+	return holdres.FromNoiseless(ctx, cell, slew, inRising, cEff, rth, vn, first)
 }
 
 // noiseless returns the holding-resistance noiseless driver run at one
@@ -202,144 +186,4 @@ func (cc *CharCache) noiseless(ctx context.Context, cell *device.Cell, slew floa
 	})
 	cc.count(mCacheDrive, hit)
 	return first, err
-}
-
-type romKey struct {
-	sys uint64
-	q   int
-}
-
-// ROMCache memoizes PRIMA reduced-order models keyed by a content hash
-// of the assembled MNA system (matrices and node names, excluding the
-// source waveforms, which the reduction does not depend on). Cache hits
-// rebind the cached projection to the caller's sources.
-type ROMCache struct {
-	metrics *metrics.Registry
-	roms    *memo.Cache[romKey, *mor.ROM]
-}
-
-// NewROMCache builds a reduced-order-model cache. The registry, which
-// may be nil, receives cache.rom hit/miss counters.
-func NewROMCache(m *metrics.Registry) *ROMCache {
-	return &ROMCache{metrics: m, roms: memo.New[romKey, *mor.ROM]()}
-}
-
-// Reduce returns a PRIMA reduction of sys to order q, sharing the Krylov
-// projection across systems with identical matrices.
-func (rc *ROMCache) Reduce(ctx context.Context, sys *mna.System, q int) (*mor.ROM, error) {
-	if rc == nil {
-		return mor.ReduceContext(ctx, sys, q)
-	}
-	rom, hit, err := rc.roms.Do(romKey{hashSystem(sys), q}, func() (*mor.ROM, error) {
-		return mor.ReduceContext(ctx, sys, q)
-	})
-	if hit {
-		rc.metrics.Counter(mCacheROMHit).Inc()
-	} else {
-		rc.metrics.Counter(mCacheROMMiss).Inc()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !hit {
-		return rom, nil
-	}
-	// The cached model carries the populating run's sources; rebind.
-	return rom.WithInputs(sys.Inputs)
-}
-
-// --- content hashing (FNV-1a over exact bit patterns) ---
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime
-}
-
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	h = fnvU64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
-func fnvFloat(h uint64, f float64) uint64 {
-	return fnvU64(h, math.Float64bits(f))
-}
-
-// hashPWL hashes a waveform's exact breakpoints.
-func hashPWL(w *waveform.PWL) uint64 {
-	h := uint64(fnvOffset)
-	if w == nil {
-		return h
-	}
-	h = fnvU64(h, uint64(len(w.T)))
-	for i := range w.T {
-		h = fnvFloat(h, w.T[i])
-		h = fnvFloat(h, w.V[i])
-	}
-	return h
-}
-
-// hashCircuit hashes every element of a circuit: names, terminals,
-// values, and source waveforms. Two circuits built by the same
-// deterministic construction path hash equally iff they are identical.
-func hashCircuit(c *netlist.Circuit) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvU64(h, uint64(len(c.Resistors)))
-	for _, r := range c.Resistors {
-		h = fnvString(h, r.Name)
-		h = fnvString(h, r.A)
-		h = fnvString(h, r.B)
-		h = fnvFloat(h, r.R)
-	}
-	h = fnvU64(h, uint64(len(c.Capacitors)))
-	for _, cap := range c.Capacitors {
-		h = fnvString(h, cap.Name)
-		h = fnvString(h, cap.A)
-		h = fnvString(h, cap.B)
-		h = fnvFloat(h, cap.C)
-	}
-	h = fnvU64(h, uint64(len(c.CurrentSources)))
-	for _, s := range c.CurrentSources {
-		h = fnvString(h, s.Name)
-		h = fnvString(h, s.A)
-		h = fnvU64(h, hashPWL(s.I))
-	}
-	h = fnvU64(h, uint64(len(c.Drivers)))
-	for _, d := range c.Drivers {
-		h = fnvString(h, d.Name)
-		h = fnvString(h, d.A)
-		h = fnvFloat(h, d.R)
-		h = fnvU64(h, hashPWL(d.V))
-	}
-	return h
-}
-
-// hashSystem hashes an MNA system's matrices and state names, excluding
-// the input waveforms.
-func hashSystem(s *mna.System) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvU64(h, uint64(len(s.Nodes)))
-	for _, n := range s.Nodes {
-		h = fnvString(h, n)
-	}
-	for _, data := range [][]float64{s.G.Data, s.C.Data, s.B.Data} {
-		h = fnvU64(h, uint64(len(data)))
-		for _, v := range data {
-			h = fnvFloat(h, v)
-		}
-	}
-	return h
 }

@@ -127,6 +127,14 @@ func (k *keyBuf) net(n *rcnet.CoupledNet) {
 	}
 }
 
+// circuitKey returns a circuit's exact byte encoding, the key of the
+// C-effective characterizations held against it.
+func circuitKey(c *netlist.Circuit) string {
+	var k keyBuf
+	k.circuit(c)
+	return string(k)
+}
+
 func (k *keyBuf) circuit(c *netlist.Circuit) {
 	k.flag(c != nil)
 	if c == nil {
@@ -145,12 +153,6 @@ func (k *keyBuf) circuit(c *netlist.Circuit) {
 		k.str(cp.A)
 		k.str(cp.B)
 		k.float(cp.C)
-	}
-	k.num(uint64(len(c.CurrentSources)))
-	for _, s := range c.CurrentSources {
-		k.str(s.Name)
-		k.str(s.A)
-		k.pwl(s.I)
 	}
 	k.num(uint64(len(c.Drivers)))
 	for _, d := range c.Drivers {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gatesim"
 	"repro/internal/lsim"
 	"repro/internal/mna"
+	"repro/internal/mor"
 	"repro/internal/netlist"
 	"repro/internal/noiseerr"
 	"repro/internal/thevenin"
@@ -235,8 +236,8 @@ func (e *engine) superpose(rVictim float64, rAggs []float64, switching []int, pr
 		return nil, err
 	}
 	// The victim driver's input column follows the interconnect's own
-	// sources; aggressor k's is the k-th after it.
-	vic := len(ckt.CurrentSources) + len(e.interconnect.Drivers)
+	// drivers; aggressor k's is the k-th after it.
+	vic := len(e.interconnect.Drivers)
 	sets := make([][]*waveform.PWL, len(switching))
 	for n, k := range switching {
 		set := append([]*waveform.PWL(nil), sys.Inputs...)
@@ -254,7 +255,7 @@ func (e *engine) superpose(rVictim float64, rAggs []float64, switching []int, pr
 	opt := e.linearOptions()
 	if q := e.opt.PRIMAOrder; q > 0 && q < sys.NumStates() {
 		reduceStart := time.Now()
-		rom, err := e.opt.ROMs.Reduce(e.ctx, sys, q)
+		rom, err := mor.ReduceContext(e.ctx, sys, q)
 		e.opt.Metrics.Observe(noiseerr.StageReduce.TimerName(), time.Since(reduceStart))
 		if err != nil {
 			return nil, noiseerr.InStage(noiseerr.StageReduce, err)

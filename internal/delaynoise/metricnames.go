@@ -7,10 +7,7 @@ package delaynoise
 const (
 	mCacheCharRough = "cache.char.rough"
 	mCacheCharFull  = "cache.char.full"
-	mCacheHoldres   = "cache.holdres"
 	mCacheDrive     = "cache.drive"
-	mCacheROMHit    = "cache.rom.hit"
-	mCacheROMMiss   = "cache.rom.miss"
 
 	mHitSuffix  = ".hit"
 	mMissSuffix = ".miss"

@@ -2,16 +2,16 @@ package delaynoise_test
 
 import (
 	"context"
-	"reflect"
+	"math"
 	"testing"
 
+	"repro/internal/ceff"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
-	"repro/internal/linalg"
 	"repro/internal/metrics"
-	"repro/internal/mna"
+	"repro/internal/netlist"
 	"repro/internal/thevenin"
-	"repro/internal/waveform"
+	"repro/internal/warmstore"
 )
 
 // A snapshot taken from one cache and seeded into a fresh one must make
@@ -95,88 +95,77 @@ func TestCharSeedDoesNotClobberResident(t *testing.T) {
 	}
 }
 
-func ladder(t *testing.T, n int) *mna.System {
-	t.Helper()
-	g := linalg.NewMatrix(n, n)
-	c := linalg.NewMatrix(n, n)
-	b := linalg.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		g.Add(i, i, 2)
-		if i+1 < n {
-			g.Add(i, i+1, -1)
-			g.Add(i+1, i, -1)
-		}
-		c.Add(i, i, 1e-15)
-	}
-	b.Add(0, 0, 1)
-	in := waveform.New([]float64{0, 1e-9}, []float64{0, 1.8})
-	sys, err := mna.NewSystem(g, c, b, []*waveform.PWL{in}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+// heldCircuit is a driver node shielded from a far load by r ohms, the
+// shape of a held interconnect a C-effective characterization reads.
+func heldCircuit(r float64) *netlist.Circuit {
+	ckt := netlist.NewCircuit()
+	ckt.AddC("cn", "out", "0", 10e-15)
+	ckt.AddR("rs", "out", "far", r)
+	ckt.AddC("cf", "far", "0", 40e-15)
+	return ckt
 }
 
-func TestROMSnapshotSeedsWarmHits(t *testing.T) {
-	sys := ladder(t, 8)
-	reg1 := metrics.NewRegistry()
-	rc1 := delaynoise.NewROMCache(reg1)
-	rom1, err := rc1.Reduce(context.Background(), sys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := rc1.Snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("Snapshot has %d entries, want 1", len(entries))
-	}
-
-	reg2 := metrics.NewRegistry()
-	rc2 := delaynoise.NewROMCache(reg2)
-	rc2.Seed(entries)
-	if rc2.Len() != 1 {
-		t.Fatalf("seeded ROM cache Len = %d, want 1", rc2.Len())
-	}
-	rom2, err := rc2.Reduce(context.Background(), sys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := reg2.Counter("cache.rom.hit").Value(); hits != 1 {
-		t.Fatalf("cache.rom.hit = %d, want 1 (seeded reduction must hit)", hits)
-	}
-	if rom2.Order != rom1.Order || !reflect.DeepEqual(rom2.V, rom1.V) {
-		t.Fatal("seeded ROM differs from the original reduction")
-	}
+func sameCeff(a, b ceff.Result) bool {
+	bits := math.Float64bits
+	return bits(a.Ceff) == bits(b.Ceff) && bits(a.CTotal) == bits(b.CTotal) && a.Iterations == b.Iterations &&
+		bits(a.Model.T0) == bits(b.Model.T0) && bits(a.Model.Dt) == bits(b.Model.Dt) &&
+		bits(a.Model.Rth) == bits(b.Model.Rth) && bits(a.Model.Vdd) == bits(b.Model.Vdd) &&
+		a.Model.Rising == b.Model.Rising
 }
 
-func TestROMSnapshotPreservesIdentityProjection(t *testing.T) {
-	sys := ladder(t, 3)
-	rc := delaynoise.NewROMCache(nil)
-	rom, err := rc.Reduce(context.Background(), sys, 99) // q >= n: identity
-	if err != nil {
-		t.Fatal(err)
+// TestFullEntryWarmStoreRoundTrip persists a C-effective
+// characterization through a real warmstore and seeds it into a fresh
+// cache. The same held circuit must hit with a bit-identical result;
+// one whose key differs in a single byte >= 0x80 must miss. Such a byte
+// alone is invalid UTF-8, which encoding/json rewrites to U+FFFD in a
+// string, so the seeded key matches only because it travels as bytes.
+func TestFullEntryWarmStoreRoundTrip(t *testing.T) {
+	// 1000 and 968 ohms differ in one byte of their float bits, 0x8f
+	// against 0x8e.
+	const r, rOther = 1000.0, 968.0
+	if diff := math.Float64bits(r) ^ math.Float64bits(rOther); diff != 0x01<<48 || math.Float64bits(r)>>48&0xff < 0x80 {
+		t.Fatalf("test circuits must differ in one byte >= 0x80 (xor %#x)", diff)
 	}
-	if rom.Full() != rom.Reduced {
-		t.Fatal("identity projection must alias full and reduced")
-	}
-	entries := rc.Snapshot()
-	if len(entries) != 1 || entries[0].Full != nil {
-		t.Fatalf("identity projection must persist with Full omitted, got %+v", entries)
-	}
-	rc2 := delaynoise.NewROMCache(nil)
-	rc2.Seed(entries)
-	rom2, err := rc2.Reduce(context.Background(), sys, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rom2.Full() != rom2.Reduced {
-		t.Fatal("aliasing must survive the snapshot/seed round-trip")
-	}
-}
+	ctx := context.Background()
+	cell := device.NewLibrary(device.Default180()).Cells["INVX2"]
+	const slew = 120e-12
 
-func TestROMSeedSkipsMalformedEntries(t *testing.T) {
-	rc := delaynoise.NewROMCache(nil)
-	rc.Seed([]delaynoise.ROMEntry{{System: 1, Q: 2}}) // nil Reduced/V: skipped
-	if rc.Len() != 0 {
-		t.Fatal("malformed entries must be skipped, not installed")
+	cold := delaynoise.NewCharCache(0, nil)
+	want, err := cold.Characterize(ctx, cell, slew, true, heldCircuit(r), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := warmstore.Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save("chars", cold.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var snap delaynoise.CharSnapshot
+	if ok, err := st.Load("chars", &snap); err != nil || !ok {
+		t.Fatalf("Load = (%v, %v), want a hit", ok, err)
+	}
+
+	reg := metrics.NewRegistry()
+	warm := delaynoise.NewCharCache(0, reg)
+	if !warm.Seed(&snap) || warm.Len() != 1 {
+		t.Fatalf("seeded cache holds %d entries, want the one full characterization", warm.Len())
+	}
+	got, err := warm.Characterize(ctx, cell, slew, true, heldCircuit(r), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg.Counter("cache.char.full.hit").Value(); hits != 1 {
+		t.Fatalf("cache.char.full.hit = %d after the same held circuit, want 1", hits)
+	}
+	if !sameCeff(got, want) {
+		t.Fatalf("warm characterization %+v differs from the cold one %+v", got, want)
+	}
+	if _, err := warm.Characterize(ctx, cell, slew, true, heldCircuit(rOther), "out"); err != nil {
+		t.Fatal(err)
+	}
+	if misses := reg.Counter("cache.char.full.miss").Value(); misses != 1 {
+		t.Fatalf("cache.char.full.miss = %d after a circuit one byte apart, want 1", misses)
 	}
 }

@@ -20,8 +20,8 @@ func TestConfigDefaults(t *testing.T) {
 	if s.Lib() == nil || s.Metrics() == nil {
 		t.Fatal("zero config must install a library and registry")
 	}
-	if s.Chars() == nil || s.ROMs() == nil {
-		t.Fatal("caches must be on by default")
+	if s.Chars() == nil {
+		t.Fatal("characterization cache must be on by default")
 	}
 	if _, err := s.Lib().Cell("INVX2"); err != nil {
 		t.Fatalf("cell lookup failed: %v", err)
@@ -43,7 +43,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestBindWiresCachesWithoutClobberingKnobs(t *testing.T) {
 	s := engine.New(engine.Config{})
 	opt := s.Bind(delaynoise.Options{Hold: delaynoise.HoldTransient, Align: delaynoise.AlignPrechar})
-	if opt.Chars != s.Chars() || opt.ROMs != s.ROMs() || opt.Metrics != s.Metrics() {
+	if opt.Chars != s.Chars() || opt.Metrics != s.Metrics() {
 		t.Fatal("Bind must wire the session caches and registry")
 	}
 	if opt.Hold != delaynoise.HoldTransient || opt.Align != delaynoise.AlignPrechar {

@@ -1,8 +1,8 @@
 // Package engine is the shared session core under the batch tool
 // (internal/clarinet) and the layers built on it. A Session owns the
-// technology, its cell library, the metrics registry, and the three
-// single-flight caches — alignment pre-characterization tables, driver
-// characterizations, and PRIMA reduced-order models.
+// technology, its cell library, the metrics registry, and the two
+// single-flight caches — alignment pre-characterization tables and
+// driver characterizations.
 //
 // Front ends are thin views: clarinet.Tool fans a Session across a
 // worker pool with its own analysis options. Two views over one Session
@@ -67,7 +67,6 @@ type Session struct {
 
 	tables *memo.Cache[tableKey, *align.Table]
 	chars  *delaynoise.CharCache
-	roms   *delaynoise.ROMCache
 }
 
 // SetTopology records the workload's stage-graph topology hash in the
@@ -97,7 +96,6 @@ func New(cfg Config) *Session {
 		metrics: reg,
 		grid:    cfg.PrecharGrid,
 		tables:  memo.New[tableKey, *align.Table](),
-		roms:    delaynoise.NewROMCache(reg),
 	}
 	if cfg.CharCacheRes >= 0 {
 		s.chars = delaynoise.NewCharCache(cfg.CharCacheRes, reg)
@@ -115,7 +113,6 @@ func (s *Session) Metrics() *metrics.Registry { return s.metrics }
 // options, leaving every other knob untouched.
 func (s *Session) Bind(opt delaynoise.Options) delaynoise.Options {
 	opt.Chars = s.chars
-	opt.ROMs = s.roms
 	opt.Metrics = s.metrics
 	return opt
 }

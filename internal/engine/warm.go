@@ -1,8 +1,8 @@
 package engine
 
-// Warm start: a Session's expensive derived state — alignment tables,
-// driver characterizations, and PRIMA reductions — saved to and loaded
-// from a content-addressed warmstore. The store key is derived from
+// Warm start: a Session's expensive derived state — alignment tables
+// and driver characterizations — saved to and loaded from a
+// content-addressed warmstore. The store key is derived from
 // WarmIdentity, which captures everything that state depends on, so a
 // session never loads state computed under a different technology,
 // library, or characterization configuration: such state lives under a
@@ -10,11 +10,11 @@ package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
 	"repro/internal/align"
+	"repro/internal/colblob"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
 	"repro/internal/warmstore"
@@ -39,8 +39,8 @@ type Identity struct {
 }
 
 // WarmIdentity captures everything the session's cached state depends
-// on. Two sessions with equal identities compute interchangeable tables,
-// characterizations, and reductions.
+// on. Two sessions with equal identities compute interchangeable tables
+// and characterizations.
 func (s *Session) WarmIdentity() Identity {
 	return Identity{
 		Tech:     s.lib.Tech.Name,
@@ -58,22 +58,22 @@ func (s *Session) WarmKey() string { return warmstore.Key(s.WarmIdentity()) }
 // library: technology parameters and, per cell in name order, topology
 // and device sizes. Any change to any of it moves the fingerprint, so a
 // warm store shared across library revisions can never serve stale
-// characterizations. Floats are hashed via %#v (shortest round-trip
-// formatting), which distinguishes any two distinct values.
+// characterizations. Floats are rendered via %#v (shortest round-trip
+// formatting), which distinguishes any two distinct values, and the
+// rendering is named by its colblob content id, as warm-store keys are.
 func fingerprintLibrary(lib *device.Library) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v|", *lib.Tech)
+	b := fmt.Appendf(nil, "%#v|", *lib.Tech)
 	names := lib.Names()
 	sort.Strings(names)
 	for _, name := range names {
 		cell := lib.Cells[name]
-		fmt.Fprintf(h, "%s|%t|", name, cell.NonInverting)
+		b = fmt.Appendf(b, "%s|%t|", name, cell.NonInverting)
 		for _, f := range cell.FETs {
-			fmt.Fprintf(h, "%s|%s|%s|%s|%x|%#v|", f.Name, f.D, f.G, f.S,
+			b = fmt.Appendf(b, "%s|%s|%s|%s|%x|%#v|", f.Name, f.D, f.G, f.S,
 				math.Float64bits(f.W), *f.Params)
 		}
 	}
-	return h.Sum64()
+	return colblob.ID(b)
 }
 
 // warmTable is one persisted alignment pre-characterization, keyed the
@@ -89,7 +89,6 @@ type warmTable struct {
 type warmState struct {
 	Tables []warmTable
 	Chars  *delaynoise.CharSnapshot
-	ROMs   []delaynoise.ROMEntry
 }
 
 // SaveWarm persists the session's current derived state under its
@@ -99,7 +98,7 @@ func (s *Session) SaveWarm(st *warmstore.Store) error {
 	if st == nil {
 		return nil
 	}
-	state := warmState{Chars: s.chars.Snapshot(), ROMs: s.roms.Snapshot()}
+	state := warmState{Chars: s.chars.Snapshot()}
 	for k, tab := range s.tables.Snapshot() {
 		state.Tables = append(state.Tables, warmTable{Cell: k.cell, Rising: k.rising, Table: tab})
 	}
@@ -122,6 +121,5 @@ func (s *Session) LoadWarm(st *warmstore.Store) (bool, error) {
 		}
 	}
 	s.chars.Seed(state.Chars)
-	s.roms.Seed(state.ROMs)
 	return true, nil
 }

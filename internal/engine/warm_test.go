@@ -2,12 +2,16 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/clarinet"
+	"repro/internal/delaynoise"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/warmstore"
+	"repro/internal/workload"
 )
 
 // The warm-start contract: a second process with the same configuration
@@ -112,5 +116,35 @@ func TestLoadWarmMissAndNilStore(t *testing.T) {
 	}
 	if err := s.SaveWarm(nil); err != nil {
 		t.Fatalf("SaveWarm to nil store: %v", err)
+	}
+}
+
+// TestWarmEntrySize: a warm entry persists what recurs across nets
+// (alignment tables and driver characterizations), not what each net
+// derives from its own noise. Two default nets analyzed under transient
+// hold must save an entry under 256 KB; persisting their holding
+// resistances, four waveforms apiece, takes about 3 MB.
+func TestWarmEntrySize(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := engine.New(engine.Config{Metrics: reg})
+	tool := clarinet.MustNew(nil, clarinet.Config{Session: s, Hold: delaynoise.HoldTransient, Align: delaynoise.AlignReceiverInput})
+	cases, err := workload.NewGenerator(s.Lib(), workload.DefaultProfile(), 1).Population(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		if r := tool.AnalyzeNet(context.Background(), fmt.Sprintf("net%d", i), c); r.Err != nil {
+			t.Fatalf("net %d: %v", i, r.Err)
+		}
+	}
+	st, err := warmstore.Open(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveWarm(st); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("store.bytes.written").Value(); n == 0 || n >= 256<<10 {
+		t.Fatalf("warm entry is %d bytes, want under 256 KB", n)
 	}
 }

@@ -120,11 +120,11 @@ func TestRtrAreaMatch(t *testing.T) {
 	if res.Rtr == res.Rth {
 		t.Skip("degenerate case: Rtr fell back to Rth")
 	}
-	// Linear model: current In into Rtr || Ceff.
+	// Linear model: current In into Rtr || Ceff, injected through its
+	// Norton-equivalent driver (source In·Rtr behind Rtr).
 	ckt := netlist.NewCircuit()
-	ckt.AddR("r", "n", "0", res.Rtr)
 	ckt.AddC("c", "n", "0", ceffV)
-	ckt.AddI("i", "n", res.In)
+	ckt.AddDriver("i", "n", res.In.Scale(res.Rtr), res.Rtr)
 	sys, _ := mna.Build(ckt)
 	sim, err := lsim.Run(sys, lsim.Options{TStop: res.In.End() + 1e-9, Step: 1e-12})
 	if err != nil {

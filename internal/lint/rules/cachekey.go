@@ -18,11 +18,15 @@ import (
 // cache for NaN (NaN != NaN, so the entry can never be hit again). For
 // the store the float hazard is formatting, not NaN alone: the key is
 // derived from the identity's rendered value, so any component whose
-// rendering can drift must be pinned to exact bits first.
+// rendering can drift must be pinned to exact bits first. Content that is
+// not comparable (a circuit, a waveform) is keyed by its exact byte
+// encoding held in a string, never by a digest of it: a digest lets two
+// different contents collide into one entry.
 var CacheKey = &lint.Analyzer{
 	Name: "cachekey",
 	Doc: "memo cache key and warmstore identity types must be pure comparable " +
-		"values: no pointers, slices, maps, channels, funcs, interfaces, or floats",
+		"values: no pointers, slices, maps, channels, funcs, interfaces, or floats; " +
+		"key non-comparable content by its exact byte encoding (a string)",
 	Run: runCacheKey,
 }
 
@@ -106,11 +110,11 @@ func keyProblem(t types.Type, seen map[types.Type]bool) string {
 		return ""
 	case *types.Pointer:
 		return "embeds a pointer (key equality becomes identity and aliases mutable state; " +
-			"key by value or by content hash instead)"
+			"key by value or by the contents' exact byte encoding (a string) instead)"
 	case *types.Slice:
-		return "embeds a slice (not comparable; key by a digest of the contents instead)"
+		return "embeds a slice (not comparable; key by the contents' exact byte encoding (a string) instead)"
 	case *types.Map:
-		return "embeds a map (not comparable; key by a digest of the contents instead)"
+		return "embeds a map (not comparable; key by the contents' exact byte encoding (a string) instead)"
 	case *types.Chan:
 		return "embeds a channel (key equality becomes identity)"
 	case *types.Signature:

@@ -2,7 +2,7 @@
 // single-flight semantics: when several goroutines request the same key
 // at once, exactly one computes the value and the rest wait for it. The
 // analysis engine uses it to share receiver pre-characterization tables,
-// driver characterizations, and PRIMA reduced-order models across
+// driver characterizations, and noiseless driver runs across
 // concurrently analyzed nets.
 package memo
 

@@ -9,7 +9,6 @@
 package mna
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/linalg"
@@ -27,8 +26,7 @@ type System struct {
 }
 
 // Build assembles the MNA system for the circuit. Every non-ground node
-// becomes a state; every current source and Thevenin driver becomes an
-// input column.
+// becomes a state; every Thevenin driver becomes an input column.
 func Build(c *netlist.Circuit) (*System, error) {
 	nodes := c.Nodes()
 	idx := make(map[string]int, len(nodes))
@@ -36,7 +34,7 @@ func Build(c *netlist.Circuit) (*System, error) {
 		idx[n] = i
 	}
 	n := len(nodes)
-	nin := len(c.CurrentSources) + len(c.Drivers)
+	nin := len(c.Drivers)
 	s := &System{
 		G:      linalg.NewMatrix(n, n),
 		C:      linalg.NewMatrix(n, n),
@@ -80,17 +78,7 @@ func Build(c *netlist.Circuit) (*System, error) {
 		}
 		stamp2(s.C, a, b, cap.C)
 	}
-	col := 0
-	for _, src := range c.CurrentSources {
-		a, ok := at(src.A)
-		if !ok || a < 0 {
-			return nil, noiseerr.Invalidf("mna: current source %q must drive a signal node", src.Name)
-		}
-		s.B.Add(a, col, 1)
-		s.Inputs = append(s.Inputs, src.I)
-		col++
-	}
-	for _, d := range c.Drivers {
+	for col, d := range c.Drivers {
 		a, ok := at(d.A)
 		if !ok || a < 0 {
 			return nil, noiseerr.Invalidf("mna: driver %q must drive a signal node", d.Name)
@@ -99,7 +87,6 @@ func Build(c *netlist.Circuit) (*System, error) {
 		s.G.Add(a, a, g)   // Norton conductance
 		s.B.Add(a, col, g) // Norton current = g * V(t)
 		s.Inputs = append(s.Inputs, d.V)
-		col++
 	}
 	return s, nil
 }
@@ -160,38 +147,5 @@ func (s *System) DCCols(x, u []float64, r int) error {
 	rhs := make([]float64, s.NumStates()*r)
 	linalg.FromDense(s.B).MulCols(rhs, u, r)
 	f.SolveColsTo(x, rhs, r)
-	return nil
-}
-
-// systemJSON is the persisted shape of a System: the exported state only
-// (the node-index map is derived).
-type systemJSON struct {
-	G, C, B *linalg.Matrix
-	Inputs  []*waveform.PWL
-	Nodes   []string
-}
-
-// MarshalJSON lets a System persist to a warm-start store; float matrix
-// entries round-trip bit-exactly through encoding/json.
-func (s *System) MarshalJSON() ([]byte, error) {
-	return json.Marshal(systemJSON{G: s.G, C: s.C, B: s.B, Inputs: s.Inputs, Nodes: s.Nodes})
-}
-
-// UnmarshalJSON restores a persisted System, rebuilding the derived node
-// index and revalidating shapes through NewSystem (a corrupt or
-// hand-edited store entry fails here instead of panicking mid-solve).
-func (s *System) UnmarshalJSON(b []byte) error {
-	var raw systemJSON
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	if raw.G == nil || raw.C == nil || raw.B == nil {
-		return noiseerr.Invalidf("mna: persisted system missing matrices")
-	}
-	restored, err := NewSystem(raw.G, raw.C, raw.B, raw.Inputs, raw.Nodes)
-	if err != nil {
-		return err
-	}
-	*s = *restored
 	return nil
 }

@@ -77,36 +77,18 @@ func TestCouplingCapStamp(t *testing.T) {
 	}
 }
 
-func TestCurrentSourceStamp(t *testing.T) {
-	c := netlist.NewCircuit()
-	c.AddR("r", "n", "0", 50)
-	c.AddI("i", "n", waveform.Constant(0.01))
-	sys, err := Build(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := sys.DC(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _ := sys.NodeIndex("n")
-	if math.Abs(x[in]-0.5) > 1e-9 {
-		t.Fatalf("V = %v, want 0.5 (I*R)", x[in])
-	}
-}
-
 func TestInputAtOrdering(t *testing.T) {
 	c := netlist.NewCircuit()
 	c.AddR("r", "n", "0", 1)
-	c.AddI("i", "n", waveform.Constant(7))
-	c.AddDriver("d", "n", waveform.Constant(3), 1)
+	c.AddDriver("d1", "n", waveform.Constant(7), 1)
+	c.AddDriver("d2", "n", waveform.Constant(3), 1)
 	sys, err := Build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := sys.InputAt(0)
 	if len(u) != 2 || u[0] != 7 || u[1] != 3 {
-		t.Fatalf("u = %v, want [7 3] (current sources first)", u)
+		t.Fatalf("u = %v, want [7 3] (drivers in insertion order)", u)
 	}
 	if sys.NumInputs() != 2 {
 		t.Fatalf("NumInputs = %d", sys.NumInputs())
@@ -162,13 +144,6 @@ func TestNewSystemValidation(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	// Current source on ground.
-	c := netlist.NewCircuit()
-	c.AddR("r", "a", "0", 1)
-	c.AddI("i", "gnd", waveform.Constant(0))
-	if _, err := Build(c); err == nil {
-		t.Error("expected error for grounded current source")
-	}
 	// Driver on ground.
 	c2 := netlist.NewCircuit()
 	c2.AddR("r", "a", "0", 1)

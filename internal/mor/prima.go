@@ -95,53 +95,6 @@ func ReduceContext(ctx context.Context, sys *mna.System, q int) (*ROM, error) {
 	return &ROM{Reduced: red, V: v, full: sys, Order: kept}, nil
 }
 
-// Full returns the full-order system whose node voltages the ROM
-// recovers. Callers must treat it as immutable; it exists so a warm-start
-// store can persist the ROM's complete state.
-func (r *ROM) Full() *mna.System { return r.full }
-
-// Restore rebuilds a ROM from persisted parts — the inverse of reading
-// Reduced/V/Full()/Order. full may equal reduced (identity projection);
-// passing nil full aliases the reduced system, preserving that case
-// across serialization boundaries that deduplicate the two.
-func Restore(reduced *mna.System, v *linalg.Matrix, full *mna.System, order int) (*ROM, error) {
-	if reduced == nil || v == nil {
-		return nil, noiseerr.Invalidf("mor: restore needs a reduced system and a basis")
-	}
-	if full == nil {
-		full = reduced
-	}
-	if v.Rows != full.NumStates() || v.Cols != reduced.NumStates() {
-		return nil, noiseerr.Invalidf("mor: basis is %dx%d for a %d-state full / %d-state reduced system",
-			v.Rows, v.Cols, full.NumStates(), reduced.NumStates())
-	}
-	return &ROM{Reduced: reduced, V: v, full: full, Order: order}, nil
-}
-
-// WithInputs returns a ROM sharing this model's projection basis and
-// reduced matrices but driving different source waveforms. The reduction
-// depends only on G, C, and B, so a ROM computed once for a circuit
-// topology can be rebound to the per-run sources — this is what lets the
-// analysis engine cache PRIMA reductions across simulations whose only
-// difference is the driver waveforms.
-func (r *ROM) WithInputs(inputs []*waveform.PWL) (*ROM, error) {
-	if len(inputs) != r.Reduced.NumInputs() {
-		return nil, noiseerr.Invalidf("mor: %d inputs for a %d-input model",
-			len(inputs), r.Reduced.NumInputs())
-	}
-	red, err := mna.NewSystem(r.Reduced.G, r.Reduced.C, r.Reduced.B, inputs, r.Reduced.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	full := r.full
-	if r.full == r.Reduced {
-		// Identity projection: the reduced system is the full system, so
-		// node recovery must index the rebound copy.
-		full = red
-	}
-	return &ROM{Reduced: red, V: r.V, full: full, Order: r.Order}, nil
-}
-
 // Run integrates the reduced model and returns a result from which node
 // voltages of the original network can be recovered.
 func (r *ROM) Run(opt lsim.Options) (*Result, error) {

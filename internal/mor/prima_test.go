@@ -90,11 +90,12 @@ func TestReduceErrors(t *testing.T) {
 	if _, err := Reduce(sys, 0); err == nil {
 		t.Error("expected error for order 0")
 	}
-	// Floating-node G: cap-only circuit (q < n so the factorization runs).
+	// Floating-node G: node b has no resistive path (q < n so the
+	// factorization runs); a driver holds node a.
 	ckt := netlist.NewCircuit()
 	ckt.AddC("c", "a", "b", 1e-15)
 	ckt.AddC("c2", "b", "0", 1e-15)
-	ckt.AddI("i", "a", waveform.Constant(0))
+	ckt.AddDriver("d", "a", waveform.Constant(0), 100)
 	badSys, _ := mna.Build(ckt)
 	if _, err := Reduce(badSys, 1); err == nil {
 		t.Error("expected error for singular G")

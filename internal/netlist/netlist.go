@@ -1,7 +1,6 @@
 // Package netlist describes linear circuit topologies for the coupled
 // interconnect analysis: resistors, grounded and coupling capacitors,
-// piecewise-linear current sources, and Thevenin drivers (PWL voltage
-// source behind a series resistance).
+// and Thevenin drivers (PWL voltage source behind a series resistance).
 //
 // Node names are arbitrary strings; the reserved names "0", "gnd" and
 // "GND" denote ground. A Circuit is a pure description — matrix stamping
@@ -38,14 +37,6 @@ type Capacitor struct {
 	C    float64
 }
 
-// CurrentSource injects I(t) into node A (current flows from ground into
-// A for positive values).
-type CurrentSource struct {
-	Name string
-	A    string
-	I    *waveform.PWL
-}
-
 // TheveninDriver is a PWL voltage source behind a series resistance,
 // driving node A. This is the linear gate model of the classic flow: the
 // source carries the (t0, dt) saturated-ramp transition and R carries
@@ -60,10 +51,9 @@ type TheveninDriver struct {
 
 // Circuit is a linear circuit description.
 type Circuit struct {
-	Resistors      []Resistor
-	Capacitors     []Capacitor
-	CurrentSources []CurrentSource
-	Drivers        []TheveninDriver
+	Resistors  []Resistor
+	Capacitors []Capacitor
+	Drivers    []TheveninDriver
 
 	nodes map[string]bool
 }
@@ -100,14 +90,6 @@ func (c *Circuit) AddC(name, a, b string, cap float64) {
 	c.touch(a, b)
 }
 
-// AddI adds a current source injecting i(t) into node a.
-//
-//lint:ignore noiselint/testonly the current-source element the mna, mor and holdres tests stamp; no flow builds one
-func (c *Circuit) AddI(name, a string, i *waveform.PWL) {
-	c.CurrentSources = append(c.CurrentSources, CurrentSource{Name: name, A: a, I: i})
-	c.touch(a)
-}
-
 // AddDriver adds a Thevenin driver (PWL source v behind resistance r)
 // driving node a.
 func (c *Circuit) AddDriver(name, a string, v *waveform.PWL, r float64) {
@@ -134,7 +116,6 @@ func (c *Circuit) Clone() *Circuit {
 	out := NewCircuit()
 	out.Resistors = append(out.Resistors, c.Resistors...)
 	out.Capacitors = append(out.Capacitors, c.Capacitors...)
-	out.CurrentSources = append(out.CurrentSources, c.CurrentSources...)
 	out.Drivers = append(out.Drivers, c.Drivers...)
 	for n := range c.nodes {
 		out.nodes[n] = true

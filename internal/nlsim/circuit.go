@@ -184,9 +184,6 @@ func (c *Circuit) ImportLinear(nl *netlist.Circuit) {
 	for _, cap := range nl.Capacitors {
 		c.AddC(c.Node(cap.A), c.Node(cap.B), cap.C)
 	}
-	for _, src := range nl.CurrentSources {
-		c.AddI(c.Node(src.A), src.I)
-	}
 	for _, d := range nl.Drivers {
 		src := c.Fixed(d.Name+".src", d.V)
 		c.AddR(src, c.Node(d.A), d.R)

@@ -568,8 +568,8 @@ func TestJournalResume(t *testing.T) {
 // TestWarmSessionAcrossRequests is the acceptance criterion of the
 // serving layer, end to end with the real pool: two identical requests
 // against one server process, where the second must hit the warm
-// session — zero new alignment-table builds and zero new holding
-// resistance characterizations.
+// session — zero new alignment-table builds, driver characterizations
+// or noiseless driver runs.
 func TestWarmSessionAcrossRequests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real analysis; skipped in -short")
@@ -592,7 +592,7 @@ func TestWarmSessionAcrossRequests(t *testing.T) {
 	run()
 	snap := s.Metrics().Snapshot()
 	coldTables := snap.Counters["cache.tables.miss"]
-	coldHold := snap.Counters["cache.holdres.miss"]
+	coldDrive := snap.Counters["cache.drive.miss"]
 	coldChars := snap.Counters["cache.char.full.miss"]
 	if coldTables == 0 {
 		t.Fatalf("cold request built no alignment tables; metrics %+v", snap.Counters)
@@ -602,8 +602,8 @@ func TestWarmSessionAcrossRequests(t *testing.T) {
 	if n := snap.Counters["cache.tables.miss"]; n != coldTables {
 		t.Fatalf("warm request rebuilt alignment tables: %d -> %d misses", coldTables, n)
 	}
-	if n := snap.Counters["cache.holdres.miss"]; n != coldHold {
-		t.Fatalf("warm request recharacterized holding resistance: %d -> %d misses", coldHold, n)
+	if n := snap.Counters["cache.drive.miss"]; n != coldDrive {
+		t.Fatalf("warm request re-ran noiseless drivers: %d -> %d misses", coldDrive, n)
 	}
 	if n := snap.Counters["cache.char.full.miss"]; n != coldChars {
 		t.Fatalf("warm request recharacterized drivers: %d -> %d misses", coldChars, n)

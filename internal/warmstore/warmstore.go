@@ -1,8 +1,7 @@
 // Package warmstore is a content-addressed on-disk store for expensive
-// session state — alignment pre-characterization tables, bucketed
-// driver characterizations, transient holding resistances, and PRIMA
-// reduced-order models — so a new process starts warm instead of
-// re-deriving them.
+// session state — alignment pre-characterization tables, bucketed rough
+// driver fits, and exact-keyed C-effective characterizations — so a new
+// process starts warm instead of re-deriving them.
 //
 // Addressing is by identity, not by name: the caller derives a key from
 // everything the stored artifacts depend on (technology, cell library
@@ -29,7 +28,7 @@ import (
 // SchemaVersion invalidates every store entry when the persisted layout
 // (or the meaning of the persisted numbers) changes: it participates in
 // Key, so old entries become unaddressable rather than misread.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // FrameEntry is the colblob frame kind wrapping a store payload
 // (exported for the noiseblob inspector).

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Server smoke test: boots noised on an ephemeral port, drives it with
 # noisectl over a netgen workload, checks the warm-session guarantee
-# (the second request must rebuild zero alignment tables and
-# recharacterize zero holding resistances), exercises the version flag,
-# and verifies graceful drain on SIGTERM.
+# (the second request must rebuild zero alignment tables, recharacterize
+# zero drivers and re-run zero noiseless driver simulations), exercises
+# the version flag, and verifies graceful drain on SIGTERM.
 #
 # RACE=1 builds the daemon with the race detector (CI does).
 set -euo pipefail
@@ -56,21 +56,29 @@ counter() {
     sed -n "s/^ *\"$1\": *\([0-9][0-9]*\),*$/\1/p" | head -n1 | grep . || echo 0
 }
 
+# The warm check compares these misses before and after a repeated
+# request. A counter that is absent reads 0 on both sides, so each cold
+# value must be positive: a renamed counter fails here instead of
+# passing unchecked.
+warm_counters='cache.tables.miss cache.char.full.miss cache.drive.miss'
+
 echo "== cold request"
 "$workdir/noisectl" -server "$base" -i "$workdir/nets.json" -quality -request-id smoke-1
-cold_tables=$(counter 'cache\.tables\.miss')
-cold_hold=$(counter 'cache\.holdres\.miss')
-[ "$cold_tables" -gt 0 ] || { echo "cold request built no alignment tables" >&2; exit 1; }
+declare -A cold
+for c in $warm_counters; do
+  cold[$c]=$(counter "${c//./\\.}")
+  [ "${cold[$c]}" -gt 0 ] || { echo "cold request left $c at 0" >&2; exit 1; }
+done
 
 echo "== warm request (expect zero recharacterization)"
 "$workdir/noisectl" -server "$base" -i "$workdir/nets.json" -quality
-warm_tables=$(counter 'cache\.tables\.miss')
-warm_hold=$(counter 'cache\.holdres\.miss')
-if [ "$warm_tables" != "$cold_tables" ] || [ "$warm_hold" != "$cold_hold" ]; then
-  echo "warm request recharacterized: tables $cold_tables -> $warm_tables," \
-       "holdres $cold_hold -> $warm_hold" >&2
-  exit 1
-fi
+for c in $warm_counters; do
+  warm=$(counter "${c//./\\.}")
+  if [ "$warm" != "${cold[$c]}" ]; then
+    echo "warm request recharacterized: $c ${cold[$c]} -> $warm" >&2
+    exit 1
+  fi
+done
 
 echo "== colblob wire variant (decoded values identical to NDJSON)"
 # The trailing "analyzed N nets in <elapsed>" line is timing-dependent;
