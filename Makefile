@@ -16,10 +16,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent packages (the worker pool, the
-# shared caches, the scatter-gather gateway, and the path scheduler's
-# workers, ready channel and emit lock); CI runs the same set.
+# shared caches and the bounded memo that evicts under them, the
+# scatter-gather gateway, and the path scheduler's workers, ready
+# channel and emit lock); CI runs the same set.
 race:
-	$(GO) test -race ./internal/clarinet/... ./internal/delaynoise/... ./internal/noised/... ./internal/noisegw/... ./internal/pathnoise/...
+	$(GO) test -race ./internal/clarinet/... ./internal/delaynoise/... ./internal/engine/... ./internal/memo/... ./internal/noised/... ./internal/noisegw/... ./internal/pathnoise/...
 
 # Fault-injected batch smoke under the race detector: seeded
 # convergence failures, one panic, one stalled net, plus the journal

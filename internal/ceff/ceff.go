@@ -27,6 +27,9 @@ type Result struct {
 	Iterations int
 }
 
+// chargeGrid is the number of points of the charge integral's grid.
+const chargeGrid = 1500
+
 // Options tune the iteration.
 type Options struct {
 	Tol     float64 // relative Ceff convergence tolerance (default 1%)
@@ -100,11 +103,14 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 			break
 		}
 		// Charge into the net through Rth up to t50: integral of
-		// (Vsrc - Vout)/Rth. For a falling output the delivered charge is
-		// negative; use its magnitude.
+		// (Vsrc - Vout)/Rth, by the trapezoidal rule on a grid of
+		// chargeGrid points from the run's start to t50, each time
+		// computed as waveform.PWL.Resample computes it. For a falling
+		// output the delivered charge is negative; use its magnitude.
 		src := m.SourceWaveform()
-		diff := src.Resample(res.Times[0], t50, 1500)
-		if diff.End() > vOut.End() {
+		t0 := res.Times[0]
+		dt := (t50 - t0) / (chargeGrid - 1)
+		if t0+(chargeGrid-1)*dt > vOut.End() {
 			// The grid's last point rounded past the crossing step (t50
 			// within an ulp of it): the full-horizon waveform interpolates
 			// there, so finish the run to read the same value.
@@ -115,13 +121,15 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 				return Result{}, fmt.Errorf("ceff: iteration %d: driver output: %w", iter, err)
 			}
 		}
-		var hint int
-		iA := (diff.V[0] - vOut.AtHint(diff.T[0], &hint)) / m.Rth
+		var srcHint, outHint int
+		tA := t0
+		iA := (src.AtHint(tA, &srcHint) - vOut.AtHint(tA, &outHint)) / m.Rth
 		q := 0.0
-		for i := 1; i < diff.Len(); i++ {
-			iB := (diff.V[i] - vOut.AtHint(diff.T[i], &hint)) / m.Rth
-			q += 0.5 * (iA + iB) * (diff.T[i] - diff.T[i-1])
-			iA = iB
+		for i := 1; i < chargeGrid; i++ {
+			tB := t0 + float64(i)*dt
+			iB := (src.AtHint(tB, &srcHint) - vOut.AtHint(tB, &outHint)) / m.Rth
+			q += 0.5 * (iA + iB) * (tB - tA)
+			tA, iA = tB, iB
 		}
 		// The lumped model at its own 50% crossing has delivered
 		// Ceff * Vdd/2 of charge (plus the same sign convention).

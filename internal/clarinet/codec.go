@@ -115,7 +115,7 @@ func (jw *jsonlWriter) WriteRecord(rec JournalRecord) error {
 
 func (jsonlCodec) NewReader(r io.Reader) RecordReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from bufio's default as lines need
 	return &jsonlReader{sc: sc}
 }
 

@@ -181,7 +181,7 @@ func (e *resumedError) Unwrap() error { return e.class }
 // so journals survive crashes and appended resume runs.
 func ReadJournal(r io.Reader) (map[string]NetReport, error) {
 	out := map[string]NetReport{}
-	br := bufio.NewReaderSize(r, 64*1024)
+	br := bufio.NewReader(r)
 	first, err := br.Peek(1)
 	if err != nil {
 		if err == io.EOF {

@@ -107,7 +107,6 @@ func WriteMetricsSummary(w io.Writer, t *Tool) {
 		{"cache.tables", "alignment tables"},
 		{"cache.char.rough", "rough driver fits"},
 		{"cache.char.full", "driver characterizations"},
-		{"cache.drive", "noiseless driver runs"},
 	} {
 		hits, misses, ratio := s.CacheRatio(cache.base)
 		if hits+misses == 0 {

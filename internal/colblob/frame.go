@@ -65,11 +65,14 @@ type FrameReader struct {
 	buf []byte
 }
 
-// NewFrameReader wraps r. An existing *bufio.Reader is used as-is.
+// NewFrameReader wraps r. An existing *bufio.Reader is used as-is;
+// otherwise the read-ahead is bufio's default, since a payload is read
+// into the reader's own buffer, not the read-ahead, and most streams
+// (one request's records, one request's journal) are short.
 func NewFrameReader(r io.Reader) *FrameReader {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+		br = bufio.NewReader(r)
 	}
 	return &FrameReader{r: br}
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/align"
+	"repro/internal/device"
 	"repro/internal/gatesim"
+	"repro/internal/holdres"
 	"repro/internal/metrics"
 	"repro/internal/noiseerr"
 	"repro/internal/waveform"
@@ -100,8 +102,7 @@ type Options struct {
 	Minimize bool
 
 	// Chars, when non-nil, shares driver characterizations (rough
-	// Thevenin fits, C-effective iterations, and the noiseless driver
-	// runs behind transient holding resistances) across analyses with
+	// Thevenin fits and C-effective iterations) across analyses with
 	// single-flight semantics. Batch engines set this; single-net
 	// callers can leave it nil.
 	Chars *CharCache
@@ -253,8 +254,7 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		vn := alignedDriverNoise(recvNoises, drvNoises, tPeak)
 		vn = vn.Shift(gatesim.InputStart - c.Victim.InputStart)
 		holdStart := time.Now()
-		hr, err := opt.Chars.HoldRes(ctx, c.Victim.Cell, c.Victim.InputSlew, c.Victim.Cell.InputRisingFor(c.Victim.OutputRising),
-			e.victim.ceff, e.victim.model.Rth, vn)
+		hr, err := e.hold.rtr(ctx, vn)
 		opt.Metrics.Observe(noiseerr.StageHoldres.TimerName(), time.Since(holdStart))
 		if err != nil {
 			return nil, noiseerr.InStage(noiseerr.StageHoldres, fmt.Errorf("delaynoise: holding resistance: %w", err))
@@ -446,6 +446,43 @@ func alignedDriverNoise(recvNoises, drvNoises []*waveform.PWL, tPeak float64) *w
 		shifted[k] = drvNoises[k].Shift(tPeak - pt)
 	}
 	return waveform.Sum(shifted...)
+}
+
+// holdDrive derives one driver's transient holding resistances at its
+// fixed operating point. The noiseless drive of the derivation depends
+// only on that point, not on the noise, so it runs once, on the first
+// derivation, and every later one reuses it: holdres.FromNoiseless
+// then returns what holdres.ComputeContext would, bit for bit. An
+// analysis keeps one for its victim across its Rtr iterations; nothing
+// outlives the analysis.
+type holdDrive struct {
+	cell      *device.Cell
+	slew      float64
+	inRising  bool
+	ceff, rth float64
+	first     *gatesim.DriveResult // the noiseless drive, once run
+}
+
+// newHoldDrive is the holdDrive of a characterized driver.
+func newHoldDrive(d driverChar) holdDrive {
+	spec := d.spec
+	return holdDrive{cell: spec.Cell, slew: spec.InputSlew, inRising: spec.Cell.InputRisingFor(spec.OutputRising), ceff: d.ceff, rth: d.model.Rth}
+}
+
+// rtr derives the holding resistance under the injected noise vn, in
+// the characterization time frame.
+func (h *holdDrive) rtr(ctx context.Context, vn *waveform.PWL) (*holdres.Result, error) {
+	if err := holdres.Check(h.ceff, h.rth, vn); err != nil {
+		return nil, err
+	}
+	if h.first == nil {
+		first, err := holdres.Noiseless(ctx, h.cell, h.slew, h.inRising, h.ceff)
+		if err != nil {
+			return nil, err
+		}
+		h.first = &first
+	}
+	return holdres.FromNoiseless(ctx, h.cell, h.slew, h.inRising, h.ceff, h.rth, vn, *h.first)
 }
 
 // cross50 returns the 50% crossing of a full-swing transition.

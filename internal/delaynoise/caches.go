@@ -6,27 +6,25 @@ import (
 
 	"repro/internal/ceff"
 	"repro/internal/device"
-	"repro/internal/gatesim"
-	"repro/internal/holdres"
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/thevenin"
-	"repro/internal/waveform"
 )
 
 // The shared cache below lets a batch engine (internal/clarinet) fan
 // the per-net flow across cores without repeating work: nets that share
 // a driver cell at a similar operating point reuse the rough Thevenin
-// fit, duplicated held circuits reuse the full C-effective
-// characterization, and every holding-resistance derivation at one
-// victim operating point reuses its noiseless driver run. Its three
-// memos are single-flight (internal/memo): concurrent nets needing the
-// same entry compute it once. Every method tolerates a nil receiver and
-// simply computes uncached, so the engine code calls them
-// unconditionally. Results that do not recur across nets — the holding
-// resistance itself, derived from one net's own noise, and a PRIMA
-// reduction of one net's system — are computed per call.
+// fit, and duplicated held circuits reuse the full C-effective
+// characterization. Its two memos are single-flight and bounded
+// (internal/memo): concurrent nets needing the same entry compute it
+// once, and a resident session holds at most two generations of
+// entries. Every method tolerates a nil receiver and simply computes
+// uncached, so the engine code calls them unconditionally. Results
+// that do not recur across nets are computed per analysis: the holding
+// resistance, derived from one net's own noise, the noiseless driver
+// run behind it, which the analysis runs once and reuses across its
+// Rtr iterations, and a PRIMA reduction of one net's system.
 //
 // Each method takes the calling net's context: under single flight the
 // in-flight computation runs on the first caller's context, and a
@@ -53,12 +51,6 @@ type fullKey struct {
 	ckt    string // the held circuit's exact byte encoding (circuitKey)
 }
 
-type driveKey struct {
-	cell       string
-	rising     bool
-	slew, ceff uint64 // exact float bits
-}
-
 // CharCache memoizes driver characterizations across analyses.
 //
 // Rough Thevenin fits are keyed by (cell, slew bucket, load bucket) and
@@ -70,11 +62,7 @@ type driveKey struct {
 // exactly, by the held circuit's byte encoding itself rather than a
 // digest of it, so a hit is bit-identical to an uncached run and no
 // collision can hand one driver another circuit's result; hits occur
-// for repeated held circuits. The noiseless driver run behind each
-// holding resistance is keyed exactly by its operating point alone and
-// shared by every noise waveform there (the Rtr iterations of one net,
-// and nets with the same victim driver); it stays in memory and is not
-// part of a CharSnapshot.
+// for repeated held circuits.
 //
 // A CharCache must not be shared across cell libraries or technologies:
 // keys identify cells by name.
@@ -83,12 +71,12 @@ type CharCache struct {
 	metrics *metrics.Registry
 	rough   *memo.Cache[roughKey, thevenin.Model]
 	full    *memo.Cache[fullKey, ceff.Result]
-	drive   *memo.Cache[driveKey, gatesim.DriveResult]
 }
 
 // NewCharCache builds a characterization cache with the given relative
 // bucket resolution (<= 0 selects DefaultCharBucketRes). The registry,
-// which may be nil, receives cache.char.* hit/miss counters.
+// which may be nil, receives cache.char.* hit/miss counters and the
+// resident entry count of each memo as a gauge.
 func NewCharCache(res float64, m *metrics.Registry) *CharCache {
 	if res <= 0 {
 		res = DefaultCharBucketRes
@@ -96,9 +84,8 @@ func NewCharCache(res float64, m *metrics.Registry) *CharCache {
 	return &CharCache{
 		res:     res,
 		metrics: m,
-		rough:   memo.New[roughKey, thevenin.Model](),
-		full:    memo.New[fullKey, ceff.Result](),
-		drive:   memo.New[driveKey, gatesim.DriveResult](),
+		rough:   memo.New[roughKey, thevenin.Model](m.Gauge(mCacheCharRough + mEntriesSuffix)),
+		full:    memo.New[fullKey, ceff.Result](m.Gauge(mCacheCharFull + mEntriesSuffix)),
 	}
 }
 
@@ -155,35 +142,4 @@ func (cc *CharCache) Characterize(ctx context.Context, cell *device.Cell, slew f
 	})
 	cc.count(mCacheCharFull, hit)
 	return res, err
-}
-
-// HoldRes returns the transient holding resistance of a driver under the
-// injected noise vn. The derivation itself is not memoized: its noise
-// comes from one net's own alignment, so it does not recur across nets.
-// Its noiseless driver run, which depends only on the operating point,
-// is shared through the drive memo.
-func (cc *CharCache) HoldRes(ctx context.Context, cell *device.Cell, slew float64, inRising bool, cEff, rth float64, vn *waveform.PWL) (*holdres.Result, error) {
-	if cc == nil {
-		return holdres.ComputeContext(ctx, cell, slew, inRising, cEff, rth, vn)
-	}
-	if err := holdres.Check(cEff, rth, vn); err != nil {
-		return nil, err
-	}
-	first, err := cc.noiseless(ctx, cell, slew, inRising, cEff)
-	if err != nil {
-		return nil, err
-	}
-	return holdres.FromNoiseless(ctx, cell, slew, inRising, cEff, rth, vn, first)
-}
-
-// noiseless returns the holding-resistance noiseless driver run at one
-// operating point, computed once per exact (cell, direction, slew,
-// ceff) key.
-func (cc *CharCache) noiseless(ctx context.Context, cell *device.Cell, slew float64, inRising bool, cEff float64) (gatesim.DriveResult, error) {
-	key := driveKey{cell.Name, inRising, math.Float64bits(slew), math.Float64bits(cEff)}
-	first, hit, err := cc.drive.Do(key, func() (gatesim.DriveResult, error) {
-		return holdres.Noiseless(ctx, cell, slew, inRising, cEff)
-	})
-	cc.count(mCacheDrive, hit)
-	return first, err
 }

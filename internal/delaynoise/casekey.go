@@ -56,13 +56,14 @@ func (c *Case) Key() string {
 	return string(k)
 }
 
-// keyBuf accumulates a case key. Every variable-length field carries its
-// length, so distinct cases never encode to the same bytes.
+// keyBuf accumulates a case key. Counts and lengths are uvarints and
+// floats their fixed eight bytes, and every variable-length field
+// carries its length, so distinct cases never encode to the same bytes.
 type keyBuf []byte
 
-func (k *keyBuf) num(v uint64) { *k = binary.LittleEndian.AppendUint64(*k, v) }
+func (k *keyBuf) num(v uint64) { *k = binary.AppendUvarint(*k, v) }
 
-func (k *keyBuf) float(f float64) { k.num(math.Float64bits(f)) }
+func (k *keyBuf) float(f float64) { *k = binary.LittleEndian.AppendUint64(*k, math.Float64bits(f)) }
 
 func (k *keyBuf) flag(b bool) {
 	if b {

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/gatesim"
 	"repro/internal/holdres"
-	"repro/internal/metrics"
 	"repro/internal/waveform"
 )
 
@@ -53,15 +51,14 @@ func driverNoise(t *testing.T) *waveform.PWL {
 // TestHoldResSharedNoiselessBitIdentical runs holdres's reuse sweep —
 // three victim operating points, each under a short pulse, the linear
 // superposition noise of the test case and a pulse that outlasts the
-// noiseless run — through one CharCache. Each result must equal the
-// uncached holdres.ComputeContext bit for bit, each operating point's
-// noiseless run must be simulated once, and where it is reused the
-// result's Noiseless waveform must be the memoized one.
+// noiseless run — through one holdDrive per operating point, as an
+// analysis derives its victim's Rtr iterations. Each result must equal
+// the uncached holdres.ComputeContext bit for bit, each operating
+// point's noiseless run must be simulated once, and where it is reused
+// the result's Noiseless waveform must be that run's.
 func TestHoldResSharedNoiselessBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	lin := driverNoise(t)
-	reg := metrics.NewRegistry()
-	cc := NewCharCache(0, reg)
 	const rth = 2000.0
 	fits, outlasts := 0, 0
 	for _, vc := range []struct {
@@ -79,13 +76,15 @@ func TestHoldResSharedNoiselessBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		end := first.Out.End()
+		h := holdDrive{cell: cell, slew: vc.slew, inRising: vc.inRising, ceff: vc.ceff, rth: rth}
+		var drive *gatesim.DriveResult
 		for k, vn := range []*waveform.PWL{
 			waveform.New([]float64{0, 150e-12, 300e-12, 450e-12}, []float64{0, -0.25, -0.1, 0}),
 			lin,
 			waveform.New([]float64{0, 200e-12, 400e-12, end + 1e-9}, []float64{0, 0.2, 0.05, 0}),
 		} {
 			name := fmt.Sprintf("%s/vn%d", vc.cell, k)
-			got, err := cc.HoldRes(ctx, cell, vc.slew, vc.inRising, vc.ceff, rth, vn)
+			got, err := h.rtr(ctx, vn)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -96,74 +95,66 @@ func TestHoldResSharedNoiselessBitIdentical(t *testing.T) {
 			if !sameHoldRes(got, want) {
 				t.Errorf("%s: shared noiseless run changed the result (Rtr %v vs %v)", name, got.Rtr, want.Rtr)
 			}
-			key := driveKey{cell.Name, vc.inRising, math.Float64bits(vc.slew), math.Float64bits(vc.ceff)}
-			memo, ok := cc.drive.Snapshot()[key]
-			if !ok {
-				t.Fatalf("%s: noiseless run not memoized", name)
+			if h.first == nil {
+				t.Fatalf("%s: noiseless run not kept", name)
+			}
+			if drive == nil {
+				drive = h.first
+			} else if h.first != drive {
+				t.Fatalf("%s: noiseless run simulated again", name)
 			}
 			if got.In.End() > end {
 				outlasts++
 				continue
 			}
 			fits++
-			if got.Noiseless != memo.Out {
-				t.Errorf("%s: reused noiseless waveform is a copy, not the memoized run", name)
+			if got.Noiseless != drive.Out {
+				t.Errorf("%s: reused noiseless waveform is a copy, not the kept run", name)
 			}
 		}
 	}
 	if fits == 0 || outlasts == 0 {
 		t.Fatalf("sweep has %d injections inside the noiseless run and %d outlasting it; want both", fits, outlasts)
 	}
-	s := reg.Snapshot()
-	if hits, misses := s.Counters[mCacheDrive+mHitSuffix], s.Counters[mCacheDrive+mMissSuffix]; misses != 3 || hits != 6 {
-		t.Fatalf("cache.drive hits/misses = %d/%d, want 6/3 (one run per operating point)", hits, misses)
-	}
 }
 
-// TestHoldResDriveSingleFlight has eight goroutines derive holding
-// resistances at one victim operating point under different noise: the
-// noiseless run is simulated exactly once, and every result equals the
-// uncached derivation. Run it under -race (make race).
-func TestHoldResDriveSingleFlight(t *testing.T) {
+// TestHoldResDriveOncePerAnalysis follows the victim's Rtr iterations
+// the way AnalyzeContext runs them: the first derivation runs the
+// noiseless drive, the later ones, under other alignments of the same
+// aggressor noise, reuse it, and each result equals the uncached
+// derivation bit for bit.
+func TestHoldResDriveOncePerAnalysis(t *testing.T) {
 	ctx := context.Background()
-	cell := cellOf(t, "INVX2")
-	const slew, ceff, rth, rising = 150e-12, 30e-15, 2000.0, true
-	const n = 8
-	noises := make([]*waveform.PWL, n)
-	want := make([]*holdres.Result, n)
-	for i := range noises {
-		noises[i] = waveform.New([]float64{0, 150e-12, 300e-12, 450e-12}, []float64{0, -0.05 * float64(i+1), -0.02, 0})
-		var err error
-		if want[i], err = holdres.ComputeContext(ctx, cell, slew, rising, ceff, rth, noises[i]); err != nil {
+	c := testCase(t)
+	e, err := newEngine(ctx, c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.firstPass(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _ := first.recvNoises[0].Peak()
+	var drive *gatesim.DriveResult
+	for k, dt := range []float64{0, 40e-12, -40e-12} {
+		vn := alignedDriverNoise(first.recvNoises, first.drvNoises, pt+dt).Shift(gatesim.InputStart - c.Victim.InputStart)
+		got, err := e.hold.rtr(ctx, vn)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", k+1, err)
+		}
+		v := e.victim
+		want, err := holdres.ComputeContext(ctx, v.spec.Cell, v.spec.InputSlew, v.spec.Cell.InputRisingFor(v.spec.OutputRising), v.ceff, v.model.Rth, vn)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	reg := metrics.NewRegistry()
-	cc := NewCharCache(0, reg)
-	got := make([]*holdres.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = cc.HoldRes(ctx, cell, slew, rising, ceff, rth, noises[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatalf("noise %d: %v", i, errs[i])
+		if !sameHoldRes(got, want) {
+			t.Errorf("iteration %d: reused drive changed the result (Rtr %v vs %v)", k+1, got.Rtr, want.Rtr)
 		}
-		if !sameHoldRes(got[i], want[i]) {
-			t.Errorf("noise %d: concurrent result differs from the uncached one", i)
+		if k == 0 {
+			drive = e.hold.first
+		} else if e.hold.first != drive {
+			t.Fatalf("iteration %d simulated the noiseless drive again", k+1)
 		}
 	}
-	s := reg.Snapshot()
-	if misses := s.Counters[mCacheDrive+mMissSuffix]; misses != 1 {
-		t.Fatalf("cache.drive.miss = %d, want exactly 1", misses)
-	}
-	if hits := s.Counters[mCacheDrive+mHitSuffix]; hits != n-1 {
-		t.Fatalf("cache.drive.hit = %d, want %d", hits, n-1)
-	}
+
 }

@@ -33,6 +33,9 @@ type engine struct {
 	interconnect *netlist.Circuit // loaded with receiver caps
 	victim       driverChar
 	aggs         []driverChar
+	// hold derives the victim's transient holding resistance in each
+	// Rtr iteration, running its noiseless drive once.
+	hold holdDrive
 
 	horizon float64
 	step    float64
@@ -70,6 +73,7 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("delaynoise: victim characterization: %w", err)
 	}
+	e.hold = newHoldDrive(e.victim)
 	e.aggs = make([]driverChar, len(c.Aggressors))
 	for k := range c.Aggressors {
 		e.aggs[k], err = charOf(loads[k+1])
@@ -369,11 +373,9 @@ func (e *engine) firstPass(withAggs bool) (linearPass, error) {
 	// victim injected on it, then re-run once (the same single extra
 	// iteration the victim-side flow uses).
 	for j := range e.aggs {
-		spec := e.aggs[j].spec
-		vn := deviation(ws[0][c.Net.AggIn[j]]).Shift(gatesim.InputStart - spec.InputStart)
-		hr, err := e.opt.Chars.HoldRes(e.ctx, spec.Cell, spec.InputSlew,
-			spec.Cell.InputRisingFor(spec.OutputRising),
-			e.aggs[j].ceff, e.aggs[j].model.Rth, vn)
+		vn := deviation(ws[0][c.Net.AggIn[j]]).Shift(gatesim.InputStart - e.aggs[j].spec.InputStart)
+		h := newHoldDrive(e.aggs[j])
+		hr, err := h.rtr(e.ctx, vn)
 		if err != nil {
 			return linearPass{}, fmt.Errorf("delaynoise: aggressor %d transient hold: %w", j, err)
 		}

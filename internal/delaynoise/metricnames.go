@@ -3,14 +3,15 @@ package delaynoise
 // Metric-name constant table (enforced by noiselint/metricflow): one
 // home for every cache.* and sim.* series the analysis emits. The
 // cache base names are completed with mHitSuffix/mMissSuffix by
-// CharCache.count, so a base and its two outcomes cannot drift apart.
+// CharCache.count, and with mEntriesSuffix for the gauge of resident
+// entries, so a base and its series cannot drift apart.
 const (
 	mCacheCharRough = "cache.char.rough"
 	mCacheCharFull  = "cache.char.full"
-	mCacheDrive     = "cache.drive"
 
-	mHitSuffix  = ".hit"
-	mMissSuffix = ".miss"
+	mHitSuffix     = ".hit"
+	mMissSuffix    = ".miss"
+	mEntriesSuffix = ".entries"
 
 	mSimLinear            = "sim.linear"
 	mSimNonlinearReceiver = "sim.nonlinear.receiver"

@@ -2,7 +2,10 @@
 // (internal/clarinet) and the layers built on it. A Session owns the
 // technology, its cell library, the metrics registry, and the two
 // single-flight caches — alignment pre-characterization tables and
-// driver characterizations.
+// driver characterizations. Every memo behind them is bounded by
+// internal/memo's one rule and reports its resident entries as a
+// cache.*.entries gauge, so a resident session's memory does not grow
+// with the number of distinct nets it has analyzed.
 //
 // Front ends are thin views: clarinet.Tool fans a Session across a
 // worker pool with its own analysis options. Two views over one Session
@@ -21,11 +24,12 @@ import (
 )
 
 // Metric-name constant table (enforced by noiselint/metricflow): the
-// session's single-flight table cache reports its hit ratio under
-// these names.
+// session's single-flight table cache reports its hit ratio and its
+// resident entry count under these names.
 const (
-	mCacheTablesHit  = "cache.tables.hit"
-	mCacheTablesMiss = "cache.tables.miss"
+	mCacheTablesHit     = "cache.tables.hit"
+	mCacheTablesMiss    = "cache.tables.miss"
+	mCacheTablesEntries = "cache.tables.entries"
 )
 
 // Config assembles a Session. The zero value is usable: it selects the
@@ -95,7 +99,7 @@ func New(cfg Config) *Session {
 		lib:     lib,
 		metrics: reg,
 		grid:    cfg.PrecharGrid,
-		tables:  memo.New[tableKey, *align.Table](),
+		tables:  memo.New[tableKey, *align.Table](reg.Gauge(mCacheTablesEntries)),
 	}
 	if cfg.CharCacheRes >= 0 {
 		s.chars = delaynoise.NewCharCache(cfg.CharCacheRes, reg)

@@ -14,7 +14,7 @@ type goodKey struct {
 	LoadBit uint64 // pre-hashed float, the sanctioned spelling
 }
 
-var good = memo.New[goodKey, int]()
+var good = memo.New[goodKey, int](nil)
 
 // Array components of comparable values are fine too: clean.
 type arrayKey struct {
@@ -22,20 +22,20 @@ type arrayKey struct {
 	Moments [4]int64
 }
 
-var goodArray = memo.New[arrayKey, string]()
+var goodArray = memo.New[arrayKey, string](nil)
 
 type ptrKey struct {
 	Name string
 	Net  *int
 }
 
-var badPtr = memo.New[ptrKey, int]() // want "cache key type ptrKey field Net embeds a pointer"
+var badPtr = memo.New[ptrKey, int](nil) // want "cache key type ptrKey field Net embeds a pointer"
 
 type floatKey struct {
 	Slew float64
 }
 
-var badFloat = memo.New[floatKey, int]() // want "cache key type floatKey field Slew embeds a float"
+var badFloat = memo.New[floatKey, int](nil) // want "cache key type floatKey field Slew embeds a float"
 
 // The declared type of a cache variable is an instantiation site too.
 var badDecl *memo.Cache[*int, string] // want "cache key type \\*int embeds a pointer"

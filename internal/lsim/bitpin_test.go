@@ -207,9 +207,10 @@ func TestDenseStepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunToCrossingMatchesRun checks that RunToCrossing's rows are
-// Run's first k+1 rows, that step k is the first to cross, and that a
-// level never crossed returns all of Run.
+// TestRunToCrossingMatchesRun checks that RunToCrossing records the
+// crossing node alone, that its rows are that node's column of Run's
+// first k+1 rows, that step k is the first to cross, and that a level
+// never crossed returns the column of all of Run.
 func TestRunToCrossingMatchesRun(t *testing.T) {
 	build := func(ckt *netlist.Circuit) *mna.System {
 		sys, err := mna.Build(ckt)
@@ -269,11 +270,20 @@ func TestRunToCrossingMatchesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			rows := len(got.Times)
-			if got.States.Rows != rows || len(got.States.Data) != rows*got.States.Cols {
-				t.Fatalf("%d times but a %dx%d state matrix", rows, got.States.Rows, got.States.Cols)
+			if got.States.Rows != rows || got.States.Cols != 1 || len(got.States.Data) != rows {
+				t.Fatalf("%d times but a %dx%d state matrix, want the crossing node's column alone", rows, got.States.Rows, got.States.Cols)
 			}
-			if k := sameRows(got, tc.full.Times, tc.full.States, rows); k >= 0 {
-				t.Fatalf("row %d differs from Run", k)
+			node, _ := tc.sys.NodeIndex(tc.node)
+			for k := 0; k < rows; k++ {
+				if math.Float64bits(got.Times[k]) != math.Float64bits(tc.full.Times[k]) ||
+					math.Float64bits(got.States.At(k, 0)) != math.Float64bits(tc.full.States.At(k, node)) {
+					t.Fatalf("row %d differs from Run's %s column", k, tc.node)
+				}
+			}
+			for i := 0; i < tc.sys.NumStates(); i++ {
+				if _, err := got.StateWaveform(i); (err == nil) != (i == node) {
+					t.Fatalf("state %d: recorded = %v, want only the crossing node %d", i, err == nil, node)
+				}
 			}
 			w, _ := tc.full.Voltage(tc.node)
 			part, _ := got.Voltage(tc.node)

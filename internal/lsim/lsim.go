@@ -128,21 +128,22 @@ func RunContext(ctx context.Context, sys *mna.System, opt Options) (*Result, err
 // node. Cancellation, when needed, comes from Options.Ctx (or use
 // RunContext).
 func Run(sys *mna.System, opt Options) (*Result, error) {
-	return runOne(sys, opt, never)
+	return runOne(sys, nil, opt, never)
 }
 
 // RunToCrossing is Run stopped after the first step k at which node
 // crosses level upward (rising) or downward, tested as
 // waveform.PWL.CrossRising/CrossFalling test a segment: v0 < level &&
-// v1 >= level when rising, mirrored when falling. It steps exactly as
-// Run does, so its k+1 rows equal Run's first k+1 rows bit for bit;
-// when node never crosses it returns what Run returns.
+// v1 >= level when rising, mirrored when falling. It records node
+// alone. It steps exactly as Run does, so its k+1 rows equal the node's
+// column of Run's first k+1 rows bit for bit; when node never crosses
+// it holds that column of all of Run.
 func RunToCrossing(sys *mna.System, opt Options, node string, level float64, rising bool) (*Result, error) {
 	i, err := sys.NodeIndex(node)
 	if err != nil {
 		return nil, err
 	}
-	return runOne(sys, opt, crossing{state: i, level: level, rising: rising})
+	return runOne(sys, []int{i}, opt, crossing{state: i, level: level, rising: rising})
 }
 
 // RunToCrossingContext is RunToCrossing with an explicit context,
@@ -192,10 +193,10 @@ func RunGroupContext(ctx context.Context, sys *mna.System, sets [][]*waveform.PW
 	return RunGroup(sys, sets, nodes, opt)
 }
 
-// runOne runs the system's own inputs as a group of one, recording
-// every state.
-func runOne(sys *mna.System, opt Options, stop crossing) (*Result, error) {
-	res, err := runUntil(sys, [][]*waveform.PWL{sys.Inputs}, nil, opt, stop)
+// runOne runs the system's own inputs as a group of one, recording the
+// states in rec (every state when rec is nil).
+func runOne(sys *mna.System, rec []int, opt Options, stop crossing) (*Result, error) {
+	res, err := runUntil(sys, [][]*waveform.PWL{sys.Inputs}, rec, opt, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -432,5 +433,7 @@ func (r *Result) StateWaveform(i int) (*waveform.PWL, error) {
 	for k := range r.Times {
 		v[k] = r.States.At(k, col)
 	}
-	return waveform.New(append([]float64(nil), r.Times...), v), nil
+	// Every waveform of the run shares its times, clipped so that no
+	// append reaches past them.
+	return waveform.New(slices.Clip(r.Times), v), nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDoCachesValue(t *testing.T) {
-	c := New[string, int]()
+	c := New[string, int](nil)
 	calls := 0
 	fn := func() (int, error) { calls++; return 42, nil }
 
@@ -29,7 +29,7 @@ func TestDoCachesValue(t *testing.T) {
 }
 
 func TestSingleFlight(t *testing.T) {
-	c := New[int, int]()
+	c := New[int, int](nil)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const n = 16
@@ -71,7 +71,7 @@ func TestSingleFlight(t *testing.T) {
 }
 
 func TestErrorNotCached(t *testing.T) {
-	c := New[string, int]()
+	c := New[string, int](nil)
 	boom := errors.New("boom")
 	calls := 0
 	_, _, err := c.Do("k", func() (int, error) { calls++; return 0, boom })
@@ -91,7 +91,7 @@ func TestErrorNotCached(t *testing.T) {
 }
 
 func TestGet(t *testing.T) {
-	c := New[string, string]()
+	c := New[string, string](nil)
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("Get on empty cache")
 	}
@@ -123,7 +123,10 @@ func (c *Cache[K, V]) Get(key K) (v V, ok bool) {
 		return v, false
 	}
 	c.mu.Lock()
-	e, exists := c.m[key]
+	e, exists := c.cur[key]
+	if !exists {
+		e, exists = c.old[key]
+	}
 	c.mu.Unlock()
 	if !exists {
 		return v, false

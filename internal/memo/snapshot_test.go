@@ -8,7 +8,7 @@ import (
 )
 
 func TestSnapshotExportsCompletedSuccesses(t *testing.T) {
-	c := memo.New[string, int]()
+	c := memo.New[string, int](nil)
 	if _, _, err := c.Do("a", func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSnapshotExportsCompletedSuccesses(t *testing.T) {
 }
 
 func TestSeedInstallsWithoutClobbering(t *testing.T) {
-	c := memo.New[string, int]()
+	c := memo.New[string, int](nil)
 	c.Seed("warm", 10)
 	v, hit, err := c.Do("warm", func() (int, error) {
 		t.Fatal("seeded entry must not recompute")

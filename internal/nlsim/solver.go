@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/device"
 	"repro/internal/linalg"
@@ -532,8 +533,8 @@ func Run(c *Circuit, opt Options) (*Result, error) {
 			break
 		}
 	}
-	states := linalg.NewMatrix(len(tr.times), n)
-	copy(states.Data, tr.statesBuf)
+	// The row buffer becomes the result's states: the run is done with it.
+	states := &linalg.Matrix{Rows: len(tr.times), Cols: n, Data: tr.statesBuf}
 	return &Result{Times: tr.times, States: states, ckt: c}, nil
 }
 
@@ -716,5 +717,7 @@ func (r *Result) Voltage(name string) (*waveform.PWL, error) {
 			v[k] = r.States.At(k, nd.state)
 		}
 	}
-	return waveform.New(append([]float64(nil), r.Times...), v), nil
+	// Every waveform of the run shares its times, clipped so that no
+	// append reaches past them.
+	return waveform.New(slices.Clip(r.Times), v), nil
 }

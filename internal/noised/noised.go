@@ -1,9 +1,9 @@
 // Package noised is the resident serving layer over the analysis
 // engine: a long-running HTTP daemon that owns one engine.Session and
 // amortizes its warm state — alignment pre-characterization tables,
-// bucketed driver characterizations, C-effective characterizations and
-// noiseless driver runs — across every request, where the one-shot CLI
-// tools rebuild it per invocation.
+// bucketed driver characterizations and C-effective characterizations,
+// each cache bounded by internal/memo — across every request, where
+// the one-shot CLI tools rebuild it per invocation.
 //
 // The API is deliberately small:
 //

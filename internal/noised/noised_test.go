@@ -568,8 +568,10 @@ func TestJournalResume(t *testing.T) {
 // TestWarmSessionAcrossRequests is the acceptance criterion of the
 // serving layer, end to end with the real pool: two identical requests
 // against one server process, where the second must hit the warm
-// session — zero new alignment-table builds, driver characterizations
-// or noiseless driver runs.
+// session — zero new alignment-table builds or driver
+// characterizations, and no new resident cache entries. (Each analysis
+// runs its own noiseless holding-resistance drive, so the warm request
+// reruns those by design.)
 func TestWarmSessionAcrossRequests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real analysis; skipped in -short")
@@ -592,21 +594,29 @@ func TestWarmSessionAcrossRequests(t *testing.T) {
 	run()
 	snap := s.Metrics().Snapshot()
 	coldTables := snap.Counters["cache.tables.miss"]
-	coldDrive := snap.Counters["cache.drive.miss"]
 	coldChars := snap.Counters["cache.char.full.miss"]
 	if coldTables == 0 {
 		t.Fatalf("cold request built no alignment tables; metrics %+v", snap.Counters)
+	}
+	entries := []string{"cache.tables.entries", "cache.char.rough.entries", "cache.char.full.entries"}
+	coldEntries := map[string]int64{}
+	for _, g := range entries {
+		if coldEntries[g] = snap.Gauges[g]; coldEntries[g] <= 0 {
+			t.Fatalf("cold request left gauge %s at %d; gauges %+v", g, coldEntries[g], snap.Gauges)
+		}
 	}
 	run()
 	snap = s.Metrics().Snapshot()
 	if n := snap.Counters["cache.tables.miss"]; n != coldTables {
 		t.Fatalf("warm request rebuilt alignment tables: %d -> %d misses", coldTables, n)
 	}
-	if n := snap.Counters["cache.drive.miss"]; n != coldDrive {
-		t.Fatalf("warm request re-ran noiseless drivers: %d -> %d misses", coldDrive, n)
-	}
 	if n := snap.Counters["cache.char.full.miss"]; n != coldChars {
 		t.Fatalf("warm request recharacterized drivers: %d -> %d misses", coldChars, n)
+	}
+	for _, g := range entries {
+		if n := snap.Gauges[g]; n != coldEntries[g] {
+			t.Fatalf("warm request changed the resident entries: %s %d -> %d", g, coldEntries[g], n)
+		}
 	}
 }
 

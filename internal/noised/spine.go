@@ -248,8 +248,9 @@ type Route[R, S any] struct {
 	decode func(line []byte) (R, *S, error)
 	// stamp fills the summary's timing and retry hints.
 	stamp func(sum *S, elapsedMS int64, deadline, draining bool)
-	// lineBuf and maxLine size an NDJSON reader's line buffer.
-	lineBuf, maxLine int
+	// maxLine bounds an NDJSON reader's line. The buffer starts small
+	// and grows to it only as long lines need: most streams are short.
+	maxLine int
 }
 
 var (
@@ -267,7 +268,7 @@ var (
 		stamp: func(s *Summary, ms int64, deadline, draining bool) {
 			s.ElapsedMS, s.Deadline, s.Draining = ms, deadline, draining
 		},
-		lineBuf: 64 << 10, maxLine: 1 << 20,
+		maxLine: 1 << 20,
 	}
 	// AnalyzePath streams one pathnoise.StageRecord per completed stage,
 	// ending in a PathSummary ({"pathSummary": ...} on NDJSON).
@@ -287,14 +288,14 @@ var (
 			s.ElapsedMS, s.Deadline, s.Draining = ms, deadline, draining
 		},
 		// Waveform series make stage lines far longer than net lines.
-		lineBuf: 256 << 10, maxLine: 16 << 20,
+		maxLine: 16 << 20,
 	}
 )
 
 // Scanner reads the route's NDJSON stream line by line.
 func (rt *Route[R, S]) Scanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, rt.lineBuf), rt.maxLine)
+	sc.Buffer(nil, rt.maxLine)
 	return sc
 }
 

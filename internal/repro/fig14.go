@@ -64,7 +64,7 @@ func fig14(ctx *Context, each func(n int, fn func(i int))) (*Fig14Result, error)
 	if err != nil {
 		return nil, err
 	}
-	tables := memo.New[fig14Table, *align.Table]()
+	tables := memo.New[fig14Table, *align.Table](nil)
 	tableFor := func(cell *device.Cell, rising bool) (*align.Table, error) {
 		t, _, err := tables.Do(fig14Table{cell.Name, rising}, func() (*align.Table, error) {
 			cfg := align.DefaultConfig(ctx.Tech)

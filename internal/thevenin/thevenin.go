@@ -37,8 +37,10 @@ func (m Model) SourceWaveform() *waveform.PWL {
 
 // rampRC evaluates the normalized response (0 -> 1) at time t (measured
 // from the ramp start) of a unit saturated ramp of duration dt driving an
-// RC with time constant tau.
-func rampRC(dt, tau, t float64) float64 {
+// RC with time constant tau. yEnd is the response at the end of the
+// ramp, rampEnd(dt, tau), which a caller evaluating many times at one
+// (dt, tau) computes once.
+func rampRC(dt, tau, yEnd, t float64) float64 {
 	if t <= 0 {
 		return 0
 	}
@@ -52,17 +54,23 @@ func rampRC(dt, tau, t float64) float64 {
 	if t <= dt {
 		return (t - tau*(1-math.Exp(-t/tau))) / dt
 	}
-	yEnd := (dt - tau*(1-math.Exp(-dt/tau))) / dt
 	return 1 + (yEnd-1)*math.Exp(-(t-dt)/tau)
+}
+
+// rampEnd is the ramp-RC response at the end of the ramp (t = dt, with
+// tau > 0).
+func rampEnd(dt, tau float64) float64 {
+	return (dt - tau*(1-math.Exp(-dt/tau))) / dt
 }
 
 // rampRCCross returns the time (from ramp start) at which the normalized
 // ramp-RC response crosses frac.
 func rampRCCross(dt, tau, frac float64) float64 {
+	yEnd := rampEnd(dt, tau)
 	lo, hi := 0.0, dt+40*tau+dt
 	for hi-lo > 1e-18+1e-12*(dt+tau) {
 		mid := 0.5 * (lo + hi)
-		if rampRC(dt, tau, mid) < frac {
+		if rampRC(dt, tau, yEnd, mid) < frac {
 			lo = mid
 		} else {
 			hi = mid

@@ -13,17 +13,17 @@ import (
 
 func TestRampRCLimits(t *testing.T) {
 	// Pure ramp: linear between 0 and dt.
-	if v := rampRC(1, 0, 0.5); math.Abs(v-0.5) > 1e-12 {
+	if v := rampRC(1, 0, rampEnd(1, 0), 0.5); math.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("pure ramp midpoint %v", v)
 	}
 	// At t >> dt + tau: fully settled.
-	if v := rampRC(1, 0.5, 30); math.Abs(v-1) > 1e-9 {
+	if v := rampRC(1, 0.5, rampEnd(1, 0.5), 30); math.Abs(v-1) > 1e-9 {
 		t.Fatalf("settled value %v", v)
 	}
 	// Monotone in t.
 	prev := -1.0
 	for tt := 0.0; tt < 5; tt += 0.01 {
-		v := rampRC(1, 0.8, tt)
+		v := rampRC(1, 0.8, rampEnd(1, 0.8), tt)
 		if v < prev-1e-12 {
 			t.Fatalf("rampRC not monotone at %v", tt)
 		}

@@ -6,12 +6,19 @@
 // increasing times; the value is linearly interpolated between breakpoints
 // and held constant outside the covered interval. All times are in
 // seconds and all values in volts or amperes.
+//
+// A PWL's slices are never written after New: every operation builds
+// new slices for what it changes and shares the rest (Shift shares V,
+// Scale and Offset share T, and the simulators' waveforms of one run
+// share its times). Code that needs other breakpoints builds new
+// slices.
 package waveform
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -52,15 +59,6 @@ func Ramp(t0, dt, v0, v1 float64) *PWL {
 
 // Len returns the number of breakpoints.
 func (w *PWL) Len() int { return len(w.T) }
-
-// Clone returns a deep copy.
-func (w *PWL) Clone() *PWL {
-	t := make([]float64, len(w.T))
-	v := make([]float64, len(w.V))
-	copy(t, w.T)
-	copy(v, w.V)
-	return &PWL{T: t, V: v}
-}
 
 // At evaluates the waveform at time t, holding end values outside the
 // breakpoint range.
@@ -136,31 +134,34 @@ func (w *PWL) End() float64 {
 	return w.T[len(w.T)-1]
 }
 
-// Shift returns the waveform translated in time by dt.
+// Shift returns the waveform translated in time by dt. It shares w's
+// values.
 func (w *PWL) Shift(dt float64) *PWL {
-	out := w.Clone()
-	for i := range out.T {
-		out.T[i] += dt
+	t := make([]float64, len(w.T))
+	for i, ti := range w.T {
+		t[i] = ti + dt
 	}
-	return out
+	return &PWL{T: t, V: slices.Clip(w.V)}
 }
 
-// Scale returns the waveform with values multiplied by s.
+// Scale returns the waveform with values multiplied by s. It shares
+// w's times.
 func (w *PWL) Scale(s float64) *PWL {
-	out := w.Clone()
-	for i := range out.V {
-		out.V[i] *= s
+	v := make([]float64, len(w.V))
+	for i, vi := range w.V {
+		v[i] = vi * s
 	}
-	return out
+	return &PWL{T: slices.Clip(w.T), V: v}
 }
 
-// Offset returns the waveform with values shifted by dv.
+// Offset returns the waveform with values shifted by dv. It shares w's
+// times.
 func (w *PWL) Offset(dv float64) *PWL {
-	out := w.Clone()
-	for i := range out.V {
-		out.V[i] += dv
+	v := make([]float64, len(w.V))
+	for i, vi := range w.V {
+		v[i] = vi + dv
 	}
-	return out
+	return &PWL{T: slices.Clip(w.T), V: v}
 }
 
 // mergeTimes returns the sorted union of the breakpoint times of ws.
@@ -395,6 +396,8 @@ func (w *PWL) WidthAt(frac float64) (float64, error) {
 
 // Resample returns the waveform sampled on a uniform grid of n points
 // spanning [t0, t1] (inclusive, n >= 2).
+//
+//lint:ignore noiselint/testonly cross-package test fixture: ceff's bit pin replays the charge integral as it was before ceff stopped building the resampled waveform
 func (w *PWL) Resample(t0, t1 float64, n int) *PWL {
 	if n < 2 {
 		panic("waveform: Resample needs n >= 2")

@@ -50,17 +50,20 @@ boot
 curl -fsS "$base/healthz" >/dev/null
 curl -fsS "$base/readyz" >/dev/null
 
-# counter NAME — read one counter from /metrics (0 when absent).
+# counter NAME — read one counter or gauge from /metrics (0 when
+# absent).
 counter() {
   curl -fsS "$base/metrics" |
     sed -n "s/^ *\"$1\": *\([0-9][0-9]*\),*$/\1/p" | head -n1 | grep . || echo 0
 }
 
-# The warm check compares these misses before and after a repeated
-# request. A counter that is absent reads 0 on both sides, so each cold
-# value must be positive: a renamed counter fails here instead of
-# passing unchecked.
-warm_counters='cache.tables.miss cache.char.full.miss cache.drive.miss'
+# The warm check compares these misses, and the gauges of resident
+# cache entries, before and after a repeated request. A series that is
+# absent reads 0 on both sides, so each cold value must be positive: a
+# renamed series fails here instead of passing unchecked. (Each
+# analysis runs its own noiseless holding-resistance drive, so a warm
+# request reruns those by design.)
+warm_counters='cache.tables.miss cache.char.full.miss cache.tables.entries cache.char.rough.entries cache.char.full.entries'
 
 echo "== cold request"
 "$workdir/noisectl" -server "$base" -i "$workdir/nets.json" -quality -request-id smoke-1
