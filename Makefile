@@ -17,10 +17,14 @@ test:
 
 # Race-detector pass over the concurrent packages (the worker pool, the
 # shared caches and the bounded memo that evicts under them, the
-# scatter-gather gateway, and the path scheduler's workers, ready
-# channel and emit lock); CI runs the same set.
+# scatter-gather gateway, the path scheduler's workers, ready channel
+# and emit lock, and the per-net forks of delaynoise and align on
+# internal/spare), then the fork tests (TestFork*) at GOMAXPROCS 1,
+# where every part runs inline, and 4, where helpers run them; CI runs
+# the same set.
 race:
-	$(GO) test -race ./internal/clarinet/... ./internal/delaynoise/... ./internal/engine/... ./internal/memo/... ./internal/noised/... ./internal/noisegw/... ./internal/pathnoise/...
+	$(GO) test -race ./internal/align/... ./internal/clarinet/... ./internal/delaynoise/... ./internal/engine/... ./internal/memo/... ./internal/noised/... ./internal/noisegw/... ./internal/pathnoise/... ./internal/spare/...
+	$(GO) test -race -cpu 1,4 -run '^TestFork' ./internal/clarinet/ ./internal/delaynoise/ ./internal/spare/
 
 # Fault-injected batch smoke under the race detector: seeded
 # convergence failures, one panic, one stalled net, plus the journal

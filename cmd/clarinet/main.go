@@ -26,8 +26,10 @@
 // includes the stage-graph topology hash, so path and per-net runs
 // never share warm state.
 //
-// -workers 0 (the default) uses one worker per available core
-// (runtime.GOMAXPROCS); negative values are rejected. -char-cache-res
+// -workers bounds the nets analyzed at once, not CPU use: 0 (the
+// default) uses one worker per available core (runtime.GOMAXPROCS),
+// negative values are rejected, and a net's independent solves also
+// run on cores no analysis holds. -char-cache-res
 // tunes the relative bucket resolution of the shared driver
 // characterization cache; a negative value disables that cache.
 //
@@ -85,7 +87,7 @@ func main() {
 	mode := flag.String("mode", "delay", "analysis mode: delay | func")
 	holdFlag := flag.String("hold", "transient", "victim holding model: thevenin | transient")
 	alignFlag := flag.String("align", "exhaustive", "alignment method: exhaustive | input | prechar")
-	workers := flag.Int("workers", 0, "parallel analysis workers (0 = one per core, negative rejected)")
+	workers := flag.Int("workers", 0, "nets analyzed at once, not a CPU bound: a net's independent solves also use idle cores (0 = one per core, negative rejected)")
 	timeout := flag.Duration("timeout", 0, "abort the batch after this duration (0 = no limit)")
 	netTimeout := flag.Duration("net-timeout", 0, "per-net analysis budget, rescue included (0 = no limit)")
 	rescueFlag := flag.Bool("rescue", false, "arm the full convergence rescue ladder (homotopy, timestep halving, prechar fallback)")

@@ -56,7 +56,7 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	holdFlag := flag.String("hold", "transient", "default victim holding model: thevenin | transient")
 	alignFlag := flag.String("align", "prechar", "default alignment method: exhaustive | input | prechar")
-	workers := flag.Int("workers", 0, "per-request analysis workers (0 = one per core)")
+	workers := flag.Int("workers", 0, "nets each request analyzes at once, not a CPU bound: a net's independent solves also use idle cores (0 = one per core)")
 	rescue := flag.Bool("rescue", true, "arm the convergence rescue ladder by default")
 	netTimeout := flag.Duration("net-timeout", 0, "default per-net analysis budget (0 = no limit)")
 	maxInflight := flag.Int("max-inflight", noised.DefaultMaxInflight, "requests analyzed concurrently")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gatesim"
 	"repro/internal/metrics"
 	"repro/internal/noiseerr"
+	"repro/internal/spare"
 	"repro/internal/waveform"
 )
 
@@ -102,7 +103,7 @@ func (o Objective) OutputRising() bool { return o.outputRising() }
 // NoisyInput positions the noise pulse (peak at t = 0 by convention) so
 // its peak occurs at tPeak and superposes it on the noiseless input.
 func NoisyInput(noiseless, noise *waveform.PWL, tPeak float64) *waveform.PWL {
-	return waveform.Sum(noiseless, noise.Shift(tPeak))
+	return waveform.SumShifted([]*waveform.PWL{noiseless, noise}, []float64{0, tPeak})
 }
 
 // InputCross returns the final 50% crossing of the noisy waveform at the
@@ -170,7 +171,10 @@ func (o Objective) ExhaustiveBest(noiseless, noise *waveform.PWL, nGrid int) (Wo
 // sweep is the exhaustive search behind ExhaustiveWorst (latest true:
 // maximize the output crossing) and ExhaustiveBest (minimize it): nGrid
 // points over the search window, then two refinement passes of four
-// points around the incumbent at a step 2.5 times finer each.
+// points around the incumbent at a step 2.5 times finer each. The
+// points of the grid, and of each pass, are independent receiver
+// simulations, run as the parts of one fork (spare.Do) and folded in
+// order, so the incumbent is the one a point-by-point search keeps.
 func (o Objective) sweep(noiseless, noise *waveform.PWL, nGrid int, latest bool) (WorstResult, error) {
 	if nGrid < 5 {
 		nGrid = 5
@@ -184,31 +188,42 @@ func (o Objective) sweep(noiseless, noise *waveform.PWL, nGrid int, latest bool)
 		bestOut = math.Inf(-1)
 	}
 	var lastErr error
-	// try evaluates one alignment and keeps it when it beats the
-	// incumbent; only cancellation aborts the search, since some
-	// alignments may never cross (pathological noise).
-	try := func(tp float64) error {
-		if err := o.canceled(); err != nil {
-			return err
-		}
-		out, err := o.OutputCross(NoisyInput(noiseless, noise, tp))
-		if err != nil {
-			if errors.Is(err, noiseerr.ErrCanceled) {
+	// try evaluates the alignments tps and keeps, in order, each one
+	// that beats the incumbent; only cancellation aborts the search,
+	// since some alignments may never cross (pathological noise).
+	try := func(tps []float64) error {
+		outs := make([]float64, len(tps))
+		errs := make([]error, len(tps))
+		err := spare.Do(len(tps), func(i int) error {
+			if err := o.canceled(); err != nil {
 				return err
 			}
-			lastErr = err
+			outs[i], errs[i] = o.OutputCross(NoisyInput(noiseless, noise, tps[i]))
+			if errors.Is(errs[i], noiseerr.ErrCanceled) {
+				return errs[i]
+			}
 			return nil
+		})
+		if err != nil {
+			return err
 		}
-		if (latest && out > bestOut) || (!latest && out < bestOut) {
-			bestT, bestOut = tp, out
+		for i, tp := range tps {
+			switch {
+			case errs[i] != nil:
+				lastErr = errs[i]
+			case (latest && outs[i] > bestOut) || (!latest && outs[i] < bestOut):
+				bestT, bestOut = tp, outs[i]
+			}
 		}
 		return nil
 	}
 	step := (hi - lo) / float64(nGrid-1)
-	for i := 0; i < nGrid; i++ {
-		if err := try(lo + float64(i)*step); err != nil {
-			return WorstResult{}, err
-		}
+	grid := make([]float64, nGrid)
+	for i := range grid {
+		grid[i] = lo + float64(i)*step
+	}
+	if err := try(grid); err != nil {
+		return WorstResult{}, err
 	}
 	if math.IsInf(bestOut, 0) {
 		return WorstResult{}, noiseerr.Convergencef("align: no alignment produced an output crossing (last: %w)", lastErr)
@@ -216,10 +231,8 @@ func (o Objective) sweep(noiseless, noise *waveform.PWL, nGrid int, latest bool)
 	// Two refinement passes around the incumbent.
 	for pass := 0; pass < 2; pass++ {
 		step /= 2.5
-		for _, tp := range []float64{bestT - 2*step, bestT - step, bestT + step, bestT + 2*step} {
-			if err := try(tp); err != nil {
-				return WorstResult{}, err
-			}
+		if err := try([]float64{bestT - 2*step, bestT - step, bestT + step, bestT + 2*step}); err != nil {
+			return WorstResult{}, err
 		}
 	}
 	return WorstResult{TPeak: bestT, TOut: bestOut, Va: noiseless.At(bestT)}, nil

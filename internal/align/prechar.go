@@ -7,6 +7,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/gatesim"
 	"repro/internal/noiseerr"
+	"repro/internal/spare"
 	"repro/internal/waveform"
 )
 
@@ -103,8 +104,12 @@ func Precharacterize(recv *device.Cell, victimRising bool, cfg Config) (*Table, 
 }
 
 // PrecharacterizeContext is Precharacterize with cancellation support,
-// threaded into every corner's exhaustive search.
+// threaded into every corner's exhaustive search. It counts itself busy
+// (spare.Enter) for its whole run, so the searches' forks take only
+// CPUs no other analysis holds.
 func PrecharacterizeContext(ctx context.Context, recv *device.Cell, victimRising bool, cfg Config) (*Table, error) {
+	spare.Enter()
+	defer spare.Leave()
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}

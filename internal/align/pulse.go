@@ -52,21 +52,20 @@ func Params(noise *waveform.PWL) (Pulse, error) {
 
 // Composite superposes aggressor noise pulses with their peaks aligned at
 // t = 0 (the standard alignment of §3.1: maximum height, minimum width).
-// Each input waveform is shifted so its own peak lands at zero before
-// summation.
+// Each input waveform is summed shifted so its own peak lands at zero.
 func Composite(pulses ...*waveform.PWL) (*waveform.PWL, error) {
 	if len(pulses) == 0 {
 		return nil, noiseerr.Invalidf("align: no pulses")
 	}
-	shifted := make([]*waveform.PWL, len(pulses))
+	dts := make([]float64, len(pulses))
 	for i, p := range pulses {
 		tp, v := p.Peak()
 		if v == 0 {
 			return nil, noiseerr.Numericalf("align: pulse %d has no excursion", i)
 		}
-		shifted[i] = p.Shift(-tp)
+		dts[i] = -tp
 	}
-	return waveform.Sum(shifted...), nil
+	return waveform.SumShifted(pulses, dts), nil
 }
 
 // CompositeAt superposes pulses with the k-th peak placed at offsets[k]
@@ -75,15 +74,15 @@ func CompositeAt(pulses []*waveform.PWL, offsets []float64) (*waveform.PWL, erro
 	if len(pulses) != len(offsets) {
 		return nil, noiseerr.Invalidf("align: %d pulses vs %d offsets", len(pulses), len(offsets))
 	}
-	shifted := make([]*waveform.PWL, len(pulses))
+	dts := make([]float64, len(pulses))
 	for i, p := range pulses {
 		tp, v := p.Peak()
 		if v == 0 {
 			return nil, noiseerr.Numericalf("align: pulse %d has no excursion", i)
 		}
-		shifted[i] = p.Shift(offsets[i] - tp)
+		dts[i] = offsets[i] - tp
 	}
-	return waveform.Sum(shifted...), nil
+	return waveform.SumShifted(pulses, dts), nil
 }
 
 // EdgeRate returns the equivalent full-swing transition time of a

@@ -27,9 +27,11 @@ type Config struct {
 	// Analysis carries the remaining knobs (step, iterations, PRIMA
 	// order). Its Chars/Metrics fields are managed by the session.
 	Analysis delaynoise.Options
-	// Workers bounds the analysis parallelism. Zero selects
-	// runtime.GOMAXPROCS(0) — every available core. Negative values are
-	// rejected by New.
+	// Workers bounds the nets analyzed at once, not CPU use. Zero
+	// selects runtime.GOMAXPROCS(0), one per available core. Negative
+	// values are rejected by New. Inside a net, independent solves fork
+	// onto CPUs no analysis holds (internal/spare), so a pool with fewer
+	// nets in flight than cores still uses the idle ones.
 	Workers int
 	// Resilience configures the convergence rescue ladder (solver
 	// homotopy, timestep halving, prechar fallback) and the per-net

@@ -12,6 +12,7 @@ import (
 	"repro/internal/funcnoise"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
+	"repro/internal/spare"
 )
 
 // analyze and analyzeFunc are seams for tests that need to observe or
@@ -260,7 +261,7 @@ func fanOut[R any](workers, n int, f func(int) R, emit func(int, R), contain fun
 		run = func(i int) (r R) {
 			defer func() {
 				if p := recover(); p != nil {
-					r = contain(i, &noiseerr.PanicError{Value: p, Stack: debug.Stack()})
+					r = contain(i, panicError(p))
 				}
 			}()
 			return f(i)
@@ -282,6 +283,16 @@ func fanOut[R any](workers, n int, f func(int) R, emit func(int, R), contain fun
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// panicError is the PanicError of a recovered worker panic. A panic
+// that a net's fork re-raised on the worker (spare.Do) carries the
+// panicking part's own value and stack, which may be a helper's.
+func panicError(p any) *noiseerr.PanicError {
+	if sp, ok := p.(*spare.Panic); ok {
+		return &noiseerr.PanicError{Value: sp.Value, Stack: sp.Stack}
+	}
+	return &noiseerr.PanicError{Value: p, Stack: debug.Stack()}
 }
 
 // checkBatch validates the batch invariants shared by every entry point.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/nlsim"
 	"repro/internal/noiseerr"
 	"repro/internal/resilience"
+	"repro/internal/spare"
 )
 
 // cannedResult derives a deterministic Result from a string (a net name
@@ -657,5 +659,61 @@ func TestQualityColumn(t *testing.T) {
 	WriteReportOpts(&buf, reports, ReportOptions{})
 	if strings.Contains(buf.String(), "quality") {
 		t.Fatal("quality column must be opt-in")
+	}
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestForkHelperPanicContained panics in a part of one net's fork that
+// a helper goroutine runs: the fork re-raises it on the net's worker,
+// and the pool's containment reports it as that net's panic, with the
+// part's value and stack, while the process and the other net carry on.
+func TestForkHelperPanicContained(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	names, cases, lib := population(t, 2)
+	stubAnalyze(t, func(ctx context.Context, c *delaynoise.Case, opt delaynoise.Options) (*delaynoise.Result, error) {
+		if c != cases[0] {
+			return cannedAnalyze(ctx, c, opt)
+		}
+		worker := goid()
+		begun := make(chan struct{})
+		err := spare.Do(2, func(int) error {
+			if goid() != worker {
+				close(begun)
+				panic("injected helper panic")
+			}
+			select {
+			case <-begun:
+			case <-time.After(10 * time.Second):
+				t.Error("no helper began a part of the fork")
+			}
+			return nil
+		})
+		return nil, err
+	})
+	tool := MustNew(lib, Config{Workers: 1})
+	reports := tool.AnalyzeAllContext(context.Background(), names, cases)
+
+	var pe *noiseerr.PanicError
+	if !errors.As(reports[0].Err, &pe) {
+		t.Fatalf("net %s: err = %v, want PanicError", names[0], reports[0].Err)
+	}
+	if pe.Value != "injected helper panic" || !strings.Contains(string(pe.Stack), "TestForkHelperPanicContained") {
+		t.Fatalf("panic value %v, stack:\n%s", pe.Value, pe.Stack)
+	}
+	var se *noiseerr.StageError
+	if !errors.As(reports[0].Err, &se) || se.Net != names[0] {
+		t.Fatalf("panic attribution = %+v", se)
+	}
+	if reports[1].Err != nil {
+		t.Fatalf("sibling %s poisoned: %v", names[1], reports[1].Err)
+	}
+	if got := tool.Metrics().Counter("nets.panicked").Value(); got != 1 {
+		t.Fatalf("nets.panicked = %d, want 1", got)
 	}
 }

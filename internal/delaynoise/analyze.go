@@ -12,6 +12,7 @@ import (
 	"repro/internal/holdres"
 	"repro/internal/metrics"
 	"repro/internal/noiseerr"
+	"repro/internal/spare"
 	"repro/internal/waveform"
 )
 
@@ -187,10 +188,18 @@ func Analyze(c *Case, opt Options) (*Result, error) {
 // classify under internal/noiseerr (errors.Is against the sentinel
 // classes) and carry the failing pipeline stage in a
 // noiseerr.StageError.
+//
+// The analysis's independent solves (each driver's fits, each
+// aggressor's transient hold, the report stage's two receiver runs, an
+// exhaustive search's points) are the parts of forks that take idle
+// CPUs (internal/spare); the analysis counts itself busy for its whole
+// run, and its result is the same bits however its forks ran.
 func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) {
+	spare.Enter()
+	defer spare.Leave()
 	opt.defaults()
 	charStart := time.Now()
-	e, err := newEngine(ctx, c, opt)
+	e, err := newEngine(ctx, c, opt, opt.Hold == HoldTransient)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageCharacterize, err)
 	}
@@ -283,13 +292,23 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 	reportStart := time.Now()
 	defer func() { opt.Metrics.Observe(noiseerr.StageReport.TimerName(), time.Since(reportStart)) }()
 	noisyIn := align.NoisyInput(noiselessIn, composite, tPeak)
-	quietOut, err := obj.OutputCross(noiselessIn)
+	var quietOut float64
+	var noisyOutW *waveform.PWL
+	err = spare.Do(2, func(k int) error {
+		var err error
+		if k == 0 {
+			if quietOut, err = obj.OutputCross(noiselessIn); err != nil {
+				return fmt.Errorf("delaynoise: noiseless receiver: %w", err)
+			}
+			return nil
+		}
+		if noisyOutW, err = obj.OutputSettled(noisyIn); err != nil {
+			return fmt.Errorf("delaynoise: noisy receiver: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noiseless receiver: %w", err))
-	}
-	noisyOutW, err := obj.OutputSettled(noisyIn)
-	if err != nil {
-		return nil, noiseerr.InStage(noiseerr.StageReport, fmt.Errorf("delaynoise: noisy receiver: %w", err))
+		return nil, noiseerr.InStage(noiseerr.StageReport, err)
 	}
 	noisyOut, err := obj.Cross(noisyOutW)
 	if err != nil {
@@ -344,11 +363,14 @@ func AnalyzeQuiet(c *Case, opt Options) (*Result, error) {
 	return AnalyzeQuietContext(context.Background(), c, opt)
 }
 
-// AnalyzeQuietContext is AnalyzeQuiet with cancellation support.
+// AnalyzeQuietContext is AnalyzeQuiet with cancellation support. Like
+// AnalyzeContext, it counts itself busy for its whole run.
 func AnalyzeQuietContext(ctx context.Context, c *Case, opt Options) (*Result, error) {
+	spare.Enter()
+	defer spare.Leave()
 	opt.defaults()
 	charStart := time.Now()
-	e, err := newEngine(ctx, c, opt)
+	e, err := newEngine(ctx, c, opt, false)
 	if err != nil {
 		return nil, noiseerr.InStage(noiseerr.StageCharacterize, err)
 	}
@@ -440,27 +462,28 @@ func (e *engine) chooseAlignment(obj align.Objective, noiseless, composite *wave
 // with each aggressor shifted so its receiver-input noise peak occurs at
 // tPeak.
 func alignedDriverNoise(recvNoises, drvNoises []*waveform.PWL, tPeak float64) *waveform.PWL {
-	shifted := make([]*waveform.PWL, len(drvNoises))
+	dts := make([]float64, len(drvNoises))
 	for k := range drvNoises {
 		pt, _ := recvNoises[k].Peak()
-		shifted[k] = drvNoises[k].Shift(tPeak - pt)
+		dts[k] = tPeak - pt
 	}
-	return waveform.Sum(shifted...)
+	return waveform.SumShifted(drvNoises, dts)
 }
 
 // holdDrive derives one driver's transient holding resistances at its
 // fixed operating point. The noiseless drive of the derivation depends
 // only on that point, not on the noise, so it runs once, on the first
-// derivation, and every later one reuses it: holdres.FromNoiseless
-// then returns what holdres.ComputeContext would, bit for bit. An
-// analysis keeps one for its victim across its Rtr iterations; nothing
-// outlives the analysis.
+// derivation or ahead of it (drive), and every later one reuses it:
+// holdres.FromNoiseless then returns what holdres.ComputeContext would,
+// bit for bit. An analysis keeps one for its victim across its Rtr
+// iterations; nothing outlives the analysis.
 type holdDrive struct {
 	cell      *device.Cell
 	slew      float64
 	inRising  bool
 	ceff, rth float64
 	first     *gatesim.DriveResult // the noiseless drive, once run
+	err       error                // the noiseless drive's error
 }
 
 // newHoldDrive is the holdDrive of a characterized driver.
@@ -469,18 +492,29 @@ func newHoldDrive(d driverChar) holdDrive {
 	return holdDrive{cell: spec.Cell, slew: spec.InputSlew, inRising: spec.Cell.InputRisingFor(spec.OutputRising), ceff: d.ceff, rth: d.model.Rth}
 }
 
+// drive runs the noiseless drive. A failure is kept for the first
+// derivation to report, after its input check, as a derivation that ran
+// the drive itself would.
+func (h *holdDrive) drive(ctx context.Context) {
+	first, err := holdres.Noiseless(ctx, h.cell, h.slew, h.inRising, h.ceff)
+	if err != nil {
+		h.err = err
+		return
+	}
+	h.first = &first
+}
+
 // rtr derives the holding resistance under the injected noise vn, in
 // the characterization time frame.
 func (h *holdDrive) rtr(ctx context.Context, vn *waveform.PWL) (*holdres.Result, error) {
 	if err := holdres.Check(h.ceff, h.rth, vn); err != nil {
 		return nil, err
 	}
-	if h.first == nil {
-		first, err := holdres.Noiseless(ctx, h.cell, h.slew, h.inRising, h.ceff)
-		if err != nil {
-			return nil, err
-		}
-		h.first = &first
+	if h.first == nil && h.err == nil {
+		h.drive(ctx)
+	}
+	if h.err != nil {
+		return nil, h.err
 	}
 	return holdres.FromNoiseless(ctx, h.cell, h.slew, h.inRising, h.ceff, h.rth, vn, *h.first)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mor"
 	"repro/internal/netlist"
 	"repro/internal/noiseerr"
+	"repro/internal/spare"
 	"repro/internal/thevenin"
 	"repro/internal/waveform"
 )
@@ -44,8 +45,11 @@ type engine struct {
 // newEngine validates the case and runs the two-pass driver
 // characterization: a rough lumped-load Thevenin fit for every driver,
 // then C-effective iterations for each driver with all other drivers
-// held by their rough resistances.
-func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
+// held by their rough resistances. Each pass forks one part per driver
+// (spare.Do). With driveHold set, the victim's part goes on to run the
+// noiseless drive of its transient holding resistance (holdDrive.drive),
+// which needs only the victim's C-effective.
+func newEngine(ctx context.Context, c *Case, opt Options, driveHold bool) (*engine, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,29 +61,30 @@ func newEngine(ctx context.Context, c *Case, opt Options) (*engine, error) {
 	}
 
 	// Pass 2: C-effective per driver with the others held.
-	charOf := func(l DriverLoad) (driverChar, error) {
-		spec := l.Spec
-		res, err := opt.Chars.Characterize(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), l.Net, l.Node)
+	e.aggs = make([]driverChar, len(c.Aggressors))
+	err = spare.Do(len(loads), func(k int) error {
+		spec := loads[k].Spec
+		res, err := opt.Chars.Characterize(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), loads[k].Net, loads[k].Node)
 		if err != nil {
-			return driverChar{}, err
+			return fmt.Errorf("delaynoise: %s characterization: %w", c.driverName(k), err)
 		}
 		m := res.Model
 		// Shift the model time base from the characterization frame to
 		// the driver's actual input start.
 		m.T0 += spec.InputStart - gatesim.InputStart
-		return driverChar{spec: spec, ceff: res.Ceff, model: m}, nil
-	}
-	e.victim, err = charOf(loads[0])
-	if err != nil {
-		return nil, fmt.Errorf("delaynoise: victim characterization: %w", err)
-	}
-	e.hold = newHoldDrive(e.victim)
-	e.aggs = make([]driverChar, len(c.Aggressors))
-	for k := range c.Aggressors {
-		e.aggs[k], err = charOf(loads[k+1])
-		if err != nil {
-			return nil, fmt.Errorf("delaynoise: aggressor %d characterization: %w", k, err)
+		d := driverChar{spec: spec, ceff: res.Ceff, model: m}
+		if k > 0 {
+			e.aggs[k-1] = d
+			return nil
 		}
+		e.victim, e.hold = d, newHoldDrive(d)
+		if driveHold {
+			e.hold.drive(ctx)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Simulation horizon: past every transition plus a settling tail.
@@ -124,22 +129,25 @@ func DriverLoads(ctx context.Context, c *Case, opt Options) ([]DriverLoad, error
 // interconnect.
 func (c *Case) driverLoads(ctx context.Context, opt Options, interconnect *netlist.Circuit) ([]DriverLoad, error) {
 	// Pass 1: rough lumped fits.
-	roughRth := func(spec DriverSpec, lump float64) (float64, error) {
-		m, err := opt.Chars.RoughFit(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), lump)
-		return m.Rth, err
-	}
-	vRth, err := roughRth(c.Victim, c.victimLump())
-	if err != nil {
-		return nil, fmt.Errorf("delaynoise: victim rough fit: %w", err)
-	}
-	aRth := make([]float64, len(c.Aggressors))
-	for k, a := range c.Aggressors {
-		spec := c.Net.Spec.Aggressors[k]
-		aRth[k], err = roughRth(a, spec.Line.CGround+spec.CCouple+c.aggLoad())
-		if err != nil {
-			return nil, fmt.Errorf("delaynoise: aggressor %d rough fit: %w", k, err)
+	rth := make([]float64, 1+len(c.Aggressors))
+	err := spare.Do(len(rth), func(k int) error {
+		spec, lump := c.Victim, c.victimLump()
+		if k > 0 {
+			spec = c.Aggressors[k-1]
+			a := c.Net.Spec.Aggressors[k-1]
+			lump = a.Line.CGround + a.CCouple + c.aggLoad()
 		}
+		m, err := opt.Chars.RoughFit(ctx, spec.Cell, spec.InputSlew, spec.Cell.InputRisingFor(spec.OutputRising), lump)
+		if err != nil {
+			return fmt.Errorf("delaynoise: %s rough fit: %w", c.driverName(k), err)
+		}
+		rth[k] = m.Rth
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	vRth, aRth := rth[0], rth[1:]
 
 	vdd := c.vdd()
 	holdOthers := func(skipVictim bool, skipAgg int) *netlist.Circuit {
@@ -165,6 +173,15 @@ func (c *Case) driverLoads(ctx context.Context, opt Options, interconnect *netli
 	return loads, nil
 }
 
+// driverName names driver k of the analysis's driver order in errors:
+// the victim, then each aggressor.
+func (c *Case) driverName(k int) string {
+	if k == 0 {
+		return "victim"
+	}
+	return fmt.Sprintf("aggressor %d", k-1)
+}
+
 // VictimRun returns the victim-switching superposition run of the
 // analysis: the victim's Thevenin source driving the loaded
 // interconnect with every aggressor held by its Thevenin resistance,
@@ -173,7 +190,7 @@ func (c *Case) driverLoads(ctx context.Context, opt Options, interconnect *netli
 //
 //lint:ignore noiselint/testonly cross-package test fixture: the lsim bit pins run the analysis's own victim superposition run through it
 func VictimRun(ctx context.Context, c *Case, opt Options) (*netlist.Circuit, lsim.Options, error) {
-	e, err := newEngine(ctx, c, opt)
+	e, err := newEngine(ctx, c, opt, false)
 	if err != nil {
 		return nil, lsim.Options{}, err
 	}
@@ -370,16 +387,21 @@ func (e *engine) firstPass(withAggs bool) (linearPass, error) {
 		return p, nil
 	}
 	// Upgrade each aggressor's holding resistance from the noise the
-	// victim injected on it, then re-run once (the same single extra
-	// iteration the victim-side flow uses).
-	for j := range e.aggs {
+	// victim injected on it, each aggressor its own part of one fork,
+	// then re-run once (the same single extra iteration the victim-side
+	// flow uses).
+	err = spare.Do(len(e.aggs), func(j int) error {
 		vn := deviation(ws[0][c.Net.AggIn[j]]).Shift(gatesim.InputStart - e.aggs[j].spec.InputStart)
 		h := newHoldDrive(e.aggs[j])
 		hr, err := h.rtr(e.ctx, vn)
 		if err != nil {
-			return linearPass{}, fmt.Errorf("delaynoise: aggressor %d transient hold: %w", j, err)
+			return fmt.Errorf("delaynoise: aggressor %d transient hold: %w", j, err)
 		}
 		rHolds[j] = hr.Rtr
+		return nil
+	})
+	if err != nil {
+		return linearPass{}, err
 	}
 	ws, err = e.superpose(e.victim.model.Rth, rHolds, []int{switchVictim}, e.probes())
 	if err != nil {

@@ -101,7 +101,9 @@ func (x *netExchange) Start(ctx context.Context, opt Options) (<-chan clarinet.N
 		return nil, nil, err
 	}
 	// Server-side journal: replay a resubmitted request's completed
-	// nets, then append the new ones.
+	// nets, then append the new ones. The journal is opened (and its
+	// torn tail repaired) only when a net is left to append: a request
+	// that resumes whole reads its journal once and writes nothing.
 	var prior map[string]clarinet.NetReport
 	var journal *clarinet.Journal
 	var release func() error
@@ -112,8 +114,10 @@ func (x *netExchange) Start(ctx context.Context, opt Options) (<-chan clarinet.N
 		if len(prior) > 0 {
 			s.reg.Counter(mServerRequestsResumed).Inc()
 		}
-		if journal, release, err = clarinet.OpenJournal(path, s.cfg.JournalCodec); err != nil {
-			return nil, nil, err
+		if !allResumed(x.names, prior) {
+			if journal, release, err = openJournal(path, s.cfg.JournalCodec); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	x.sum = Summary{RequestID: opt.RequestID, Nets: len(x.cases), Resumed: len(prior)}

@@ -7,6 +7,10 @@ import (
 	"repro/internal/clarinet"
 )
 
+// openJournal opens a request's journal for append; a seam for tests
+// that observe when the server opens one.
+var openJournal = clarinet.OpenJournal
+
 // journalPath maps a request ID to its server-side journal file,
 // <JournalDir>/<request_id><suffix>. Journaling happens only when the
 // server has a JournalDir and the request named itself; anonymous
@@ -45,4 +49,14 @@ func readPriorJournal(path string) (map[string]clarinet.NetReport, error) {
 		return nil, nil
 	}
 	return prior, nil
+}
+
+// allResumed reports whether prior holds a record of every name.
+func allResumed(names []string, prior map[string]clarinet.NetReport) bool {
+	for _, n := range names {
+		if _, ok := prior[n]; !ok {
+			return false
+		}
+	}
+	return true
 }

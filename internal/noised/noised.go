@@ -77,8 +77,9 @@ type Config struct {
 	// bounds every request, rescued or not, unless the request's
 	// "net_timeout" overrides it.
 	Resilience resilience.Policy
-	// Workers bounds each request's analysis parallelism (0 = one per
-	// core, as in clarinet).
+	// Workers bounds the nets each request analyzes at once (0 = one
+	// per core, as in clarinet), not CPU use: a net's own independent
+	// solves also run on idle cores (see clarinet.Config.Workers).
 	Workers int
 	// PrecharGrid is the alignment-table search grid (0 = default 17).
 	PrecharGrid int

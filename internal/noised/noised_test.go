@@ -9,6 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -727,5 +730,58 @@ func TestNetTimeoutDefaultAndOverride(t *testing.T) {
 				t.Errorf("%s %q: per-net deadline %v, want %v", name, c.query, got, c.want)
 			}
 		}
+	}
+}
+
+// TestCompletedRequestResumesWithoutJournalOpen resubmits a request ID
+// whose first attempt completed every net: the resubmission replays
+// every record from the journal, which readPriorJournal reads once,
+// and never opens the journal for append (nor repairs it), so its
+// bytes stay as the first attempt left them. The replayed records
+// equal the first attempt's, and the summary counts every net resumed.
+func TestCompletedRequestResumesWithoutJournalOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{JournalDir: dir})
+	s.runBatch = instantBatch
+	opens := 0
+	orig := openJournal
+	openJournal = func(path string, codec clarinet.JournalCodec) (*clarinet.Journal, func() error, error) {
+		opens++
+		return orig(path, codec)
+	}
+	t.Cleanup(func() { openJournal = orig })
+	names, body := testBody(t, 3)
+	post := func() ([]clarinet.JournalRecord, *Summary) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/analyze?request_id=done-1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return readStream(t, resp.Body)
+	}
+
+	first, sum := post()
+	if opens != 1 || len(first) != len(names) || sum == nil || sum.OK != len(names) || sum.Resumed != 0 {
+		t.Fatalf("first attempt: %d opens, %d records, summary %+v", opens, len(first), sum)
+	}
+	path := filepath.Join(dir, "done-1.journal")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	again, sum := post()
+	if opens != 1 {
+		t.Fatalf("the resubmission opened the journal %d times, want none", opens-1)
+	}
+	if sum == nil || sum.Resumed != len(names) || sum.OK != len(names) {
+		t.Fatalf("resubmission summary = %+v", sum)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("resubmission records %+v, first attempt %+v", again, first)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, journal) {
+		t.Fatalf("the resubmission changed the journal (%d bytes, was %d; err %v)", len(after), len(journal), err)
 	}
 }

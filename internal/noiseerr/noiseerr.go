@@ -195,7 +195,11 @@ type Stage string
 
 // Pipeline stages, in execution order. StageHoldres is the transient
 // holding-resistance derivation, a sub-step of characterization that is
-// timed separately because it dominates pass-2 cost. StageRescue and
+// timed separately because it dominates pass-2 cost. Under transient
+// hold, StageCharacterize's timer includes the victim's noiseless hold
+// drive: it depends only on the victim's operating point, so it runs
+// in the victim's characterization, and StageHoldres times the
+// derivations that reuse it. StageRescue and
 // StageResilience sit outside the per-net flow proper: StageRescue
 // covers the convergence rescue ladder (retry attempts after a failed
 // first pass), StageResilience the batch containment machinery itself

@@ -187,3 +187,52 @@ func TestSumMatchesSortedReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSumShiftedMatchesSumOfShifts pins SumShifted to Sum of Shifts bit
+// for bit, breakpoints and values. The offsets include zero, offsets
+// that differ across inputs by less than timeResolution (so shifted
+// breakpoints of different inputs collapse), and large offsets whose
+// rounding of t + dt merges breakpoints of one input.
+func TestSumShiftedMatchesSumOfShifts(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 3000; trial++ {
+		ws := randomWaveforms(rng, 1+rng.Intn(5))
+		if trial%7 == 0 {
+			ws = append(ws, nil, Constant(0.25), &PWL{})
+		}
+		base := 0.0
+		switch trial % 4 {
+		case 1:
+			base = (rng.Float64() - 0.5) * 1e-9
+		case 2:
+			base = 1e-3 * (1 + rng.Float64()) // t + dt rounds at ~1e-19
+		}
+		dts := make([]float64, len(ws))
+		shifted := make([]*PWL, len(ws))
+		for i, w := range ws {
+			switch rng.Intn(4) {
+			case 0:
+				dts[i] = base
+			case 1:
+				dts[i] = base + (rng.Float64()-0.5)*4*timeResolution
+			case 2:
+				dts[i] = base + (rng.Float64()-0.5)*2e-10
+			default:
+				dts[i] = 0
+			}
+			if w != nil {
+				shifted[i] = w.Shift(dts[i])
+			}
+		}
+		got, want := SumShifted(ws, dts), Sum(shifted...)
+		if len(got.T) != len(want.T) {
+			t.Fatalf("trial %d: %d breakpoints, Sum of Shifts %d", trial, len(got.T), len(want.T))
+		}
+		for i := range got.T {
+			if math.Float64bits(got.T[i]) != math.Float64bits(want.T[i]) ||
+				math.Float64bits(got.V[i]) != math.Float64bits(want.V[i]) {
+				t.Fatalf("trial %d: point %d = (%v, %v), Sum of Shifts (%v, %v)", trial, i, got.T[i], got.V[i], want.T[i], want.V[i])
+			}
+		}
+	}
+}

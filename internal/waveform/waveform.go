@@ -223,6 +223,84 @@ func Sum(ws ...*PWL) *PWL {
 	return New(t, v)
 }
 
+// SumShifted superposes waveforms translated in time, ws[i] by dts[i]:
+// it returns Sum of every ws[i].Shift(dts[i]), bit for bit, without
+// building the shifted copies. Each shifted breakpoint is computed as
+// t + dt, as Shift computes it, wherever the merge or an evaluation
+// reads it.
+func SumShifted(ws []*PWL, dts []float64) *PWL {
+	if len(ws) != len(dts) {
+		panic(fmt.Sprintf("waveform: %d waveforms vs %d offsets", len(ws), len(dts)))
+	}
+	ws2, dts2 := ws[:0:0], dts[:0:0]
+	total := 0
+	for i, w := range ws {
+		if w != nil && w.Len() > 0 {
+			ws2, dts2 = append(ws2, w), append(dts2, dts[i])
+			total += w.Len()
+		}
+	}
+	if len(ws2) == 0 {
+		return Constant(0)
+	}
+	// mergeTimes over the shifted times; next[j] is the first unmerged
+	// breakpoint of ws2[j], and later the segment hint of its walk.
+	next := make([]int, len(ws2))
+	t := make([]float64, 0, total)
+	for range total {
+		src, ts := -1, 0.0
+		for j, w := range ws2 {
+			if next[j] < len(w.T) {
+				if tj := w.T[next[j]] + dts2[j]; src < 0 || tj < ts {
+					src, ts = j, tj
+				}
+			}
+		}
+		next[src]++
+		if len(t) == 0 || ts-t[len(t)-1] > timeResolution {
+			t = append(t, ts)
+		}
+	}
+	v := make([]float64, len(t))
+	clear(next)
+	for i, ti := range t {
+		s := 0.0
+		for j, w := range ws2 {
+			s += w.atShifted(ti, dts2[j], &next[j])
+		}
+		v[i] = s
+	}
+	return New(t, v)
+}
+
+// atShifted is AtHint on w.Shift(dt) for ascending query times: it
+// walks forward from *seg to the segment AtHint finds and interpolates
+// with its arithmetic on the shifted breakpoints, so the value is
+// bit-identical.
+//
+//lint:hot
+func (w *PWL) atShifted(t, dt float64, seg *int) float64 {
+	n := len(w.T)
+	if t <= w.T[0]+dt {
+		return w.V[0]
+	}
+	if t >= w.T[n-1]+dt {
+		return w.V[n-1]
+	}
+	i := max(*seg, 1)
+	for w.T[i]+dt < t {
+		i++
+	}
+	*seg = i
+	t1 := w.T[i] + dt
+	if math.Float64bits(t1) == math.Float64bits(t) || (t1 == 0 && t == 0) {
+		return w.V[i]
+	}
+	t0 := w.T[i-1] + dt
+	v0, v1 := w.V[i-1], w.V[i]
+	return v0 + (v1-v0)*(t-t0)/(t1-t0)
+}
+
 // Sub returns a(t) - b(t) on the union of breakpoints.
 func Sub(a, b *PWL) *PWL { return Sum(a, b.Scale(-1)) }
 
