@@ -164,30 +164,39 @@ func (w *PWL) Offset(dv float64) *PWL {
 	return &PWL{T: slices.Clip(w.T), V: v}
 }
 
-// mergeTimes returns the sorted union of the breakpoint times of ws.
-// Times closer together than timeResolution are collapsed: combining
-// waveforms whose grids were shifted by different offsets otherwise
-// produces degenerate (sub-attosecond) segments whose slopes overflow
-// downstream derivative computations.
+// mergeTimes returns the sorted union of the breakpoint times of ws,
+// each ws[j]'s times shifted by dts[j] (computed as t + dt, as Shift
+// computes them) when dts is non-nil. Times closer together than
+// timeResolution are collapsed: combining waveforms whose grids were
+// shifted by different offsets otherwise produces degenerate
+// (sub-attosecond) segments whose slopes overflow downstream
+// derivative computations.
 const timeResolution = 1e-18 // 1 as, far below any circuit time scale
 
-func mergeTimes(ws []*PWL) []float64 {
+func mergeTimes(ws []*PWL, dts []float64) []float64 {
 	total := 0
 	for _, w := range ws {
 		total += len(w.T)
+	}
+	at := func(j, i int) float64 {
+		if dts == nil {
+			return ws[j].T[i]
+		}
+		return ws[j].T[i] + dts[j]
 	}
 	// A k-way merge of the already-sorted breakpoint lists; next[j] is
 	// the first unmerged breakpoint of ws[j].
 	next := make([]int, len(ws))
 	out := make([]float64, 0, total)
 	for range total {
-		src := -1
+		src, t := -1, 0.0
 		for j, w := range ws {
-			if next[j] < len(w.T) && (src < 0 || w.T[next[j]] < ws[src].T[next[src]]) {
-				src = j
+			if next[j] < len(w.T) {
+				if tj := at(j, next[j]); src < 0 || tj < t {
+					src, t = j, tj
+				}
 			}
 		}
-		t := ws[src].T[next[src]]
 		next[src]++
 		if len(out) == 0 || t-out[len(out)-1] > timeResolution {
 			out = append(out, t)
@@ -208,7 +217,7 @@ func Sum(ws ...*PWL) *PWL {
 	if len(ws2) == 0 {
 		return Constant(0)
 	}
-	t := mergeTimes(ws2)
+	t := mergeTimes(ws2, nil)
 	v := make([]float64, len(t))
 	// The sample times ascend, so every input is read through its own
 	// segment hint.
@@ -233,40 +242,23 @@ func SumShifted(ws []*PWL, dts []float64) *PWL {
 		panic(fmt.Sprintf("waveform: %d waveforms vs %d offsets", len(ws), len(dts)))
 	}
 	ws2, dts2 := ws[:0:0], dts[:0:0]
-	total := 0
 	for i, w := range ws {
 		if w != nil && w.Len() > 0 {
 			ws2, dts2 = append(ws2, w), append(dts2, dts[i])
-			total += w.Len()
 		}
 	}
 	if len(ws2) == 0 {
 		return Constant(0)
 	}
-	// mergeTimes over the shifted times; next[j] is the first unmerged
-	// breakpoint of ws2[j], and later the segment hint of its walk.
-	next := make([]int, len(ws2))
-	t := make([]float64, 0, total)
-	for range total {
-		src, ts := -1, 0.0
-		for j, w := range ws2 {
-			if next[j] < len(w.T) {
-				if tj := w.T[next[j]] + dts2[j]; src < 0 || tj < ts {
-					src, ts = j, tj
-				}
-			}
-		}
-		next[src]++
-		if len(t) == 0 || ts-t[len(t)-1] > timeResolution {
-			t = append(t, ts)
-		}
-	}
+	t := mergeTimes(ws2, dts2)
 	v := make([]float64, len(t))
-	clear(next)
+	// The sample times ascend, so every input is read through its own
+	// forward-walking segment hint.
+	segs := make([]int, len(ws2))
 	for i, ti := range t {
 		s := 0.0
 		for j, w := range ws2 {
-			s += w.atShifted(ti, dts2[j], &next[j])
+			s += w.atShifted(ti, dts2[j], &segs[j])
 		}
 		v[i] = s
 	}
