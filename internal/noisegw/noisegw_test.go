@@ -773,9 +773,17 @@ func TestGatewayRefusedUnitMovesReplica(t *testing.T) {
 	}
 	t.Run("another replica takes it", func(t *testing.T) {
 		small, big := newFakeReplica(t), newFakeReplica(t)
-		small.behave = refuseAll
 		g, ts := newTestGateway(t, nil, small, big)
 		cases := testCases(6)
+		// The ring hashes the replicas' URLs, whose ports are random: the
+		// refusing replica is the one it gives the first case, so that
+		// replica is asked at least once.
+		if newRing(g.cfg.Replicas).owner(bucketKey(cases[0])) != small.ts.URL {
+			small, big = big, small
+		}
+		small.mu.Lock()
+		small.behave = refuseAll
+		small.mu.Unlock()
 		recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
 		requireExactlyOnce(t, recs, cases)
 		if sum == nil || sum.OK != len(cases) {
