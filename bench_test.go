@@ -334,7 +334,7 @@ func BenchmarkLinearTransient(b *testing.B) {
 	}
 	b.Run("prima8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rom.Run(opt); err != nil {
+			if _, err := rom.RunGroup(context.Background(), [][]*waveform.PWL{sys.Inputs}, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -343,12 +343,11 @@ func BenchmarkLinearTransient(b *testing.B) {
 
 // BenchmarkClarinetBatch times the tool-level batch flow on a bus-style
 // workload (each generated net appears three times, as repeated
-// structures do on real buses). The "seed" sub-benchmark pins the
-// original shipped configuration — two workers, no shared caches —
-// while "parallel" runs the current defaults: one worker per core plus
-// the single-flight table and characterization caches. Comparing ns/op
-// between the two
-// gives the engine speedup. When REPRO_METRICS_OUT is set, the parallel
+// structures do on real buses). The "seed" sub-benchmark runs two
+// workers, the original shipped configuration, while "parallel" runs
+// one worker per core; both share the session's single-flight
+// characterization cache across the batch. Comparing ns/op between the
+// two gives the pool speedup. When REPRO_METRICS_OUT is set, the parallel
 // run writes its metrics snapshot (cache hits/misses, simulation
 // counts, stage timers) to that path as JSON.
 func BenchmarkClarinetBatch(b *testing.B) {
@@ -370,7 +369,7 @@ func BenchmarkClarinetBatch(b *testing.B) {
 		name string
 		cfg  clarinet.Config
 	}{
-		{"seed", clarinet.Config{Workers: 2, CharCacheRes: -1}},
+		{"seed", clarinet.Config{Workers: 2}},
 		{"parallel", clarinet.Config{}},
 	} {
 		tc.cfg.Hold = delaynoise.HoldTransient
@@ -656,7 +655,6 @@ func BenchmarkPathBatch(b *testing.B) {
 	for _, p := range paths {
 		stageCount += len(p.Stages)
 	}
-	cfg := clarinet.Config{Hold: delaynoise.HoldTransient, Align: delaynoise.AlignReceiverInput}
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -664,12 +662,12 @@ func BenchmarkPathBatch(b *testing.B) {
 		{"serial", 1},
 		{"dag", 0}, // tool default: one worker per core
 	} {
+		cfg := clarinet.Config{Hold: delaynoise.HoldTransient, Align: delaynoise.AlignReceiverInput, Workers: tc.workers}
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tool := clarinet.MustNew(lib, cfg)
 				start := time.Now()
-				reports, err := pathnoise.Run(context.Background(), tool, paths,
-					pathnoise.Options{MaxIterations: 1, Workers: tc.workers})
+				reports, err := pathnoise.Run(context.Background(), tool, paths, pathnoise.Options{MaxIterations: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

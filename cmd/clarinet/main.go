@@ -3,8 +3,8 @@
 // industrial tool: C-effective + Thevenin characterization, linear
 // superposition with the transient holding resistance, and worst-case
 // aggressor alignment. Nets are analyzed in parallel across a worker
-// pool with shared single-flight caches for receiver alignment tables,
-// driver characterizations, and PRIMA reduced-order models.
+// pool with shared single-flight caches for receiver alignment tables
+// and driver characterizations.
 //
 // Usage:
 //
@@ -22,16 +22,14 @@
 // increments next to the per-stage worst-case sum. -journal/-resume
 // checkpoint at stage granularity — a killed path run resumes mid-path,
 // re-simulating nothing it already journaled, and produces a
-// byte-identical -path-report. The warm-store identity of a path run
-// includes the stage-graph topology hash, so path and per-net runs
-// never share warm state.
+// byte-identical -path-report. Path and per-net runs share one
+// warm-store identity: the stored state does not depend on which nets
+// or paths produced it.
 //
 // -workers bounds the nets analyzed at once, not CPU use: 0 (the
 // default) uses one worker per available core (runtime.GOMAXPROCS),
 // negative values are rejected, and a net's independent solves also
-// run on cores no analysis holds. -char-cache-res
-// tunes the relative bucket resolution of the shared driver
-// characterization cache; a negative value disables that cache.
+// run on cores no analysis holds.
 //
 // Resilience: -rescue arms the full convergence rescue ladder (DC
 // homotopy and timestep halving in the nonlinear solver, then the
@@ -51,12 +49,12 @@
 // would have — both codecs round-trip float64 bit-exactly.
 //
 // Warm start: -warm-store points at a content-addressed store of
-// session state (alignment tables, driver characterizations, PRIMA
-// models). The batch loads the entry matching its exact configuration
-// before analyzing and saves its accumulated state after, so repeated
-// runs skip re-characterization entirely. State computed under a
-// different technology, library, or cache configuration lives under a
-// different key and reads as a clean miss.
+// session state (alignment tables and driver characterizations). The
+// batch loads the entry matching its technology, library and table
+// grid before analyzing and saves its accumulated state after, so
+// repeated runs skip re-characterization entirely. State computed under
+// a different technology or library lives under a different key and
+// reads as a clean miss.
 //
 // The run aborts cleanly on SIGINT/SIGTERM or when -timeout fires:
 // in-flight nets stop at the next solver checkpoint and the partial
@@ -98,7 +96,6 @@ func main() {
 	quality := flag.Bool("quality", false, "append a result-quality column (exact / rescued / fallback) to the report")
 	metricsOut := flag.String("metrics", "", "write run metrics as JSON to this file")
 	warmStore := flag.String("warm-store", "", "content-addressed warm-start store directory: load session state before the batch, save it after")
-	charRes := flag.Float64("char-cache-res", 0, "driver characterization cache bucket resolution (0 = default, negative disables)")
 	pathMode := flag.Bool("path", false, "path mode: analyze the file's multi-stage fabrics end to end")
 	pathIters := flag.Int("path-iterations", 0, "window-fixpoint passes per path (0 = default)")
 	pathTimeout := flag.Duration("path-timeout", 0, "per-path analysis budget (0 = no limit)")
@@ -148,19 +145,13 @@ func main() {
 	}
 
 	tool, err := clarinet.New(lib, clarinet.Config{
-		Hold:         hold,
-		Align:        alignMethod,
-		Workers:      *workers,
-		CharCacheRes: *charRes,
-		Resilience:   policy,
+		Hold:       hold,
+		Align:      alignMethod,
+		Workers:    *workers,
+		Resilience: policy,
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *pathMode {
-		// Before any warm-store traffic: path-mode warm state is keyed
-		// by the stage-graph topology, never shared with per-net runs.
-		tool.Session().SetTopology(pathnoise.TopologyHash(paths))
 	}
 
 	var store *warmstore.Store

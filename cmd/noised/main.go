@@ -13,7 +13,7 @@
 //	       [-request-timeout 15m] [-drain-timeout 60s] [-retry-after 1s]
 //	       [-heartbeat 10s]
 //	       [-journal-dir dir] [-journal-format binary|jsonl] [-warm-store dir]
-//	       [-char-cache-res R] [-prechar-grid N]
+//	       [-prechar-grid N]
 //
 // The API:
 //
@@ -30,12 +30,13 @@
 // forces immediate exit.
 //
 // -warm-store points at a content-addressed store of session state
-// (alignment tables and driver characterizations): at
-// startup the daemon loads the entry matching its exact configuration
-// (store.hits / store.misses appear under /metrics) and on drain it
-// saves the state it accumulated, so the next process starts warm. A
-// store survives technology or library changes safely — mismatched
-// state lives under a different key and simply misses.
+// (alignment tables and driver characterizations): at startup the
+// daemon loads the entry matching its technology, library and
+// -prechar-grid (store.hits / store.misses appear under /metrics) and
+// on drain it saves the state it accumulated, so the next process
+// starts warm. Both routes, per-net and path, share that entry. A store
+// survives technology or library changes safely — mismatched state
+// lives under a different key and simply misses.
 package main
 
 import (
@@ -69,7 +70,6 @@ func main() {
 	journalDir := flag.String("journal-dir", "", "journal requests carrying a request_id under this directory (enables resume)")
 	journalFormat := flag.String("journal-format", "binary", "encoding for new server-side journals: binary (compact colblob frames) | jsonl (debug view)")
 	warmStore := flag.String("warm-store", "", "content-addressed warm-start store directory: load session state at startup, save it on drain")
-	charRes := flag.Float64("char-cache-res", 0, "driver characterization cache bucket resolution (0 = default, negative disables)")
 	precharGrid := flag.Int("prechar-grid", 0, "alignment-table search grid (0 = default)")
 	flag.Parse()
 	cliutil.ExitIfVersion()
@@ -104,7 +104,6 @@ func main() {
 		Resilience:        policy,
 		Workers:           *workers,
 		PrecharGrid:       *precharGrid,
-		CharCacheRes:      *charRes,
 		MaxInflight:       *maxInflight,
 		MaxQueue:          *maxQueue,
 		MaxNets:           *maxNets,

@@ -13,7 +13,7 @@
 //	        [-request-timeout 15m] [-drain-timeout 60s] [-retry-after 1s]
 //	        [-heartbeat 10s]
 //	        [-probe-interval 2s] [-max-strikes 3] [-eject-backoff 1s]
-//	        [-stall-timeout 30s] [-hedge-after 0] [-max-reshards 4]
+//	        [-stall-timeout 30s] [-max-reshards 4]
 //
 // The API mirrors noised:
 //
@@ -29,9 +29,9 @@
 // consecutive failures eject one for an exponentially growing window
 // (circuit breaking). -stall-timeout cuts streams that go silent — at
 // the larger of it and three of the heartbeat intervals the replica
-// advertises — and -hedge-after (0 disables) duplicates slow net
-// shards onto a second replica. On the first SIGINT/SIGTERM the gateway drains; a second
-// signal forces exit.
+// advertises — and the cut shard's unfinished nets are resharded onto
+// the survivors. On the first SIGINT/SIGTERM the gateway drains; a
+// second signal forces exit.
 package main
 
 import (
@@ -70,7 +70,6 @@ func main() {
 	maxStrikes := flag.Int("max-strikes", noisegw.DefaultMaxStrikes, "consecutive failures that eject a replica")
 	ejectBackoff := flag.Duration("eject-backoff", noisegw.DefaultEjectBackoff, "first ejection window (doubles per trip)")
 	stallTimeout := flag.Duration("stall-timeout", noisegw.DefaultStallTimeout, "cut a shard stream silent for this long, or for 3 of the replica's advertised heartbeat intervals if longer")
-	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a slow shard onto a second replica after this long (0 disables)")
 	maxReshards := flag.Int("max-reshards", noisegw.DefaultMaxReshards, "redistribution hops per net before reporting it failed")
 	flag.Parse()
 	cliutil.ExitIfVersion()
@@ -92,7 +91,6 @@ func main() {
 		MaxStrikes:        *maxStrikes,
 		EjectBackoff:      *ejectBackoff,
 		StallTimeout:      *stallTimeout,
-		HedgeAfter:        *hedgeAfter,
 		MaxReshards:       *maxReshards,
 		Logf:              log.Printf,
 	})

@@ -1,9 +1,11 @@
 package align
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/waveform"
 )
 
@@ -157,5 +159,39 @@ func TestAlignmentVoltageLinearity(t *testing.T) {
 	span := ub - lb
 	if mid < lb-0.25*span-0.05 || mid > ub+0.25*span+0.05 {
 		t.Fatalf("Va not bracketed: %v / %v / %v", lo, mid, hi)
+	}
+}
+
+// TestPrecharOAI21X1 builds OAI21X1's tables in both victim directions
+// on all three corners. Some points of its switching-threshold sweep do
+// not converge in DC from zero; each converges when retried from the
+// last converged point's solution.
+func TestPrecharOAI21X1(t *testing.T) {
+	for _, corner := range []*device.Technology{device.Default180(), device.Fast180(), device.Slow180()} {
+		cell, err := device.NewLibrary(corner).Cell("OAI21X1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rising := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/rising=%t", corner.Name, rising), func(t *testing.T) {
+				t.Parallel()
+				tab, err := Precharacterize(cell, rising, DefaultConfig(corner))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tab.Vm <= 0 || tab.Vm >= corner.Vdd {
+					t.Fatalf("Vm = %v outside the rails", tab.Vm)
+				}
+				for si := 0; si < 2; si++ {
+					for wi := 0; wi < 2; wi++ {
+						for hi := 0; hi < 2; hi++ {
+							if va := tab.Va[si][wi][hi]; va < 0 || va > corner.Vdd {
+								t.Fatalf("Va[%d][%d][%d] = %v outside [0, Vdd]", si, wi, hi, va)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -30,7 +30,7 @@ func BenchmarkCompute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ceff.ComputeContext(ctx, v.Spec.Cell, v.Spec.InputSlew, rising, v.Net, v.Node, ceff.Options{}); err != nil {
+		if _, err := ceff.ComputeContext(ctx, v.Spec.Cell, v.Spec.InputSlew, rising, v.Net, v.Node); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -127,7 +127,7 @@ func TestStopAtCrossingBitIdentical(t *testing.T) {
 		}
 		for li, l := range loads {
 			rising := l.Spec.Cell.InputRisingFor(l.Spec.OutputRising)
-			got, err := ceff.ComputeContext(ctx, l.Spec.Cell, l.Spec.InputSlew, rising, l.Net, l.Node, ceff.Options{})
+			got, err := ceff.ComputeContext(ctx, l.Spec.Cell, l.Spec.InputSlew, rising, l.Net, l.Node)
 			if err != nil {
 				t.Fatalf("net %d driver %d: %v", ci, li, err)
 			}
@@ -153,7 +153,7 @@ func TestStopAtCrossingBitIdentical(t *testing.T) {
 	net.AddR("rw", "out", "far", 400)
 	net.AddC("cf", "far", "0", 30e-15)
 	net.AddDriver("__hold", "out", waveform.Constant(0), 50)
-	got, err := ceff.ComputeContext(ctx, cell, 100e-12, false, net, "out", ceff.Options{})
+	got, err := ceff.ComputeContext(ctx, cell, 100e-12, false, net, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,32 +30,19 @@ type Result struct {
 // chargeGrid is the number of points of the charge integral's grid.
 const chargeGrid = 1500
 
-// Options tune the iteration.
-type Options struct {
-	Tol     float64 // relative Ceff convergence tolerance (default 1%)
-	MaxIter int     // iteration cap (default 10)
-}
+// The iteration stops once C-effective moves by at most tol of itself,
+// or after maxIter iterations.
+const (
+	tol     = 0.01
+	maxIter = 10
+)
 
-func (o *Options) defaults() {
-	if o.Tol == 0 {
-		o.Tol = 0.01
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 10
-	}
-}
-
-// Compute runs C-effective iterations for cell driving the net at
-// driveNode with the given input slew/direction. The net must not contain
-// a driver at driveNode (the Thevenin model is added internally).
-func Compute(cell *device.Cell, inSlew float64, inRising bool, net *netlist.Circuit, driveNode string, opt Options) (Result, error) {
-	return ComputeContext(context.Background(), cell, inSlew, inRising, net, driveNode, opt)
-}
-
-// ComputeContext is Compute with cancellation support, threaded into the
-// Thevenin fits and linear charge-matching runs of every iteration.
-func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, net *netlist.Circuit, driveNode string, opt Options) (Result, error) {
-	opt.defaults()
+// ComputeContext runs C-effective iterations for cell driving the net at
+// driveNode with the given input slew/direction. The net must not
+// contain a driver at driveNode (the Thevenin model is added
+// internally). The context is threaded into the Thevenin fits and
+// linear charge-matching runs of every iteration.
+func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRising bool, net *netlist.Circuit, driveNode string) (Result, error) {
 	cTotal := totalNetCap(net)
 	if cTotal <= 0 {
 		return Result{}, noiseerr.Invalidf("ceff: net has no capacitance")
@@ -63,7 +50,7 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 	vdd := cell.Tech.Vdd
 	ceff := cTotal
 	var model thevenin.Model
-	for iter := 1; iter <= opt.MaxIter; iter++ {
+	for iter := 1; iter <= maxIter; iter++ {
 		m, _, err := thevenin.FitContext(ctx, cell, inSlew, inRising, ceff)
 		if err != nil {
 			return Result{}, fmt.Errorf("ceff: iteration %d: %w", iter, err)
@@ -140,7 +127,7 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 		if next < 1e-18 {
 			next = 1e-18
 		}
-		if math.Abs(next-ceff) <= opt.Tol*ceff {
+		if math.Abs(next-ceff) <= tol*ceff {
 			return Result{Ceff: next, Model: model, CTotal: cTotal, Iterations: iter}, nil
 		}
 		ceff = next
@@ -152,7 +139,7 @@ func ComputeContext(ctx context.Context, cell *device.Cell, inSlew float64, inRi
 	if err != nil {
 		return Result{}, fmt.Errorf("ceff: final fit at Ceff=%g: %w", ceff, err)
 	}
-	return Result{Ceff: ceff, Model: m, CTotal: cTotal, Iterations: opt.MaxIter}, nil
+	return Result{Ceff: ceff, Model: m, CTotal: cTotal, Iterations: maxIter}, nil
 }
 
 // totalNetCap sums all capacitance in the net (grounded and coupling),

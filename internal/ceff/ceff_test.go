@@ -1,6 +1,7 @@
 package ceff
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestLumpedNetCeffEqualsTotal(t *testing.T) {
 	cell, _ := lib.Cell("INVX2")
 	net := netlist.NewCircuit()
 	net.AddC("cl", "out", "0", 50e-15)
-	res, err := Compute(cell, 150e-12, true, net, "out", Options{})
+	res, err := ComputeContext(context.Background(), cell, 150e-12, true, net, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestResistiveShieldingReducesCeff(t *testing.T) {
 	net.AddC("cn", "out", "0", 5e-15)
 	net.AddR("rs", "out", "far", 5000)
 	net.AddC("cf", "far", "0", 100e-15)
-	res, err := Compute(cell, 100e-12, true, net, "out", Options{})
+	res, err := ComputeContext(context.Background(), cell, 100e-12, true, net, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestCeffMonotoneWithShieldingResistance(t *testing.T) {
 		net.AddC("cn", "out", "0", 5e-15)
 		net.AddR("rs", "out", "far", rs)
 		net.AddC("cf", "far", "0", 60e-15)
-		res, err := Compute(cell, 120e-12, true, net, "out", Options{})
+		res, err := ComputeContext(context.Background(), cell, 120e-12, true, net, "out")
 		if err != nil {
 			t.Fatalf("rs=%v: %v", rs, err)
 		}
@@ -85,7 +86,7 @@ func TestCoupledNetCeff(t *testing.T) {
 	// Hold the aggressor quiet so the linear sim has a defined DC point.
 	ckt := net.Circuit.Clone()
 	ckt.AddDriver("aggHold", net.AggIn[0], wconst(0), 500)
-	res, err := Compute(cell, 150e-12, true, ckt, net.VictimIn, Options{})
+	res, err := ComputeContext(context.Background(), cell, 150e-12, true, ckt, net.VictimIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestEmptyNetError(t *testing.T) {
 	cell, _ := lib.Cell("INVX1")
 	net := netlist.NewCircuit()
 	net.AddR("r", "out", "0", 100)
-	if _, err := Compute(cell, 100e-12, true, net, "out", Options{}); err == nil {
+	if _, err := ComputeContext(context.Background(), cell, 100e-12, true, net, "out"); err == nil {
 		t.Fatal("expected error for capacitance-free net")
 	}
 }

@@ -24,9 +24,6 @@ type Config struct {
 	// PrecharGrid is the exhaustive-search grid used when building
 	// alignment tables on demand (default 17).
 	PrecharGrid int
-	// Analysis carries the remaining knobs (step, iterations, PRIMA
-	// order). Its Chars/Metrics fields are managed by the session.
-	Analysis delaynoise.Options
 	// Workers bounds the nets analyzed at once, not CPU use. Zero
 	// selects runtime.GOMAXPROCS(0), one per available core. Negative
 	// values are rejected by New. Inside a net, independent solves fork
@@ -41,12 +38,6 @@ type Config struct {
 	// exhaust Resilience.NetTimeout fail with the noiseerr.ErrDeadline
 	// class and count in nets.deadline while the batch keeps running.
 	Resilience resilience.Policy
-	// CharCacheRes is the relative bucket resolution of the shared
-	// driver-characterization cache (zero selects
-	// delaynoise.DefaultCharBucketRes). Negative disables the cache:
-	// every net then characterizes its drivers from scratch, exactly as
-	// a standalone delaynoise.Analyze call would.
-	CharCacheRes float64
 	// Metrics receives run instrumentation (nets analyzed, cache
 	// hit/miss counts, simulation counters, per-stage timers). New
 	// installs a fresh registry when nil. Ignored when Session is set.
@@ -54,8 +45,8 @@ type Config struct {
 	// Session, when non-nil, backs the tool with an existing engine
 	// session instead of building a private one; the tool then shares
 	// the session's library, caches, and registry with every other view
-	// over it (e.g. a second Tool with other analysis options). The cache
-	// knobs above are ignored.
+	// over it (e.g. a second Tool with other analysis options).
+	// PrecharGrid is then ignored.
 	Session *engine.Session
 }
 
@@ -122,10 +113,9 @@ func New(lib *device.Library, cfg Config) (*Tool, error) {
 	s := cfg.Session
 	if s == nil {
 		s = engine.New(engine.Config{
-			Lib:          lib,
-			Metrics:      cfg.Metrics,
-			PrecharGrid:  cfg.PrecharGrid,
-			CharCacheRes: cfg.CharCacheRes,
+			Lib:         lib,
+			Metrics:     cfg.Metrics,
+			PrecharGrid: cfg.PrecharGrid,
 		})
 	}
 	if lib == nil {
@@ -156,8 +146,5 @@ func (t *Tool) Workers() int { return t.Cfg.Workers }
 // analysisOptions assembles the per-net options, wiring in the session's
 // shared caches and instrumentation.
 func (t *Tool) analysisOptions() delaynoise.Options {
-	opt := t.session.Bind(t.Cfg.Analysis)
-	opt.Hold = t.Cfg.Hold
-	opt.Align = t.Cfg.Align
-	return opt
+	return t.session.Bind(delaynoise.Options{Hold: t.Cfg.Hold, Align: t.Cfg.Align})
 }

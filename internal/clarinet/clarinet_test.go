@@ -42,17 +42,10 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("tool must install a metrics registry")
 	}
 	if tool.Session().Bind(delaynoise.Options{}).Chars == nil {
-		t.Fatal("characterization cache must be on by default")
+		t.Fatal("characterization cache must be on")
 	}
 	if _, err := New(lib, Config{Workers: -1}); err == nil {
 		t.Fatal("negative worker count must be rejected")
-	}
-	off, err := New(lib, Config{CharCacheRes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Session().Bind(delaynoise.Options{}).Chars != nil {
-		t.Fatal("characterization cache opt-out ignored")
 	}
 }
 

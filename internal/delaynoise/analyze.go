@@ -80,15 +80,9 @@ type Options struct {
 	// MaxIterations bounds the linear-model / alignment fixpoint loop
 	// (default 3; the paper reports 1-2 suffice).
 	MaxIterations int
-	// RtrTol is the relative Rtr convergence tolerance (default 5%).
-	RtrTol float64
-	// Step is the linear-simulation time step (default 1 ps).
-	Step float64
 	// PRIMAOrder, when positive, reduces the interconnect with PRIMA to
 	// the given order before the linear runs.
 	PRIMAOrder int
-	// SearchGrid is the exhaustive-alignment grid (default 21).
-	SearchGrid int
 	// Window constrains the pulse peak time when non-nil.
 	Window *Window
 	// AggressorTransient extends the transient-holding-resistance idea
@@ -117,16 +111,16 @@ func (o *Options) defaults() {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 3
 	}
-	if o.RtrTol == 0 {
-		o.RtrTol = 0.05
-	}
-	if o.Step == 0 {
-		o.Step = 1e-12
-	}
-	if o.SearchGrid == 0 {
-		o.SearchGrid = 21
-	}
 }
+
+// The flow's fixed tolerances: the Rtr iterations stop once Rtr moves by
+// at most rtrTol of itself, every linear run steps by linearStep, and
+// the exhaustive alignment search evaluates searchGrid grid points.
+const (
+	rtrTol     = 0.05
+	linearStep = 1e-12 // s
+	searchGrid = 21
+)
 
 // Result is the outcome of one per-net analysis.
 type Result struct {
@@ -272,7 +266,7 @@ func AnalyzeContext(ctx context.Context, c *Case, opt Options) (*Result, error) 
 		// The loop must run at least twice so the computed Rtr is
 		// actually used for the reported noise (iteration 1 always uses
 		// Rth); it stops once Rtr is stable.
-		if iter > 1 && math.Abs(hr.Rtr-rHold) <= opt.RtrTol*rHold {
+		if iter > 1 && math.Abs(hr.Rtr-rHold) <= rtrTol*rHold {
 			break
 		}
 		rHold = hr.Rtr
@@ -417,9 +411,9 @@ func (e *engine) chooseAlignment(obj align.Objective, noiseless, composite *wave
 		var w align.WorstResult
 		var err error
 		if opt.Minimize {
-			w, err = obj.ExhaustiveBest(noiseless, composite, opt.SearchGrid)
+			w, err = obj.ExhaustiveBest(noiseless, composite, searchGrid)
 		} else {
-			w, err = obj.ExhaustiveWorst(noiseless, composite, opt.SearchGrid)
+			w, err = obj.ExhaustiveWorst(noiseless, composite, searchGrid)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("delaynoise: exhaustive alignment: %w", err)

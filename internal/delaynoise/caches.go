@@ -19,7 +19,7 @@ import (
 // characterization. Its two memos are single-flight and bounded
 // (internal/memo): concurrent nets needing the same entry compute it
 // once, and a resident session holds at most two generations of
-// entries. Every method tolerates a nil receiver and simply computes
+// entries. The lookups tolerate a nil receiver and simply compute
 // uncached, so the engine code calls them unconditionally. Results
 // that do not recur across nets are computed per analysis: the holding
 // resistance, derived from one net's own noise, the noiseless driver
@@ -32,9 +32,11 @@ import (
 // never cached (memo drops them), so a canceled entry does not poison
 // the cache — the next caller simply recomputes it.
 
-// DefaultCharBucketRes is the relative width of the geometric slew/load
-// buckets of CharCache's rough-fit cache.
-const DefaultCharBucketRes = 0.05
+// charBucketRes is the relative width of the geometric slew/load
+// buckets of CharCache's rough-fit cache. Warm-store entries persist
+// rough fits by bucket index, so changing it needs a
+// warmstore.SchemaVersion bump.
+const charBucketRes = 0.05
 
 type roughKey struct {
 	cell   string
@@ -67,22 +69,16 @@ type fullKey struct {
 // A CharCache must not be shared across cell libraries or technologies:
 // keys identify cells by name.
 type CharCache struct {
-	res     float64
 	metrics *metrics.Registry
 	rough   *memo.Cache[roughKey, thevenin.Model]
 	full    *memo.Cache[fullKey, ceff.Result]
 }
 
-// NewCharCache builds a characterization cache with the given relative
-// bucket resolution (<= 0 selects DefaultCharBucketRes). The registry,
-// which may be nil, receives cache.char.* hit/miss counters and the
-// resident entry count of each memo as a gauge.
-func NewCharCache(res float64, m *metrics.Registry) *CharCache {
-	if res <= 0 {
-		res = DefaultCharBucketRes
-	}
+// NewCharCache builds a characterization cache. The registry, which
+// may be nil, receives cache.char.* hit/miss counters and the resident
+// entry count of each memo as a gauge.
+func NewCharCache(m *metrics.Registry) *CharCache {
 	return &CharCache{
-		res:     res,
 		metrics: m,
 		rough:   memo.New[roughKey, thevenin.Model](m.Gauge(mCacheCharRough + mEntriesSuffix)),
 		full:    memo.New[fullKey, ceff.Result](m.Gauge(mCacheCharFull + mEntriesSuffix)),
@@ -91,11 +87,11 @@ func NewCharCache(res float64, m *metrics.Registry) *CharCache {
 
 // bucket maps a positive quantity onto a geometric grid and returns the
 // bucket index together with the bucket-canonical value.
-func (cc *CharCache) bucket(v float64) (int, float64) {
+func bucket(v float64) (int, float64) {
 	if v <= 0 {
 		return 0, v
 	}
-	step := math.Log1p(cc.res)
+	step := math.Log1p(charBucketRes)
 	b := int(math.Round(math.Log(v) / step))
 	return b, math.Exp(float64(b) * step)
 }
@@ -118,8 +114,8 @@ func (cc *CharCache) RoughFit(ctx context.Context, cell *device.Cell, slew float
 		m, _, err := thevenin.FitContext(ctx, cell, slew, inRising, lump)
 		return m, err
 	}
-	sb, sq := cc.bucket(slew)
-	lb, lq := cc.bucket(lump)
+	sb, sq := bucket(slew)
+	lb, lq := bucket(lump)
 	m, hit, err := cc.rough.Do(roughKey{cell.Name, inRising, sb, lb}, func() (thevenin.Model, error) {
 		m, _, err := thevenin.FitContext(ctx, cell, sq, inRising, lq)
 		return m, err
@@ -134,11 +130,11 @@ func (cc *CharCache) RoughFit(ctx context.Context, cell *device.Cell, slew float
 // occurs only for duplicated held circuits.
 func (cc *CharCache) Characterize(ctx context.Context, cell *device.Cell, slew float64, inRising bool, net *netlist.Circuit, node string) (ceff.Result, error) {
 	if cc == nil {
-		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node, ceff.Options{})
+		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node)
 	}
 	key := fullKey{cell.Name, inRising, math.Float64bits(slew), node, circuitKey(net)}
 	res, hit, err := cc.full.Do(key, func() (ceff.Result, error) {
-		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node, ceff.Options{})
+		return ceff.ComputeContext(ctx, cell, slew, inRising, net, node)
 	})
 	cc.count(mCacheCharFull, hit)
 	return res, err

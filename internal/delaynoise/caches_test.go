@@ -23,7 +23,7 @@ func TestCharCacheHitIsExact(t *testing.T) {
 	opt := Options{
 		Align:   AlignReceiverInput,
 		Hold:    HoldTransient,
-		Chars:   NewCharCache(0, reg),
+		Chars:   NewCharCache(reg),
 		Metrics: reg,
 	}
 	first, err := Analyze(c, opt)
@@ -71,7 +71,7 @@ func TestCharCacheBucketSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	cc := NewCharCache(0.05, reg)
+	cc := NewCharCache(reg)
 	a, err := cc.RoughFit(context.Background(), cell, 100e-12, true, 20e-15)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestNilCachesPassThrough(t *testing.T) {
 // settled tail and counts once.
 func TestSettledCounterCountsSearchRuns(t *testing.T) {
 	reg := metrics.NewRegistry()
-	if _, err := Analyze(testCase(t), Options{Align: AlignExhaustive, Hold: HoldThevenin, SearchGrid: 5, Metrics: reg}); err != nil {
+	if _, err := Analyze(testCase(t), Options{Align: AlignExhaustive, Hold: HoldThevenin, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()

@@ -52,7 +52,7 @@ func analyzeAt(t *testing.T, procs int, cases []*delaynoise.Case) forkRun {
 	for _, cfg := range forkConfigs {
 		reg := metrics.NewRegistry()
 		opt := cfg.opt
-		opt.Chars = delaynoise.NewCharCache(0, reg)
+		opt.Chars = delaynoise.NewCharCache(reg)
 		opt.Metrics = reg
 		for i, c := range cases {
 			if opt.Align == delaynoise.AlignPrechar {

@@ -39,7 +39,6 @@ type engine struct {
 	hold holdDrive
 
 	horizon float64
-	step    float64
 }
 
 // newEngine validates the case and runs the two-pass driver
@@ -99,7 +98,6 @@ func newEngine(ctx context.Context, c *Case, opt Options, driveHold bool) (*engi
 		tail = 1.5e-9
 	}
 	e.horizon = end + tail
-	e.step = opt.Step
 	return e, nil
 }
 
@@ -204,7 +202,7 @@ func (e *engine) probes() []string {
 
 // linearOptions are the transient options of every linear run.
 func (e *engine) linearOptions() lsim.Options {
-	return lsim.Options{TStop: e.horizon, Step: e.step, InitDC: true, Ctx: e.ctx}
+	return lsim.Options{TStop: e.horizon, Step: linearStep, InitDC: true, Ctx: e.ctx}
 }
 
 // aggRth returns every aggressor's Thevenin resistance, the resistance

@@ -36,23 +36,15 @@ type FullEntry struct {
 	Result  ceff.Result
 }
 
-// CharSnapshot is the persistable content of a CharCache. BucketRes
-// pins the geometric bucket resolution the rough keys were computed
-// under: seeding into a cache with a different resolution would place
-// entries in the wrong buckets, so Seed refuses it.
+// CharSnapshot is the persistable content of a CharCache.
 type CharSnapshot struct {
-	BucketRes float64
-	Rough     []RoughEntry
-	Full      []FullEntry
+	Rough []RoughEntry
+	Full  []FullEntry
 }
 
-// Snapshot exports the cache's completed entries. Nil receiver (cache
-// disabled) yields nil.
+// Snapshot exports the cache's completed entries.
 func (cc *CharCache) Snapshot() *CharSnapshot {
-	if cc == nil {
-		return nil
-	}
-	snap := &CharSnapshot{BucketRes: cc.res}
+	snap := &CharSnapshot{}
 	for k, v := range cc.rough.Snapshot() {
 		snap.Rough = append(snap.Rough, RoughEntry{
 			Cell: k.cell, Rising: k.rising, SlewBucket: k.slewB, LumpBucket: k.lumpB, Model: v,
@@ -66,16 +58,11 @@ func (cc *CharCache) Snapshot() *CharSnapshot {
 	return snap
 }
 
-// Seed installs a snapshot's entries. Entries whose keys are already
-// resident lose to the resident value. A snapshot taken under a
-// different bucket resolution is ignored entirely (its rough buckets
-// don't line up), reported via the return value.
-func (cc *CharCache) Seed(snap *CharSnapshot) (ok bool) {
-	if cc == nil || snap == nil {
-		return false
-	}
-	if snap.BucketRes != cc.res {
-		return false
+// Seed installs a snapshot's entries (none for a nil snapshot). Entries
+// whose keys are already resident lose to the resident value.
+func (cc *CharCache) Seed(snap *CharSnapshot) {
+	if snap == nil {
+		return
 	}
 	for _, e := range snap.Rough {
 		cc.rough.Seed(roughKey{e.Cell, e.Rising, e.SlewBucket, e.LumpBucket}, e.Model)
@@ -83,15 +70,4 @@ func (cc *CharCache) Seed(snap *CharSnapshot) (ok bool) {
 	for _, e := range snap.Full {
 		cc.full.Seed(fullKey{e.Cell, e.Rising, e.Slew, e.Node, string(e.Circuit)}, e.Result)
 	}
-	return true
-}
-
-// Res reports the cache's relative bucket resolution (0 for a nil,
-// disabled cache). It participates in warm-store identity: snapshots
-// only seed into caches with the same resolution.
-func (cc *CharCache) Res() float64 {
-	if cc == nil {
-		return 0
-	}
-	return cc.res
 }

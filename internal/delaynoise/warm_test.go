@@ -22,21 +22,19 @@ func TestCharSnapshotSeedsWarmHits(t *testing.T) {
 	cell := lib.Cells["INVX2"]
 
 	reg1 := metrics.NewRegistry()
-	cc1 := delaynoise.NewCharCache(0, reg1)
+	cc1 := delaynoise.NewCharCache(reg1)
 	m1, err := cc1.RoughFit(context.Background(), cell, 80e-12, true, 20e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := cc1.Snapshot()
-	if len(snap.Rough) != 1 || snap.BucketRes != cc1.Res() {
-		t.Fatalf("snapshot = %+v, want one rough entry at res %g", snap, cc1.Res())
+	if len(snap.Rough) != 1 {
+		t.Fatalf("snapshot = %+v, want one rough entry", snap)
 	}
 
 	reg2 := metrics.NewRegistry()
-	cc2 := delaynoise.NewCharCache(0, reg2)
-	if !cc2.Seed(snap) {
-		t.Fatal("Seed into a same-resolution cache must succeed")
-	}
+	cc2 := delaynoise.NewCharCache(reg2)
+	cc2.Seed(snap)
 	if cc2.Len() != 1 {
 		t.Fatalf("seeded cache Len = %d, want 1", cc2.Len())
 	}
@@ -52,28 +50,10 @@ func TestCharSnapshotSeedsWarmHits(t *testing.T) {
 	}
 }
 
-func TestCharSeedRefusesMismatchedResolution(t *testing.T) {
-	snap := &delaynoise.CharSnapshot{
-		BucketRes: 0.10,
-		Rough:     []delaynoise.RoughEntry{{Cell: "INVX1", SlewBucket: 3, Model: thevenin.Model{Rth: 1e3}}},
-	}
-	cc := delaynoise.NewCharCache(0.05, nil)
-	if cc.Seed(snap) {
-		t.Fatal("Seed must refuse a snapshot taken under a different bucket resolution")
-	}
-	if cc.Len() != 0 {
-		t.Fatal("refused seed must not install entries")
-	}
-	var nilCC *delaynoise.CharCache
-	if nilCC.Seed(snap) || nilCC.Snapshot() != nil || nilCC.Len() != 0 {
-		t.Fatal("nil cache must no-op")
-	}
-}
-
 func TestCharSeedDoesNotClobberResident(t *testing.T) {
 	lib := device.NewLibrary(device.Default180())
 	cell := lib.Cells["INVX1"]
-	cc := delaynoise.NewCharCache(0, nil)
+	cc := delaynoise.NewCharCache(nil)
 	resident, err := cc.RoughFit(context.Background(), cell, 60e-12, false, 15e-15)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +63,7 @@ func TestCharSeedDoesNotClobberResident(t *testing.T) {
 	for i := range snap.Rough {
 		snap.Rough[i].Model = thevenin.Model{Rth: -1}
 	}
-	if !cc.Seed(snap) {
-		t.Fatal("seed refused")
-	}
+	cc.Seed(snap)
 	got, err := cc.RoughFit(context.Background(), cell, 60e-12, false, 15e-15)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +108,7 @@ func TestFullEntryWarmStoreRoundTrip(t *testing.T) {
 	cell := device.NewLibrary(device.Default180()).Cells["INVX2"]
 	const slew = 120e-12
 
-	cold := delaynoise.NewCharCache(0, nil)
+	cold := delaynoise.NewCharCache(nil)
 	want, err := cold.Characterize(ctx, cell, slew, true, heldCircuit(r), "out")
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +126,8 @@ func TestFullEntryWarmStoreRoundTrip(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	warm := delaynoise.NewCharCache(0, reg)
-	if !warm.Seed(&snap) || warm.Len() != 1 {
+	warm := delaynoise.NewCharCache(reg)
+	if warm.Seed(&snap); warm.Len() != 1 {
 		t.Fatalf("seeded cache holds %d entries, want the one full characterization", warm.Len())
 	}
 	got, err := warm.Characterize(ctx, cell, slew, true, heldCircuit(r), "out")

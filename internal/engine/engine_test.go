@@ -21,15 +21,10 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("zero config must install a library and registry")
 	}
 	if s.Chars() == nil {
-		t.Fatal("characterization cache must be on by default")
+		t.Fatal("characterization cache must be on")
 	}
 	if _, err := s.Lib().Cell("INVX2"); err != nil {
 		t.Fatalf("cell lookup failed: %v", err)
-	}
-
-	off := engine.New(engine.Config{CharCacheRes: -1})
-	if off.Chars() != nil {
-		t.Fatal("characterization cache opt-out ignored")
 	}
 
 	lib := device.NewLibrary(device.Default180())

@@ -33,8 +33,7 @@ const (
 )
 
 // Config assembles a Session. The zero value is usable: it selects the
-// default 0.18 um-class technology, a fresh library and registry, and
-// enables every cache at its default resolution.
+// default 0.18 um-class technology and a fresh library and registry.
 type Config struct {
 	// Tech is the process technology (nil selects device.Default180).
 	// Ignored when Lib is non-nil: the library's technology wins.
@@ -48,10 +47,6 @@ type Config struct {
 	// PrecharGrid is the exhaustive-search grid used when building
 	// alignment tables on demand. Zero keeps align.DefaultConfig's grid.
 	PrecharGrid int
-	// CharCacheRes is the relative bucket resolution of the shared
-	// driver-characterization cache (zero selects
-	// delaynoise.DefaultCharBucketRes). Negative disables the cache.
-	CharCacheRes float64
 }
 
 // tableKey identifies one receiver pre-characterization.
@@ -64,22 +59,13 @@ type tableKey struct {
 // instrumentation, and the single-flight caches. Build one with New and
 // hand it to as many front-end views as needed.
 type Session struct {
-	lib      *device.Library
-	metrics  *metrics.Registry
-	grid     int
-	topology uint64
+	lib     *device.Library
+	metrics *metrics.Registry
+	grid    int
 
 	tables *memo.Cache[tableKey, *align.Table]
 	chars  *delaynoise.CharCache
 }
-
-// SetTopology records the workload's stage-graph topology hash in the
-// session's warm-store identity (see WarmIdentity). Per-net runs leave
-// it zero; path mode sets it to pathnoise.TopologyHash of the request's
-// path set, so per-net and path runs address disjoint warm-store keys
-// and can never serve each other a stale alignment-table snapshot. Set
-// it before LoadWarm/SaveWarm; it is not synchronized against them.
-func (s *Session) SetTopology(h uint64) { s.topology = h }
 
 // New builds a session from cfg (see Config for zero-value defaults).
 func New(cfg Config) *Session {
@@ -95,16 +81,13 @@ func New(cfg Config) *Session {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	s := &Session{
+	return &Session{
 		lib:     lib,
 		metrics: reg,
 		grid:    cfg.PrecharGrid,
 		tables:  memo.New[tableKey, *align.Table](reg.Gauge(mCacheTablesEntries)),
+		chars:   delaynoise.NewCharCache(reg),
 	}
-	if cfg.CharCacheRes >= 0 {
-		s.chars = delaynoise.NewCharCache(cfg.CharCacheRes, reg)
-	}
-	return s
 }
 
 // Lib returns the session's cell library.

@@ -5,8 +5,8 @@ package engine
 // content-addressed warmstore. The store key is derived from
 // WarmIdentity, which captures everything that state depends on, so a
 // session never loads state computed under a different technology,
-// library, or characterization configuration: such state lives under a
-// different key and reads as a miss.
+// library, or table grid: such state lives under a different key and
+// reads as a miss.
 
 import (
 	"fmt"
@@ -21,21 +21,18 @@ import (
 )
 
 // Identity is the warm-store address of a session's derived state. All
-// fields are pure comparable values (floats carried as IEEE-754 bits),
-// the same key discipline the memo caches follow and the cachekey
-// analyzer enforces.
+// fields are pure comparable values, the same key discipline the memo
+// caches follow and the cachekey analyzer enforces.
+//
+// The state depends on nothing else. Tables are keyed by (cell,
+// direction) and built from the library and the grid alone; rough fits
+// are taken at the canonical point of their bucket, whose resolution is
+// a constant; C-effective entries are keyed by the exact bytes of their
+// held circuit. So per-net and path runs share one entry.
 type Identity struct {
 	Tech    string // technology name
 	Library uint64 // fingerprint of the full library (cells, devices, Vdd)
 	Grid    int    // pre-characterization search grid (0 = default)
-	CharRes uint64 // char-cache bucket resolution, float bits (0 = cache off)
-	// Topology is the stage-graph topology hash of a path-mode workload
-	// (pathnoise.TopologyHash; 0 for per-net runs). Included so per-net
-	// and path runs never share a warm-store key: the characterization
-	// state a path run accumulates is conditioned on derived stage
-	// inputs, and a key collision would let either mode seed the other
-	// with alignment tables built for the wrong input population.
-	Topology uint64
 }
 
 // WarmIdentity captures everything the session's cached state depends
@@ -43,11 +40,9 @@ type Identity struct {
 // and characterizations.
 func (s *Session) WarmIdentity() Identity {
 	return Identity{
-		Tech:     s.lib.Tech.Name,
-		Library:  fingerprintLibrary(s.lib),
-		Grid:     s.grid,
-		CharRes:  math.Float64bits(s.chars.Res()),
-		Topology: s.topology,
+		Tech:    s.lib.Tech.Name,
+		Library: fingerprintLibrary(s.lib),
+		Grid:    s.grid,
 	}
 }
 

@@ -72,34 +72,6 @@ func TestWarmIdentitySeparatesConfigurations(t *testing.T) {
 	if base.WarmKey() == grid.WarmKey() {
 		t.Fatal("a different pre-characterization grid must move the key")
 	}
-	res := engine.New(engine.Config{PrecharGrid: 5, CharCacheRes: 0.11})
-	if base.WarmKey() == res.WarmKey() {
-		t.Fatal("a different char-cache resolution must move the key")
-	}
-	noChars := engine.New(engine.Config{PrecharGrid: 5, CharCacheRes: -1})
-	if base.WarmKey() == noChars.WarmKey() {
-		t.Fatal("a disabled char cache must move the key")
-	}
-
-	// Path-mode runs set a stage-graph topology hash; per-net runs leave
-	// it zero. The two populations condition characterization state
-	// differently, so they must never share a warm-store key — and two
-	// path runs over the same topology must.
-	pathed := engine.New(engine.Config{PrecharGrid: 5})
-	pathed.SetTopology(0x5eed)
-	if base.WarmKey() == pathed.WarmKey() {
-		t.Fatal("a path-mode topology hash must move the key off the per-net key")
-	}
-	samePath := engine.New(engine.Config{PrecharGrid: 5})
-	samePath.SetTopology(0x5eed)
-	if pathed.WarmKey() != samePath.WarmKey() {
-		t.Fatal("equal topologies must share a warm key")
-	}
-	otherPath := engine.New(engine.Config{PrecharGrid: 5})
-	otherPath.SetTopology(0x5eee)
-	if pathed.WarmKey() == otherPath.WarmKey() {
-		t.Fatal("a different topology must move the key")
-	}
 }
 
 func TestLoadWarmMissAndNilStore(t *testing.T) {

@@ -7,11 +7,11 @@ package gatesim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/device"
-	"repro/internal/netlist"
 	"repro/internal/nlsim"
 	"repro/internal/noiseerr"
 	"repro/internal/waveform"
@@ -250,17 +250,27 @@ func SwitchingThreshold(cell *device.Cell) (float64, error) {
 
 // SwitchingThresholdContext is SwitchingThreshold with cancellation
 // support for the DC bisection sweep.
+//
+// Each sweep point solves DC from zero. A point whose solve does not
+// converge from there (OAI21X1's series stacks near the threshold) is
+// retried once from the last converged point's solution, which sits
+// close to its own.
 func SwitchingThresholdContext(ctx context.Context, cell *device.Cell) (float64, error) {
 	vdd := cell.Tech.Vdd
+	var last []float64
 	outAt := func(vin float64) (float64, error) {
 		c := nlsim.NewCircuit()
 		in := c.Fixed("in", waveform.Constant(vin))
 		out := c.Node("out")
 		c.AddCell(cell, "u", in, out)
 		x, err := nlsim.DCContext(ctx, c, 0, nil)
+		if last != nil && errors.Is(err, noiseerr.ErrConvergence) {
+			x, err = nlsim.DCContext(ctx, c, 0, last)
+		}
 		if err != nil {
 			return 0, err
 		}
+		last = x
 		return nlsim.StateOf(c, x, out)
 	}
 	lo, hi := 0.0, vdd
@@ -289,34 +299,4 @@ func SwitchingThresholdContext(ctx context.Context, cell *device.Cell) (float64,
 		}
 	}
 	return 0.5 * (lo + hi), nil
-}
-
-// DriveNet simulates the cell driving the named node of a linear netlist
-// (the full interconnect) and returns the voltage waveforms at the
-// requested probe nodes plus the driver output node itself.
-func DriveNet(cell *device.Cell, slew float64, inRising bool, nl *netlist.Circuit, outNode string, horizon, step float64, probes ...string) (map[string]*waveform.PWL, error) {
-	return DriveNetContext(context.Background(), cell, slew, inRising, nl, outNode, horizon, step, probes...)
-}
-
-// DriveNetContext is DriveNet with cancellation support.
-func DriveNetContext(ctx context.Context, cell *device.Cell, slew float64, inRising bool, nl *netlist.Circuit, outNode string, horizon, step float64, probes ...string) (map[string]*waveform.PWL, error) {
-	tech := cell.Tech
-	c := nlsim.NewCircuit()
-	in := c.Fixed("in", Input(tech, slew, inRising))
-	out := c.Node(outNode)
-	c.ImportLinear(nl)
-	c.AddCell(cell, "u", in, out)
-	res, err := nlsim.Run(c, nlsim.Options{TStop: horizon, Step: step, Ctx: ctx})
-	if err != nil {
-		return nil, fmt.Errorf("gatesim: net sim failed: %w", err)
-	}
-	outMap := map[string]*waveform.PWL{}
-	for _, p := range append([]string{outNode}, probes...) {
-		v, err := res.Voltage(p)
-		if err != nil {
-			return nil, err
-		}
-		outMap[p] = v
-	}
-	return outMap, nil
 }

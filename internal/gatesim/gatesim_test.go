@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/netlist"
 	"repro/internal/waveform"
 )
 
@@ -101,34 +100,6 @@ func TestSwitchingThreshold(t *testing.T) {
 		if vm < 0.3 || vm > 1.5 {
 			t.Fatalf("implausible threshold %v", vm)
 		}
-	}
-}
-
-func TestDriveNetProbes(t *testing.T) {
-	cell := cellOf(t, "INVX2")
-	nl := netlist.NewCircuit()
-	nl.AddR("r1", "out", "far", 300)
-	nl.AddC("c1", "far", "0", 20e-15)
-	nl.AddC("c0", "out", "0", 5e-15)
-	ws, err := DriveNet(cell, 150e-12, false, nl, "out", 3e-9, 1e-12, "far")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outW, farW := ws["out"], ws["far"]
-	if outW == nil || farW == nil {
-		t.Fatal("probes missing")
-	}
-	// Falling input -> rising output; far end lags the near end.
-	tNear, err := outW.CrossRising(tech.Vdd / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tFar, err := farW.CrossRising(tech.Vdd / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tFar <= tNear {
-		t.Fatalf("far end (%v) should lag near end (%v)", tFar, tNear)
 	}
 }
 

@@ -31,7 +31,7 @@ func BenchmarkFromNoiseless(b *testing.B) {
 	v := loads[0]
 	cell, slew := v.Spec.Cell, v.Spec.InputSlew
 	rising := cell.InputRisingFor(v.Spec.OutputRising)
-	ce, err := ceff.ComputeContext(ctx, cell, slew, rising, v.Net, v.Node, ceff.Options{})
+	ce, err := ceff.ComputeContext(ctx, cell, slew, rising, v.Net, v.Node)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,12 +40,18 @@ func Analyze() error { return AnalyzeContext(context.TODO()) }
 // AnalyzeContext is the used half's twin.
 func AnalyzeContext(ctx context.Context) error { return ctx.Err() }
 
-// Simulate and SimulateContext are exempt as a twin although only
-// tests call them: the convention asks for both halves.
-func Simulate() error { return SimulateContext(context.TODO()) }
+// Solve has no use, but its context twin is used by the other package.
+func Solve() error { return SolveContext(context.TODO()) }
+
+// SolveContext is the used half of its twin.
+func SolveContext(ctx context.Context) error { return ctx.Err() }
+
+// Simulate and SimulateContext are called only by tests: Simulate's
+// delegation is no use of the pair, so both halves are flagged.
+func Simulate() error { return SimulateContext(context.TODO()) } // want "exported Simulate has no use outside tests"
 
 // SimulateContext is Simulate's twin.
-func SimulateContext(ctx context.Context) error { return ctx.Err() }
+func SimulateContext(ctx context.Context) error { return ctx.Err() } // want "exported SimulateContext has no use outside tests"
 
 // Buf implements the other package's Sink.
 type Buf struct{ n int }

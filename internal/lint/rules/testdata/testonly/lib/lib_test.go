@@ -10,4 +10,5 @@ func TestAll(t *testing.T) {
 	helper.Fixture()
 	TestOnlyFunc()
 	T{}.TestOnlyMethod()
+	_ = Simulate()
 }

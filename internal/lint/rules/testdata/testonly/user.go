@@ -2,7 +2,11 @@
 // lib from non-test code.
 package testonlydata
 
-import "repro/internal/testonlydata/lib"
+import (
+	"context"
+
+	"repro/internal/testonlydata/lib"
+)
 
 // Sink is implemented by lib.Buf.
 type Sink interface{ Put(v int) }
@@ -16,6 +20,7 @@ func handle[E any](x Exchange[E], e E) string { return x.Record(e) }
 func use() {
 	lib.Used()
 	_ = lib.Analyze()
+	_ = lib.SolveContext(context.TODO())
 	var s Sink = &lib.Buf{}
 	s.Put(1)
 	_ = handle(lib.Rec{}, 1)

@@ -13,8 +13,9 @@ import (
 // in this module or in a module nested in it (cmd/noisebench), is code
 // that no tool or flow runs: it costs reading and upkeep and pins
 // nothing a user sees. Exempt by rule are either half of an
-// X/XContext twin (the cancellation convention asks for both, and the
-// plain half's delegation is a use of the other), methods that
+// X/XContext twin when the other half has a use (the cancellation
+// convention asks for both; a use inside the other half's body, such
+// as the plain half's delegation, does not count), methods that
 // implement an interface, and the API of packages that only tests
 // import (faultinject, linttest). Anything else that stays carries a
 // //lint:ignore with its reason.
@@ -37,14 +38,35 @@ var reflectedMethods = map[string]bool{
 }
 
 func runTestOnly(pass *lint.ModulePass) error {
-	used := map[string]bool{}
+	// uses maps each function's key to the keys of the functions whose
+	// declarations use it ("" for a use outside any function).
+	uses := map[string]map[string]bool{}
 	importedByCode := map[string]bool{}
 	importedByTests := map[string]bool{}
 	ifaces := ifaceSet{}
 	for _, pkg := range pass.Packages {
-		for _, obj := range pkg.Info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				used[funcKey(fn)] = true
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				from := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						from = funcKey(fn)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+						key := funcKey(fn)
+						if uses[key] == nil {
+							uses[key] = map[string]bool{}
+						}
+						uses[key][from] = true
+					}
+					return true
+				})
 			}
 		}
 		// Every interface the code names is the type of some
@@ -60,6 +82,16 @@ func runTestOnly(pass *lint.ModulePass) error {
 		for _, path := range pkg.TestImports {
 			importedByTests[path] = true
 		}
+	}
+	// usedBeyond reports whether key has a use anywhere but in the
+	// declaration of the function keyed except.
+	usedBeyond := func(key, except string) bool {
+		for from := range uses[key] {
+			if from != except {
+				return true
+			}
+		}
+		return false
 	}
 	for _, pkg := range pass.Packages {
 		if !pkg.Target || !inInternal(pkg.Path) {
@@ -84,7 +116,8 @@ func runTestOnly(pass *lint.ModulePass) error {
 		}
 		for _, fn := range exported {
 			key := funcKey(fn)
-			if used[key] || declared[twinKey(key)] || ifaces.implemented(fn) {
+			twin := twinKey(key)
+			if usedBeyond(key, twin) || declared[twin] && usedBeyond(twin, key) || ifaces.implemented(fn) {
 				continue
 			}
 			pass.Reportf(pkg, fn.Pos(),

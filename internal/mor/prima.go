@@ -95,22 +95,6 @@ func ReduceContext(ctx context.Context, sys *mna.System, q int) (*ROM, error) {
 	return &ROM{Reduced: red, V: v, full: sys, Order: kept}, nil
 }
 
-// Run integrates the reduced model and returns a result from which node
-// voltages of the original network can be recovered.
-func (r *ROM) Run(opt lsim.Options) (*Result, error) {
-	return r.RunContext(context.Background(), opt)
-}
-
-// RunContext is Run with cancellation: ctx aborts the reduced-space
-// integration between time steps.
-func (r *ROM) RunContext(ctx context.Context, opt lsim.Options) (*Result, error) {
-	res, err := lsim.RunContext(ctx, r.Reduced, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{rom: r, res: res}, nil
-}
-
 // RunGroup integrates the reduced model once for each input set, as
 // lsim.RunGroup does: sets[j] drives the model's input columns, which
 // are the full system's. It returns one result per set, from which node

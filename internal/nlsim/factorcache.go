@@ -40,14 +40,14 @@ type factorCache struct {
 	// was built from. A stale factorization may report a deceptively
 	// small update at a state whose residual is still large, so
 	// reuse-converged iterations are additionally required to satisfy
-	// ||F||∞ ≤ jacNorm · VTol · residSafety — the same residual scale a
-	// fresh-Jacobian update below VTol implies.
+	// ||F||∞ ≤ jacNorm · vTol · residSafety — the same residual scale a
+	// fresh-Jacobian update below vTol implies.
 	jacNorm float64
 }
 
 // residSafety relaxes the residual acceptance of reuse-converged
-// iterations: a fresh Newton update below VTol implies a residual of
-// roughly ||J||∞·VTol, and contraction inflates that by a small factor.
+// iterations: a fresh Newton update below vTol implies a residual of
+// roughly ||J||∞·vTol, and contraction inflates that by a small factor.
 const residSafety = 4.0
 
 func newFactorCache(n int) factorCache {

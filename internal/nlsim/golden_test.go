@@ -29,7 +29,7 @@ func gateFixture(t *testing.T, cellName string) *Circuit {
 // TestFactorCacheMatchesFullNewton is the golden-equivalence pin of the
 // modified-Newton engine: the cached default must reproduce the
 // FullNewton reference trajectory. Both modes accept a step only when
-// the damped update is below VTol and the residual matches a
+// the damped update is below vTol and the residual matches a
 // fresh-Jacobian bound, so the committed states may differ only at the
 // tolerance floor.
 func TestFactorCacheMatchesFullNewton(t *testing.T) {

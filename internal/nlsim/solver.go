@@ -26,9 +26,7 @@ type Options struct {
 
 	X0 []float64 // initial state; nil means DC operating point at TStart
 
-	MaxNewton int     // Newton iteration cap per step (default 60)
-	VTol      float64 // Newton convergence tolerance, volts (default 1 uV)
-	Damp      float64 // max Newton update per iteration, volts (default 0.4)
+	MaxNewton int // Newton iteration cap per step (default 60)
 
 	// Ctx, when non-nil, cancels the run: the time-stepping loop checks
 	// it every CtxCheckInterval step attempts and returns a
@@ -63,13 +61,15 @@ func (o *Options) defaults() {
 	if o.MaxNewton == 0 {
 		o.MaxNewton = 60
 	}
-	if o.VTol == 0 {
-		o.VTol = 1e-6
-	}
-	if o.Damp == 0 {
-		o.Damp = 0.4
-	}
 }
+
+// A transient Newton iteration converges once its largest update is
+// below vTol. Every Newton update, DC and transient, is clamped to
+// ±maxUpdate per node.
+const (
+	vTol      = 1e-6 // volts
+	maxUpdate = 0.4  // volts
+)
 
 // Result holds the simulated voltages of a nonlinear run.
 type Result struct {
@@ -360,10 +360,10 @@ func (s *solver) dcNewton(ctx context.Context, t float64, x []float64, gmin floa
 		s.fc.lu.SolveTo(s.dx, s.ist)
 		worst := 0.0
 		for i, d := range s.dx {
-			if d > 0.4 {
-				d = 0.4
-			} else if d < -0.4 {
-				d = -0.4
+			if d > maxUpdate {
+				d = maxUpdate
+			} else if d < -maxUpdate {
+				d = -maxUpdate
 			}
 			x[i] -= d
 			if a := math.Abs(d); a > worst {
@@ -610,25 +610,25 @@ func (tr *transient) attempt(t, h float64, fullNewton bool) (bool, error) {
 		s.fc.age++
 		worst := 0.0
 		for i, d := range s.dx {
-			if d > opt.Damp {
-				d = opt.Damp
-			} else if d < -opt.Damp {
-				d = -opt.Damp
+			if d > maxUpdate {
+				d = maxUpdate
+			} else if d < -maxUpdate {
+				d = -maxUpdate
 			}
 			tr.xNew[i] -= d
 			if a := math.Abs(d); a > worst {
 				worst = a
 			}
 		}
-		if worst < opt.VTol {
-			// A fresh-Jacobian update below VTol implies a residual no
-			// larger than ||J||∞·VTol, because F = J·dx exactly. A stale
+		if worst < vTol {
+			// A fresh-Jacobian update below vTol implies a residual no
+			// larger than ||J||∞·vTol, because F = J·dx exactly. A stale
 			// factorization gives no such guarantee — its update can be
 			// deceptively small at a state whose residual is still large
 			// — so a reuse-converged iterate must pass the same residual
 			// bound before the step commits. Rejection refactors and
 			// keeps iterating rather than accepting a drifted state.
-			if !reuse || vecInfNorm(s.f) <= s.fc.jacNorm*opt.VTol*residSafety {
+			if !reuse || vecInfNorm(s.f) <= s.fc.jacNorm*vTol*residSafety {
 				return true, nil
 			}
 			s.fc.invalidate()

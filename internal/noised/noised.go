@@ -83,9 +83,6 @@ type Config struct {
 	Workers int
 	// PrecharGrid is the alignment-table search grid (0 = default 17).
 	PrecharGrid int
-	// CharCacheRes tunes the driver-characterization cache bucket
-	// resolution (0 = default, negative disables).
-	CharCacheRes float64
 
 	// MaxInflight is the number of requests analyzed concurrently
 	// (default 2).
@@ -220,9 +217,8 @@ func New(cfg Config) (*Server, error) {
 	sess := cfg.Session
 	if sess == nil {
 		sess = engine.New(engine.Config{
-			Metrics:      cfg.Metrics,
-			PrecharGrid:  cfg.PrecharGrid,
-			CharCacheRes: cfg.CharCacheRes,
+			Metrics:     cfg.Metrics,
+			PrecharGrid: cfg.PrecharGrid,
 		})
 	}
 	var store *warmstore.Store

@@ -27,7 +27,7 @@ import (
 // net cut off mid-run, a path a draining replica abandoned) never
 // finish a unit, so it stays eligible for the reshard that completes
 // it. Replays — from replica-side journal resume after a shed retry, or
-// from a hedged duplicate stream — drop at the merge. Workers never
+// a replica that sends one record twice — drop at the merge. Workers never
 // fabricate failures for units they could not finish; the handler
 // reports those only after every worker has exited, when no late stream
 // can contradict it.
@@ -58,13 +58,12 @@ type unit[U, R, S any] interface {
 	refuse(u U, msg string) (rec R, send bool)
 }
 
-// kind is what is fixed per unit type: the replica route (its wire),
-// the sub-request ID family, and whether a slow shard may be hedged.
+// kind is what is fixed per unit type: the replica route (its wire)
+// and the sub-request ID family.
 type kind[R, S any] struct {
 	route  *noised.Route[R, S]
 	noun   string // "nets", "paths" (logs)
 	family string // sub-request ID infix
-	hedge  bool
 }
 
 // run is the per-request coordinator state.
@@ -100,7 +99,7 @@ func newRun[U, R, S any](g *Gateway, ctx context.Context, opt noised.Options, k 
 
 // scatter shards the units over the currently healthy replicas and
 // spawns one worker per shard, plus the closer that ends the sink when
-// the last worker — initial, reshard, or hedge — exits. It returns the
+// the last worker — initial or reshard — exits. It returns the
 // sink as the request's record source; an empty fleet is a 503.
 func (r *run[U, R, S]) scatter(units []U) (<-chan R, error) {
 	names := r.g.set.healthyNames()
@@ -177,7 +176,7 @@ func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (left
 	}
 	sheds := 0
 	for {
-		outcome, retryAfter, refusal := r.streamOnce(replica, units, body, attempt)
+		outcome, retryAfter, refusal := r.streamOnce(replica, units, body)
 		switch outcome {
 		case streamDone:
 			r.g.set.clearStrikes(replica)
@@ -219,11 +218,11 @@ func (r *run[U, R, S]) streamShard(replica string, units []U, attempt int) (left
 func (r *run[U, R, S]) sleepShed(sheds int, retryAfter time.Duration) bool {
 	cfg := &r.g.cfg
 	d := cfg.ShedBackoff << (sheds - 1)
-	if d > cfg.MaxShedBackoff || d <= 0 {
-		d = cfg.MaxShedBackoff
+	if d > maxShedBackoff || d <= 0 {
+		d = maxShedBackoff
 	}
-	if retryAfter > cfg.MaxShedBackoff {
-		retryAfter = cfg.MaxShedBackoff
+	if retryAfter > maxShedBackoff {
+		retryAfter = maxShedBackoff
 	}
 	if retryAfter > d {
 		d = retryAfter
@@ -263,10 +262,8 @@ type streamEvent[R, S any] struct {
 // event (records and heartbeats alike) resets the stall timer, so a
 // stream that goes quiet past its budget (see watchdog) — a SIGKILLed
 // replica whose socket lingers, a stalled response — is canceled and
-// counted. A hedgeable stream with no progress past HedgeAfter is
-// duplicated onto another replica (once) while this one keeps running;
-// paths are not hedged, since a duplicated path re-runs every stage.
-func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attempt int) (streamOutcome, time.Duration, string) {
+// counted.
+func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte) (streamOutcome, time.Duration, string) {
 	subctx, subcancel := context.WithCancel(r.ctx)
 	defer subcancel()
 	shardStart := time.Now()
@@ -315,12 +312,6 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 	budget := r.g.watchdog(resp.Header)
 	stall := time.NewTimer(budget)
 	defer stall.Stop()
-	var hedgeC <-chan time.Time
-	if r.kind.hedge && r.g.cfg.HedgeAfter > 0 {
-		hedge := time.NewTimer(r.g.cfg.HedgeAfter)
-		defer hedge.Stop()
-		hedgeC = hedge.C
-	}
 	for {
 		select {
 		case ev, ok := <-events:
@@ -349,9 +340,6 @@ func (r *run[U, R, S]) streamOnce(replica string, units []U, body []byte, attemp
 			r.g.reg.Counter(mGwShardStalled).Inc()
 			r.g.cfg.Logf("noisegw: replica %s stream stalled past %v", replica, budget)
 			return streamFailed, 0, ""
-		case <-hedgeC:
-			r.g.reg.Counter(mGwHedges).Inc()
-			r.hedgeShard(replica, units, attempt)
 		case <-r.ctx.Done():
 			return streamCtxDone, 0, ""
 		}
@@ -367,24 +355,6 @@ func (g *Gateway) watchdog(h http.Header) time.Duration {
 		budget = 3 * hb
 	}
 	return budget
-}
-
-// hedgeShard duplicates a slow shard's unfinished units onto another
-// healthy replica; the merge makes whichever stream answers first win
-// and the loser's replays drop.
-func (r *run[U, R, S]) hedgeShard(replica string, units []U, attempt int) {
-	rest := r.unfinished(units)
-	if len(rest) == 0 {
-		return
-	}
-	targets := r.g.set.healthyExcept(replica)
-	if len(targets) == 0 {
-		return
-	}
-	r.g.cfg.Logf("noisegw: hedging %d slow %s from %s", len(rest), r.kind.noun, replica)
-	for name, part := range shard(rest, targets, r.unit.shardKey) {
-		r.spawn(name, part, attempt+1)
-	}
 }
 
 // readStream parses the replica's NDJSON stream into events. It is

@@ -5,8 +5,8 @@ package noisegw
 // (accepted work vs. per-class rejections); the shard counters size the
 // scatter side (streams opened, shed, torn, stalled, split for size);
 // the replica
-// counters track the health state machine; gw.reshards and gw.hedges
-// count the two recovery moves; the histograms carry tail latency.
+// counters track the health state machine; gw.reshards counts the
+// recovery move; the histograms carry tail latency.
 const (
 	mGwRequests = "gw.requests"
 
@@ -25,7 +25,6 @@ const (
 	mGwStagesDuplicate = "gw.stages.duplicate"
 
 	mGwReshards     = "gw.reshards"
-	mGwHedges       = "gw.hedges"
 	mGwShardStreams = "gw.shard.streams"
 	mGwShardShed    = "gw.shard.shed"
 	mGwShardTorn    = "gw.shard.torn"

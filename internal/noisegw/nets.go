@@ -15,8 +15,8 @@ import (
 )
 
 // netKind routes cases: sharded by characterization bucket onto
-// /v1/analyze, "-s" sub-request IDs, hedgeable.
-var netKind = &kind[clarinet.JournalRecord, noised.Summary]{route: noised.Analyze, noun: "nets", family: "-s", hedge: true}
+// /v1/analyze, "-s" sub-request IDs.
+var netKind = &kind[clarinet.JournalRecord, noised.Summary]{route: noised.Analyze, noun: "nets", family: "-s"}
 
 // netRequest is one POST /v1/analyze through the gateway: the spine's
 // exchange (body, source, tally, summary) and the coordinator's unit

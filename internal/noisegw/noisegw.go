@@ -17,11 +17,8 @@
 //     surviving replicas — bounded by MaxReshards hops.
 //   - Exactly-once per net is enforced at the merge: the first real
 //     outcome for a net wins, replays from replica-side journal resume
-//     or hedged duplicates are dropped, and canceled placeholders never
+//     are dropped, and canceled placeholders never
 //     finalize a net (the reshard completes it instead).
-//   - A shard making no progress for HedgeAfter is hedged: the
-//     remaining nets are duplicated onto another replica and whichever
-//     stream answers first wins the merge.
 //   - Backpressure propagates end to end: replica sheds (503) back off
 //     the sub-request with capped jittered delays, and the gateway's
 //     own admission gate sheds clients with 503 + Retry-After when the
@@ -73,16 +70,14 @@ type Config struct {
 	Heartbeat time.Duration
 
 	// ProbeInterval is the replica health-probe period (default 2s).
+	// One /readyz probe times out after 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe (default 2s).
-	ProbeTimeout time.Duration
 	// MaxStrikes is the consecutive-failure count that trips a
 	// replica's breaker (default 3; probes and streams both count).
 	MaxStrikes int
 	// EjectBackoff is the first ejection window (default 1s); each
-	// consecutive trip doubles it up to MaxEjectBackoff (default 30s).
-	EjectBackoff    time.Duration
-	MaxEjectBackoff time.Duration
+	// consecutive trip doubles it, up to 30s.
+	EjectBackoff time.Duration
 
 	// StallTimeout cuts a shard stream that has produced no event —
 	// record, heartbeat, or summary — for this long (default 30s). A
@@ -90,10 +85,6 @@ type Config struct {
 	// (noised.HeartbeatHeader) gets at least three intervals instead,
 	// so one that heartbeats on schedule is never cut.
 	StallTimeout time.Duration
-	// HedgeAfter duplicates a shard's remaining nets onto another
-	// replica after this long without progress (default 0 = disabled;
-	// it should sit below StallTimeout to be useful).
-	HedgeAfter time.Duration
 	// MaxReshards bounds how many times one net may be redistributed
 	// after failures before the gateway reports it failed (default 4).
 	MaxReshards int
@@ -101,9 +92,8 @@ type Config struct {
 	// before the shard is resharded elsewhere (default 5).
 	ShedRetries int
 	// ShedBackoff is the base backoff between shed retries (default
-	// 200ms, doubling, capped at MaxShedBackoff default 5s, jittered).
-	ShedBackoff    time.Duration
-	MaxShedBackoff time.Duration
+	// 200ms, doubling, capped at 5s, jittered).
+	ShedBackoff time.Duration
 
 	// HTTPClient overrides the transport to the replicas (nil uses
 	// http.DefaultClient; the default has no overall timeout, which a
@@ -129,15 +119,20 @@ const (
 	DefaultDrainTimeout      = 60 * time.Second
 	DefaultHeartbeat         = 10 * time.Second
 	DefaultProbeInterval     = 2 * time.Second
-	DefaultProbeTimeout      = 2 * time.Second
 	DefaultMaxStrikes        = 3
 	DefaultEjectBackoff      = time.Second
-	DefaultMaxEjectBackoff   = 30 * time.Second
 	DefaultStallTimeout      = 30 * time.Second
 	DefaultMaxReshards       = 4
 	DefaultShedRetries       = 5
 	DefaultShedBackoff       = 200 * time.Millisecond
-	DefaultMaxShedBackoff    = 5 * time.Second
+)
+
+// Fixed bounds: one health probe's timeout, and the caps of the
+// doubling ejection window and shed backoff.
+const (
+	probeTimeout    = 2 * time.Second
+	maxEjectBackoff = 30 * time.Second
+	maxShedBackoff  = 5 * time.Second
 )
 
 func (c *Config) defaults() {
@@ -170,17 +165,11 @@ func (c *Config) defaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
-	}
 	if c.MaxStrikes <= 0 {
 		c.MaxStrikes = DefaultMaxStrikes
 	}
 	if c.EjectBackoff <= 0 {
 		c.EjectBackoff = DefaultEjectBackoff
-	}
-	if c.MaxEjectBackoff <= 0 {
-		c.MaxEjectBackoff = DefaultMaxEjectBackoff
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = DefaultStallTimeout
@@ -193,9 +182,6 @@ func (c *Config) defaults() {
 	}
 	if c.ShedBackoff <= 0 {
 		c.ShedBackoff = DefaultShedBackoff
-	}
-	if c.MaxShedBackoff <= 0 {
-		c.MaxShedBackoff = DefaultMaxShedBackoff
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = http.DefaultClient

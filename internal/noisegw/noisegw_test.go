@@ -561,42 +561,6 @@ func TestGatewayWatchdogCutsSilentReplica(t *testing.T) {
 	}
 }
 
-// TestGatewayHedge: a slow shard past HedgeAfter is duplicated onto
-// another replica; whichever answers first wins and the loser's replays
-// drop.
-func TestGatewayHedge(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	slowOnFirst := func(n int, w http.ResponseWriter, r *http.Request, file workload.FileJSON) bool {
-		if n > 1 {
-			return false // the hedge target serves instantly
-		}
-		// Open the stream, then crawl: alive (heartbeats) but far slower
-		// than the hedge trigger.
-		w.Header().Set("Content-Type", clarinet.ContentTypeNDJSON)
-		writeLine(w, noised.StreamLine{Heartbeat: true})
-		select {
-		case <-r.Context().Done():
-			return true
-		case <-time.After(150 * time.Millisecond):
-		}
-		serveAll(w, file, nil)
-		return true
-	}
-	a.behave = slowOnFirst
-	b.behave = slowOnFirst
-	g, ts := newTestGateway(t, func(cfg *Config) { cfg.HedgeAfter = 30 * time.Millisecond }, a, b)
-	cases := testCases(24)
-
-	recs, sum := postAnalyze(t, ts.URL, casesBody(t, cases))
-	requireExactlyOnce(t, recs, cases)
-	if sum.OK != 24 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if n := g.reg.Snapshot().Counters[mGwHedges]; n < 1 {
-		t.Fatalf("hedges = %d, want >= 1", n)
-	}
-}
-
 // TestGatewayColblob: an Accept for the binary wire gets colblob frames
 // carrying the same merged records.
 func TestGatewayColblob(t *testing.T) {

@@ -28,7 +28,7 @@ import (
 // to reshard onto a survivor".
 
 // pathKind routes whole paths: sharded by path name onto
-// /v1/analyze-path, "-p" sub-request IDs, never hedged.
+// /v1/analyze-path, "-p" sub-request IDs.
 var pathKind = &kind[pathnoise.StageRecord, noised.PathSummary]{route: noised.AnalyzePath, noun: "paths", family: "-p"}
 
 // pathKey places a path on the ring. The "path/" prefix keeps path keys

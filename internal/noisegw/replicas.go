@@ -114,8 +114,8 @@ func (rs *replicaSet) strike(name string) {
 	r.strikes = 0
 	r.ejectedUntil = time.Now().Add(r.backoff)
 	r.backoff *= 2
-	if r.backoff > rs.g.cfg.MaxEjectBackoff {
-		r.backoff = rs.g.cfg.MaxEjectBackoff
+	if r.backoff > maxEjectBackoff {
+		r.backoff = maxEjectBackoff
 	}
 	rs.g.reg.Counter(mGwReplicaEjections).Inc()
 	rs.g.reg.Gauge(mGwReplicasHealthy).Dec()
@@ -192,7 +192,7 @@ func (rs *replicaSet) probeLoop(ctx context.Context) {
 // probeReady checks one replica's /readyz, returning its reported
 // instance identity alongside.
 func (g *Gateway) probeReady(ctx context.Context, name string) (ok bool, instance string) {
-	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, name+"/readyz", nil)
 	if err != nil {

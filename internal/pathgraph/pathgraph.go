@@ -9,7 +9,6 @@ package pathgraph
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/delaynoise"
 	"repro/internal/noiseerr"
@@ -106,30 +105,4 @@ func ValidatePaths(paths []*Path) error {
 func (p *Path) StageRising(k int) bool {
 	st := p.Stages[k]
 	return st.Case.Receiver.OutputRisingFor(st.Case.Victim.OutputRising)
-}
-
-// TopologyHash fingerprints the stage-graph topology of a path set:
-// path names, stage order, the net names chained, and each boundary's
-// cell handoff. It is the Topology component of the engine warm-store
-// identity (engine.Identity), keeping path-mode warm state addressed
-// apart from per-net state — and apart from other path topologies —
-// so a shared warm store can never serve alignment tables across
-// topologies whose derived stage inputs differ. The hash is
-// insensitive to path-set order (paths are folded commutatively), so
-// the same fabric sharded differently keeps one identity.
-func TopologyHash(paths []*Path) uint64 {
-	var sum uint64
-	for _, p := range paths {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "path|%s|%d|", p.Name, len(p.Stages))
-		for k, st := range p.Stages {
-			fmt.Fprintf(h, "%d|%s|%s|%t|%s|", k, st.Net,
-				st.Case.Victim.Cell.Name, st.Case.Victim.OutputRising, st.Case.Receiver.Name)
-		}
-		sum += h.Sum64() // commutative fold: path-set order is irrelevant
-	}
-	if sum == 0 {
-		return 1 // never collide with the per-net identity (Topology 0)
-	}
-	return sum
 }

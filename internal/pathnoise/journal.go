@@ -184,8 +184,9 @@ func (jw *jsonlStageWriter) WriteStage(rec StageRecord) error {
 func (jsonlStageCodec) NewReader(r io.Reader) StageReader {
 	sc := bufio.NewScanner(r)
 	// Waveform series inflate JSONL records well past the clarinet
-	// journal's line sizes.
-	sc.Buffer(make([]byte, 0, 256*1024), 16<<20)
+	// journal's line sizes: the buffer grows from bufio's default as
+	// lines need, up to 16 MiB.
+	sc.Buffer(nil, 16<<20)
 	return &jsonlStageReader{sc: sc}
 }
 
@@ -433,7 +434,7 @@ func (j *PathJournal) Record(rec StageRecord) error {
 // resume runs.
 func ReadPathJournal(r io.Reader) (map[StageKey]StageRecord, error) {
 	out := map[StageKey]StageRecord{}
-	br := bufio.NewReaderSize(r, 256*1024)
+	br := bufio.NewReader(r)
 	first, err := br.Peek(1)
 	if err != nil {
 		if err == io.EOF {

@@ -194,7 +194,7 @@ func TestResumeAcrossPassBoundary(t *testing.T) {
 	paths, lib := pathPopulation(t, 1, 3, 17)
 	p := paths[0]
 	ctx := context.Background()
-	opt := pathnoise.Options{MaxIterations: 2, Workers: 1}
+	opt := pathnoise.Options{MaxIterations: 2}
 
 	// Reference: an uninterrupted run, journaled, with the journal's
 	// length after each record (one worker, so records land in order).
@@ -583,27 +583,6 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}
 	if got := tool.Metrics().Counter("paths.canceled").Value(); got != 1 {
 		t.Fatalf("paths.canceled = %d", got)
-	}
-}
-
-// TestTopologyHash pins the identity properties the warm store depends
-// on: nonzero, order-insensitive over the path set, and sensitive to
-// the chain structure.
-func TestTopologyHash(t *testing.T) {
-	paths, _ := pathPopulation(t, 2, 2, 23)
-	h := pathnoise.TopologyHash(paths)
-	if h == 0 {
-		t.Fatal("topology hash must never be zero (zero is the per-net identity)")
-	}
-	if got := pathnoise.TopologyHash([]*pathnoise.Path{paths[1], paths[0]}); got != h {
-		t.Fatalf("hash is order-sensitive: %x vs %x", got, h)
-	}
-	if got := pathnoise.TopologyHash(paths[:1]); got == h {
-		t.Fatal("dropping a path kept the hash")
-	}
-	shuffled := &pathnoise.Path{Name: paths[0].Name, Stages: []pathnoise.Stage{paths[0].Stages[1], paths[0].Stages[0]}}
-	if got := pathnoise.TopologyHash([]*pathnoise.Path{shuffled, paths[1]}); got == h {
-		t.Fatal("reordering stages kept the hash")
 	}
 }
 

@@ -26,11 +26,11 @@
 // window and so is reused from pass 1 by every later pass, and a third
 // pass would repeat the second exactly.
 //
-// The stage-graph vocabulary itself — Path, Stage, the chaining
-// invariants, and the topology hash — lives in internal/pathgraph, a
-// leaf package the workload layer shares without depending on this
-// analysis stack; the aliases below keep this package's API the
-// canonical spelling for analysis-side callers.
+// The stage-graph vocabulary itself — Path, Stage and the chaining
+// invariants — lives in internal/pathgraph, a leaf package the
+// workload layer shares without depending on this analysis stack; the
+// aliases below keep this package's API the canonical spelling for
+// analysis-side callers.
 package pathnoise
 
 import "repro/internal/pathgraph"
@@ -44,10 +44,6 @@ type Path = pathgraph.Path
 // ValidatePaths validates a path set and rejects duplicate path names
 // (journals, schedulers, and the gateway all key on them).
 func ValidatePaths(paths []*Path) error { return pathgraph.ValidatePaths(paths) }
-
-// TopologyHash fingerprints the stage-graph topology of a path set;
-// see pathgraph.TopologyHash.
-func TopologyHash(paths []*Path) uint64 { return pathgraph.TopologyHash(paths) }
 
 // riseFall names a transition direction for diagnostics.
 func riseFall(rising bool) string { return pathgraph.RiseFall(rising) }

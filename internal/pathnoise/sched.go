@@ -47,15 +47,9 @@ type Options struct {
 	// 3 repeats pass 2 exactly and meets the Tol test: values above 3
 	// run no further passes.
 	MaxIterations int
-	// Tol stops the fixpoint early when a path's end-to-end noisy
-	// arrival moves less than this between passes (default DefaultTol).
-	Tol float64
 	// PathTimeout is the per-path deadline (0 = none). A path that
 	// overruns fails with the deadline class; other paths continue.
 	PathTimeout time.Duration
-	// Workers bounds concurrent stage executions (default: the tool's
-	// configured worker count).
-	Workers int
 	// Journal receives every freshly computed stage record (nil = no
 	// journaling). Canceled stages are never journaled, so a resumed
 	// run re-executes them.
@@ -71,22 +65,20 @@ type Options struct {
 	Emit func(StageRecord)
 }
 
-// Fixpoint defaults. MaxIterations mirrors the internal/sta iteration
-// structure but defaults lower: a path re-derives every downstream
-// stage input and window from the same pass's freshly simulated
-// waveforms, so the second pass already sees self-consistent arrivals,
-// and a third would repeat it exactly.
-const (
-	DefaultMaxIterations = 2
-	DefaultTol           = 1e-12
-)
+// DefaultMaxIterations mirrors the internal/sta iteration structure but
+// is lower: a path re-derives every downstream stage input and window
+// from the same pass's freshly simulated waveforms, so the second pass
+// already sees self-consistent arrivals, and a third would repeat it
+// exactly.
+const DefaultMaxIterations = 2
+
+// arrivalTol stops a path's fixpoint early: the Tol test passes when
+// its end-to-end noisy arrival moves by at most this between passes.
+const arrivalTol = 1e-12 // s
 
 func (o *Options) defaults() {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = DefaultMaxIterations
-	}
-	if o.Tol <= 0 {
-		o.Tol = DefaultTol
 	}
 }
 
@@ -123,20 +115,15 @@ type runner struct {
 }
 
 // Run analyzes a path set end to end on the tool's engine session and
-// returns one report per path, in input order. See Options for
-// journaling, resume, and streaming hooks. Run validates the path set;
-// the caller is responsible for pointing the session's warm identity at
-// the workload (engine.Session.SetTopology with TopologyHash) before
-// any warm-store traffic.
+// returns one report per path, in input order, running at most the
+// tool's worker count of stages at once. See Options for journaling,
+// resume, and streaming hooks. Run validates the path set.
 func Run(ctx context.Context, t *clarinet.Tool, paths []*Path, opt Options) ([]*PathReport, error) {
 	if err := ValidatePaths(paths); err != nil {
 		return nil, err
 	}
 	opt.defaults()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = t.Workers()
-	}
+	workers := t.Workers()
 	if workers > len(paths) {
 		workers = len(paths)
 	}
@@ -353,7 +340,7 @@ func (r *runner) execute(ps *pathState) (StageRecord, error) {
 		NoisyOutV: noisyOut.V,
 	}
 	if rec.Final && (ps.iter+1 >= r.opt.MaxIterations ||
-		(ps.hasPrev && math.Abs(res.NoisyArr-ps.prevFinalArr) <= r.opt.Tol)) {
+		(ps.hasPrev && math.Abs(res.NoisyArr-ps.prevFinalArr) <= arrivalTol)) {
 		rec.Done = true
 	}
 
@@ -414,7 +401,7 @@ func (r *runner) advance(ps *pathState, rec StageRecord) (more bool) {
 	}
 	finalArr := rec.Result.NoisyArr
 	if ps.iter+1 >= r.opt.MaxIterations ||
-		(ps.hasPrev && math.Abs(finalArr-ps.prevFinalArr) <= r.opt.Tol) {
+		(ps.hasPrev && math.Abs(finalArr-ps.prevFinalArr) <= arrivalTol) {
 		// Adopted final records decide termination here (fresh ones
 		// carry Done from execute); an adopted non-Done final record at
 		// the iteration cap means the prior run used more iterations.

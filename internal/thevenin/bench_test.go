@@ -28,7 +28,7 @@ func BenchmarkFit(b *testing.B) {
 	}
 	v := loads[0]
 	rising := v.Spec.Cell.InputRisingFor(v.Spec.OutputRising)
-	ce, err := ceff.ComputeContext(ctx, v.Spec.Cell, v.Spec.InputSlew, rising, v.Net, v.Node, ceff.Options{})
+	ce, err := ceff.ComputeContext(ctx, v.Spec.Cell, v.Spec.InputSlew, rising, v.Net, v.Node)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestFitMatchesFullDrive(t *testing.T) {
 			for _, dl := range loads {
 				cell, slew := dl.Spec.Cell, dl.Spec.InputSlew
 				rising := cell.InputRisingFor(dl.Spec.OutputRising)
-				ce, err := ceff.ComputeContext(ctx, cell, slew, rising, dl.Net, dl.Node, ceff.Options{})
+				ce, err := ceff.ComputeContext(ctx, cell, slew, rising, dl.Net, dl.Node)
 				if err != nil {
 					t.Fatal(err)
 				}

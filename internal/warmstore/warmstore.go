@@ -28,7 +28,7 @@ import (
 // SchemaVersion invalidates every store entry when the persisted layout
 // (or the meaning of the persisted numbers) changes: it participates in
 // Key, so old entries become unaddressable rather than misread.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // FrameEntry is the colblob frame kind wrapping a store payload
 // (exported for the noiseblob inspector).

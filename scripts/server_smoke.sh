@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Server smoke test: boots noised on an ephemeral port, drives it with
 # noisectl over a netgen workload, checks the warm-session guarantee
-# (the second request must rebuild zero alignment tables, recharacterize
-# zero drivers and re-run zero noiseless driver simulations), exercises
-# the version flag, and verifies graceful drain on SIGTERM.
+# (the second request must rebuild zero alignment tables and
+# recharacterize zero drivers, and after a restart the warm store must
+# serve the tables and both characterization memos), exercises the
+# version flag, and verifies graceful drain on SIGTERM.
 #
 # RACE=1 builds the daemon with the race detector (CI does).
 set -euo pipefail
@@ -109,14 +110,27 @@ echo "== restart warm (expect store hit, zero recharacterization)"
 boot
 store_hits=$(counter 'store\.hits')
 [ "$store_hits" -ge 1 ] || { echo "restarted daemon missed the warm store" >&2; exit 1; }
-restart_tables_before=$(counter 'cache\.tables\.miss')
+# The alignment tables and both characterization memos must serve the
+# repeated request from the loaded entry: no miss moves, and each memo
+# hits (so a memo that failed to load cannot pass by missing nothing).
+restart_misses='cache.tables.miss cache.char.rough.miss cache.char.full.miss'
+declare -A before
+for c in $restart_misses; do
+  before[$c]=$(counter "${c//./\\.}")
+done
 "$workdir/noisectl" -server "$base" -i "$workdir/nets.json" -quality
-restart_tables=$(counter 'cache\.tables\.miss')
-if [ "$restart_tables" != "$restart_tables_before" ]; then
-  echo "restarted daemon rebuilt alignment tables from a warm store:" \
-       "$restart_tables_before -> $restart_tables misses" >&2
-  exit 1
-fi
+for c in $restart_misses; do
+  after=$(counter "${c//./\\.}")
+  if [ "$after" != "${before[$c]}" ]; then
+    echo "restarted daemon recomputed what its warm store holds:" \
+         "$c ${before[$c]} -> $after" >&2
+    exit 1
+  fi
+done
+for c in cache.char.rough.hit cache.char.full.hit; do
+  hits=$(counter "${c//./\\.}")
+  [ "$hits" -gt 0 ] || { echo "restarted daemon left $c at 0: the warm characterizations did not load" >&2; exit 1; }
+done
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "noised exited non-zero on SIGTERM" >&2; exit 1; }
 daemon_pid=""
